@@ -30,6 +30,14 @@ class _Parser(argparse.ArgumentParser):
         raise SpecError(message)
 
 
+def _degree(text):
+    """argparse type for degrees: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    return value
+
+
 def _parse_params(pairs):
     params = {}
     for kv in pairs or []:
@@ -99,7 +107,12 @@ def cmd_validate(args):
 def cmd_pairing(args):
     algebra = _load_algebra(args, needed_window=args.degree)
     basis, matrix = pairing_matrix(algebra, args.degree, tie_break=args.order)
-    _, det = invert_pairing(matrix)
+    try:
+        _, det = invert_pairing(matrix)
+    except SingularCharacterError:
+        raise SingularCharacterError(
+            f"{algebra.name}: pairing matrix at degree {args.degree} is singular"
+        ) from None
     payload = {
         "algebra": algebra.name,
         "degree": args.degree,
@@ -166,17 +179,17 @@ def build_parser():
 
     p = sub.add_parser("pairing", help="print one degree of the pairing matrix")
     common(p)
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=_degree, required=True)
     p.set_defaults(func=cmd_pairing)
 
     p = sub.add_parser("star", help="print the product series")
     common(p)
-    p.add_argument("--max-degree", type=int, default=3, help="highest ħ order")
+    p.add_argument("--max-degree", type=_degree, default=3, help="highest ħ order")
     p.set_defaults(func=cmd_star)
 
     p = sub.add_parser("verify", help="run the verification battery")
     common(p)
-    p.add_argument("--max-degree", type=int, default=3, help="window for the global identities")
+    p.add_argument("--max-degree", type=_degree, default=3, help="window for the global identities")
     p.add_argument("--seed", type=int, default=0, help="seed for the randomized property suites")
     p.set_defaults(func=cmd_verify)
     return parser

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import CutoffExceededError, SpecError
-from .scalars import frac_from_str, frac_to_str
+from .scalars import Polynomial, adjugate, frac_from_str, frac_to_str
 
 
 def _scalar(v):
@@ -82,9 +82,6 @@ class GradedLieAlgebra:
 
     # -- lookups -----------------------------------------------------------
 
-    def generator(self, gid):
-        return self._by_id[gid]
-
     def degree(self, gid):
         return self._by_id[gid].degree
 
@@ -97,17 +94,8 @@ class GradedLieAlgebra:
                 return g
         raise KeyError(name)
 
-    def generators_of_degree(self, d):
-        return [g for g in self.generators if g.degree == d]
-
-    def negative_ids(self):
-        return [g.id for g in sorted(self.generators, key=lambda g: (g.degree, g.id)) if g.degree < 0]
-
     def zero_ids(self):
         return [g.id for g in sorted(self.generators, key=lambda g: (g.degree, g.id)) if g.degree == 0]
-
-    def positive_ids(self):
-        return [g.id for g in sorted(self.generators, key=lambda g: (g.degree, g.id)) if g.degree > 0]
 
     def chi(self, gid):
         return self.character.get(gid, 0)
@@ -184,11 +172,8 @@ class GradedLieAlgebra:
         def ad(x, elem):
             out = {}
             for gid, c in elem.items():
-                try:
-                    for h, k in self.bracket(x, gid):
-                        out[h] = out.get(h, Fraction(0)) + c * k
-                except CutoffExceededError:
-                    raise
+                for h, k in self.bracket(x, gid):
+                    out[h] = out.get(h, Fraction(0)) + c * k
             return out
 
         for i, a in enumerate(ids):
@@ -211,25 +196,23 @@ class GradedLieAlgebra:
                             f"Jacobi fails on ({self.gen_name(a)}, {self.gen_name(b)}, {self.gen_name(c)})",
                         )
 
+    def character_pairing(self, degree):
+        """Sorted generator ids at -degree and +degree, and the matrix
+        χ([u, v]) over them as constant polynomials (rows u, columns v)."""
+        minus = sorted(g.id for g in self.generators if g.degree == -degree)
+        plus = sorted(g.id for g in self.generators if g.degree == degree)
+        rows = [
+            [Polynomial([sum(c * self.chi(g) for g, c in self.bracket(u, v))]) for v in plus]
+            for u in minus
+        ]
+        return minus, plus, rows
+
     def check_nonsingular(self, max_degree) -> dict:
         """Whether χ([·,·]₀) pairs g_{-i} with g_{+i} nondegenerately, per degree."""
         out = {}
         for i in range(1, max_degree + 1):
-            minus = [g.id for g in self.generators if g.degree == -i]
-            plus = [g.id for g in self.generators if g.degree == +i]
-            if len(minus) != len(plus):
-                out[i] = False
-                continue
-            if not minus:
-                out[i] = True
-                continue
-            mat = []
-            for u in sorted(minus):
-                row = []
-                for v in sorted(plus):
-                    row.append(sum((c * self.chi(g) for g, c in self.bracket(u, v)), Fraction(0)))
-                mat.append(row)
-            out[i] = _invertible(mat)
+            minus, plus, rows = self.character_pairing(i)
+            out[i] = len(minus) == len(plus) and not adjugate(rows)[1].is_zero
         return out
 
     # -- serialization -----------------------------------------------------
@@ -310,24 +293,6 @@ class GradedLieAlgebra:
             cutoff=cutoff,
             truncated=bool(data.get("truncated", False)),
         )
-
-
-def _invertible(mat):
-    """Gaussian elimination over ℚ; True iff the square matrix has full rank."""
-    n = len(mat)
-    m = [row[:] for row in mat]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            return False
-        m[col], m[piv] = m[piv], m[col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return True
 
 
 # -- built-in families ------------------------------------------------------
@@ -425,6 +390,8 @@ def builtin(name, params, cutoff=None):
     extra = [p for p in params if p not in wanted]
     if extra:
         raise SpecError(f"builtin {name!r} does not take parameter {extra[0]!r}")
+    if cutoff is not None and cutoff < 1:
+        raise SpecError("cutoff must be a positive integer")
     if name == "heisenberg":
         n = params["n"]
         if n.denominator != 1 or n <= 0:

@@ -251,6 +251,44 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return Polynomial([Fraction(c, cont) for c in fb]).monic()
 
 
+def adjugate(matrix):
+    """Fraction-free Gauss–Jordan elimination (Bareiss 1968) on [A | I] over ℚ[λ].
+
+    Returns (adj, det) with A·adj = det·I, both polynomial.  A singular matrix
+    gives (None, ZERO_POLY); whether that is an error is the caller's choice.
+    Every division by the previous pivot is exact, and zero entries are
+    skipped, so sparse and diagonal matrices stay cheap."""
+    n = len(matrix)
+    width = 2 * n
+    aug = [
+        list(row) + [ONE_POLY if i == j else ZERO_POLY for j in range(n)]
+        for i, row in enumerate(matrix)
+    ]
+    sign, prev = 1, ONE_POLY
+    for k in range(n):
+        piv = next((r for r in range(k, n) if aug[r][k]), None)
+        if piv is None:
+            return None, ZERO_POLY
+        if piv != k:
+            aug[k], aug[piv] = aug[piv], aug[k]
+            sign = -sign
+        top = aug[k]
+        p = top[k]
+        # columns left of k are settled: only the implied diagonal is nonzero
+        for i, row in enumerate(aug):
+            if i == k:
+                continue
+            f = row[k]
+            for j in range(k + 1, width):
+                if row[j] or (f and top[j]):
+                    row[j] = (row[j] * p - f * top[j]).exact_div(prev)
+        prev = p
+    # the right block is det(PA)·A⁻¹ = sign·adj(A) for the row permutation P
+    if sign > 0:
+        return [row[n:] for row in aug], prev
+    return [[-e for e in row[n:]] for row in aug], -prev
+
+
 class RationalFunction:
     """Reduced ratio of polynomials in λ with monic denominator, so structural
     equality doubles as mathematical equality."""
@@ -349,13 +387,6 @@ class RationalFunction:
             return RF_ZERO
         return RationalFunction._reduced(self.num.scale(k), self.den)
 
-    @property
-    def order_at_infinity(self):
-        """deg den - deg num; how fast the function decays at λ = ∞ (None if zero)."""
-        if self.is_zero:
-            return None
-        return self.den.degree - self.num.degree
-
     def expand_at_infinity(self, n):
         return expand_at_infinity(self, n)
 
@@ -379,7 +410,6 @@ class RationalFunction:
 
 
 RF_ZERO = RationalFunction(0)
-RF_ONE = RationalFunction(1)
 
 
 class HbarSeries:

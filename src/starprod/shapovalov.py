@@ -3,9 +3,10 @@ per-degree matrices of that pairing, their exact inverses, and the canonical
 element assembled from them.
 
 All scalars are polynomials or rational functions in the character scale λ,
-handled exactly.  Matrix inversion uses fraction-free (Bareiss) elimination
-followed by back substitution, and every inverse is multiplied back against
-the original matrix before it is accepted.
+handled exactly.  Each pairing matrix A is inverted by fraction-free
+Gauss–Jordan elimination on [A | I], which yields det A and the adjugate as
+polynomials; the result is accepted only after A·adj = det·I is checked in
+ℚ[λ].
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SingularCharacterError
-from .scalars import ONE_POLY, Polynomial, RationalFunction
-from .uea import antipode, char_eval, mono_degree, multiply, phi, phi_order, pi_order, verma_act
+from .scalars import ONE_POLY, ZERO_POLY, Polynomial, RationalFunction, adjugate
+from .uea import antipode, char_eval, mono_degree, multiply, phi, phi_order, verma_act
 
 
 @dataclass(frozen=True)
@@ -101,47 +102,21 @@ def build_basis(algebra, degree, tie_break="desc"):
     return GradedBasis(degree, tuple(minus), plus)
 
 
-def invert_rational_matrix(rows):
-    """Gauss-Jordan inverse of a Fraction matrix, or None if singular."""
-    n = len(rows)
-    aug = [list(rows[i]) + [Fraction(i == j) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
 def dual_basis(algebra, degree):
     """Raising elements v_i dual to the lowering generators at -degree, with
     χ([u_i, v_j]) = δ_ij.  Returned as dicts over raising generator ids."""
-    minus = sorted(g.id for g in algebra.generators if g.degree == -degree)
-    plus = sorted(g.id for g in algebra.generators if g.degree == degree)
+    minus, plus, rows = algebra.character_pairing(degree)
     if len(minus) != len(plus):
         raise SingularCharacterError(
             f"{algebra.name}: no dual basis at degree {degree} (dimension mismatch)"
         )
-    mat = [
-        [
-            sum((c * algebra.chi(g) for g, c in algebra.bracket(u, v)), Fraction(0))
-            for v in plus
-        ]
-        for u in minus
-    ]
-    inv = invert_rational_matrix(mat)
-    if inv is None:
+    adj, det = adjugate(rows)
+    if det.is_zero:
         raise SingularCharacterError(
             f"{algebra.name}: character pairing is singular at degree {degree}"
         )
     return [
-        {plus[k]: inv[k][j] for k in range(len(plus)) if inv[k][j]}
+        {plus[k]: Fraction(adj[k][j].lc) / det.lc for k in range(len(plus)) if adj[k][j]}
         for j in range(len(minus))
     ]
 
@@ -167,34 +142,21 @@ def oracle_pairing(algebra, x, y):
     return acted.get((), Polynomial())
 
 
-def pairing_matrix(algebra, degree, tie_break="desc", dual_normalized=False, basis=None):
+def pairing_matrix(algebra, degree, tie_break="desc", basis=None):
     """Matrix of the pairing at one degree: rows over lowering monomials x_k,
-    columns over mirrored raising monomials y_l (or over monomials in the dual
-    raising elements when dual_normalized is set)."""
+    columns over mirrored raising monomials y_l."""
     if basis is None:
         basis = build_basis(algebra, degree, tie_break)
-    if dual_normalized:
-        mirror = mirror_map(algebra)
-        duals = {}
-        for d in sorted({-algebra.degree(g) for w in basis.minus for g in w}):
-            minus = sorted(g.id for g in algebra.generators if g.degree == -d)
-            for u, v in zip(minus, dual_basis(algebra, d)):
-                duals[mirror[u]] = {(g,): c for g, c in v.items()}
-        order = pi_order(algebra)
-        ys = []
-        for w in basis.plus:
-            el = {(): Fraction(1)}
-            for g in w:
-                el = multiply(order, el, duals[g])
-            ys.append(el)
-    else:
-        ys = list(basis.plus)
     rows = []
     for x in basis.minus:
         row = []
-        for y in ys:
+        for y in basis.plus:
             entry = pairing_entry(algebra, x, y)
-            assert entry.degree <= degree, "pairing entry exceeds its degree bound"
+            if entry.degree > degree:
+                raise ArithmeticError(
+                    f"{algebra.name}: pairing entry of λ-degree {entry.degree} "
+                    f"exceeds its bound at degree {degree}"
+                )
             row.append(entry)
         rows.append(row)
     return basis, rows
@@ -206,58 +168,24 @@ def pairing_matrix(algebra, degree, tie_break="desc", dual_normalized=False, bas
 def invert_pairing(matrix):
     """Invert a square Polynomial matrix over ℚ(λ).
 
-    Returns (numerators, det), with inverse[i][j] = numerators[i][j] / det.
-    Raises SingularCharacterError when the determinant vanishes.  The inverse
-    is verified by multiplying back before returning.
+    Returns (adjugate, det), with inverse[i][j] = adjugate[i][j] / det.
+    Raises SingularCharacterError when the determinant vanishes, and
+    ArithmeticError unless matrix·adjugate = det·I holds exactly in ℚ[λ].
     """
+    adj, det = adjugate(matrix)
+    if det.is_zero:
+        raise SingularCharacterError("pairing matrix is singular")
     n = len(matrix)
-    width = 2 * n
-    aug = [
-        [matrix[i][j] for j in range(n)]
-        + [ONE_POLY if i == j else Polynomial() for j in range(n)]
-        for i in range(n)
-    ]
-    sign = 1
-    prev = ONE_POLY
-    for k in range(n):
-        piv = next((r for r in range(k, n) if aug[r][k]), None)
-        if piv is None:
-            raise SingularCharacterError("pairing matrix is singular")
-        if piv != k:
-            aug[k], aug[piv] = aug[piv], aug[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, width):
-                aug[i][j] = (aug[i][j] * aug[k][k] - aug[i][k] * aug[k][j]).exact_div(prev)
-            aug[i][k] = Polynomial()
-        prev = aug[k][k]
-    det = prev if sign > 0 else -prev
-
-    # back substitution over rational functions
-    inverse = [[None] * n for _ in range(n)]
-    for col in range(n):
-        xs = [None] * n
-        for i in range(n - 1, -1, -1):
-            s = RationalFunction(aug[i][n + col])
-            for j in range(i + 1, n):
-                s = s - RationalFunction(aug[i][j]) * xs[j]
-            xs[i] = s / RationalFunction(aug[i][i])
-        for i in range(n):
-            inverse[i][col] = xs[i]
-
-    for i in range(n):
+    for i, row in enumerate(matrix):
+        nonzero = [(k, a) for k, a in enumerate(row) if a]
         for j in range(n):
-            s = RationalFunction(Fraction(i == j))
-            for k in range(n):
-                s = s - RationalFunction(matrix[i][k]) * inverse[k][j]
-            if not s.is_zero:
-                raise ArithmeticError("inverse verification failed")
-
-    numerators = [
-        [inverse[i][j].num * det.exact_div(inverse[i][j].den) for j in range(n)]
-        for i in range(n)
-    ]
-    return numerators, det
+            s = ZERO_POLY
+            for k, a in nonzero:
+                if adj[k][j]:
+                    s = s + a * adj[k][j]
+            if s != (det if i == j else ZERO_POLY):
+                raise ArithmeticError("adjugate certificate A·adj = det·I failed")
+    return adj, det
 
 
 # -- the canonical element ---------------------------------------------------
@@ -286,12 +214,6 @@ class CanonicalElement:
         num = self.nums[n].get((x, y))
         return RationalFunction(num, self.dets[n]) if num is not None else RationalFunction(0)
 
-    def pairs(self):
-        for n in range(self.max_degree + 1):
-            det = self.dets[n]
-            for (x, y), num in sorted(self.nums[n].items()):
-                yield n, x, y, RationalFunction(num, det)
-
 
 def canonical_element(algebra, max_degree, tie_break="desc"):
     bases, nums, dets = {}, {}, {}
@@ -306,7 +228,12 @@ def canonical_element(algebra, max_degree, tie_break="desc"):
                 algebra._cache[key] = (basis, {}, ONE_POLY)
             else:
                 _, matrix = pairing_matrix(algebra, n, tie_break, basis=basis)
-                inv_nums, det = invert_pairing(matrix)
+                try:
+                    inv_nums, det = invert_pairing(matrix)
+                except SingularCharacterError:
+                    raise SingularCharacterError(
+                        f"{algebra.name}: pairing matrix at degree {n} is singular"
+                    ) from None
                 coeffs = {}
                 for k, x in enumerate(basis.minus):
                     for l, y in enumerate(basis.plus):

@@ -97,11 +97,6 @@ def pi_order(algebra):
     return _order(algebra, "pi", ("neg", "pos", "zero"))
 
 
-def mirror_order(algebra):
-    """Positive, zero, negative: normal form adapted to the mirrored module."""
-    return _order(algebra, "mirror", ("pos", "zero", "neg"))
-
-
 # -- elements ----------------------------------------------------------------
 
 

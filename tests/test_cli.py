@@ -71,7 +71,14 @@ def test_pairing_singular_exit(capsys):
         "--degree", "1",
     )
     assert code == 3
-    assert err.startswith("error:")
+    assert err == "error: heisenberg(1): pairing matrix at degree 1 is singular\n"
+    code, _, err = _run(
+        capsys,
+        "pairing", "--builtin", "virasoro", "--param", "delta=0", "--param", "c=1",
+        "--degree", "1",
+    )
+    assert code == 3
+    assert err == "error: virasoro: pairing matrix at degree 1 is singular\n"
 
 
 def test_pairing_window_exit(capsys):
@@ -175,6 +182,16 @@ def test_parse_errors(capsys):
         capsys, "validate", "--builtin", "sl2", "--param", "z=1", "--spec", "x.json"
     )
     assert code == 5 and "mutually exclusive" in err
+    # negative degrees and a zero cutoff are refused before any output
+    sl2_args = ("--builtin", "sl2", "--param", "z=1")
+    for argv in (
+        ("pairing", *sl2_args, "--degree", "-1"),
+        ("star", *sl2_args, "--max-degree", "-1"),
+        ("verify", *sl2_args, "--max-degree", "-2"),
+        ("star", *sl2_args, "--cutoff", "0"),
+    ):
+        code, out, _ = _run(capsys, *argv)
+        assert (code, out) == (5, "")
 
 
 def test_spec_with_param_rejected(tmp_path, capsys):

@@ -6,13 +6,13 @@ import pytest
 
 from starprod.errors import SingularCharacterError
 from starprod.lie import GradedLieAlgebra, Generator, heisenberg, sl2, virasoro
-from starprod.scalars import ONE_POLY, Polynomial, RationalFunction
+from starprod.scalars import ONE_POLY, ZERO_POLY, Polynomial, RationalFunction, adjugate
+from starprod import shapovalov
 from starprod.shapovalov import (
     build_basis,
     canonical_element,
     dual_basis,
     invert_pairing,
-    invert_rational_matrix,
     mirror_map,
     oracle_pairing,
     pairing_entry,
@@ -123,24 +123,6 @@ def test_pairing_matrix_virasoro():
     ]
 
 
-def test_pairing_matrix_dual_normalized():
-    # against dual monomials the sl2 diagonal becomes n!·Π(λ - j/z)
-    alg = sl2(2)
-    _, rows = pairing_matrix(alg, 2, dual_normalized=True)
-    assert rows == [[Polynomial((0, -1, 2))]]  # 2·λ(λ-1/2)
-    _, rows1 = pairing_matrix(alg, 1, dual_normalized=True)
-    assert rows1 == [[Polynomial((0, 1))]]
-    # heisenberg: diagonal (Π kᵢ!)·λ^|K| regardless of the weight w
-    h = heisenberg(2, 3)
-    _, hrows = pairing_matrix(h, 2, dual_normalized=True)
-    lam2 = Polynomial((0, 0, 1))
-    assert hrows == [
-        [lam2.scale(2), Polynomial(), Polynomial()],
-        [Polynomial(), lam2, Polynomial()],
-        [Polynomial(), Polynomial(), lam2.scale(2)],
-    ]
-
-
 def test_oracle_agrees_on_random_degree_pairs():
     for alg in (sl2(Fraction(5, 3)), heisenberg(2, 2), virasoro(2, -1, cutoff=3)):
         for n in (1, 2, 3):
@@ -150,10 +132,16 @@ def test_oracle_agrees_on_random_degree_pairs():
                     assert pairing_entry(alg, x, y) == oracle_pairing(alg, x, y)
 
 
-def test_invert_rational_matrix():
-    inv = invert_rational_matrix([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]])
-    assert inv == [[Fraction(-2), Fraction(1)], [Fraction(3, 2), Fraction(-1, 2)]]
-    assert invert_rational_matrix([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) is None
+def test_adjugate_constant_2x2():
+    def const(rows):
+        return [[Polynomial([v]) for v in row] for row in rows]
+
+    # inverse [[-2, 1], [3/2, -1/2]] = adj / det with det = -2
+    adj, det = adjugate(const([[1, 2], [3, 4]]))
+    assert det == Polynomial([-2])
+    assert adj == const([[4, -2], [-3, 1]])
+    assert adjugate(const([[1, 2], [2, 4]])) == (None, ZERO_POLY)
+    assert adjugate([]) == ([], ONE_POLY)
 
 
 def test_invert_pairing():
@@ -174,6 +162,15 @@ def test_invert_pairing():
         invert_pairing(singular)
 
 
+def test_invert_pairing_rejects_tampered_adjugate(monkeypatch):
+    _, rows = pairing_matrix(virasoro(1, 1), 2)
+    adj, det = adjugate(rows)
+    adj[1][0] = adj[1][0] + ONE_POLY
+    monkeypatch.setattr(shapovalov, "adjugate", lambda matrix: (adj, det))
+    with pytest.raises(ArithmeticError):
+        invert_pairing(rows)
+
+
 def test_canonical_element_sl2():
     alg = sl2(2)
     f, e = alg.by_name("f").id, alg.by_name("e").id
@@ -189,7 +186,6 @@ def test_canonical_element_sl2():
     )
     # degree mismatch gives zero
     assert canon.coefficient((f,), (e, e)).is_zero
-    assert list(canon.pairs())[0] == (0, (), (), RationalFunction(ONE_POLY))
 
 
 def test_canonical_element_virasoro():
@@ -225,6 +221,8 @@ def test_canonical_element_inverts_pairing():
 def test_canonical_element_singular_character():
     with pytest.raises(SingularCharacterError):
         canonical_element(heisenberg(1, 0), 1)
+    with pytest.raises(SingularCharacterError, match=r"^virasoro: pairing matrix at degree 1 is singular$"):
+        canonical_element(virasoro(0, 1), 2)
 
 
 def test_tie_break_gives_same_component():

@@ -12,7 +12,6 @@ from starprod.uea import (
     char_eval,
     coproduct,
     counit,
-    mirror_order,
     mono_degree,
     mono_splits,
     multiply,
@@ -38,8 +37,6 @@ def test_normal_form_ef():
     assert normal_form(phi_order(alg), (e, f)) == {(f, e): 1, (h,): 1}
     # pi order also puts f before e, so the straightened word is the same
     assert normal_form(pi_order(alg), (e, f)) == {(f, e): 1, (h,): 1}
-    # mirror order reverses the segments: e comes first
-    assert normal_form(mirror_order(alg), (f, e)) == {(e, f): 1, (h,): -1}
 
 
 def test_normal_form_virasoro():
