@@ -7,6 +7,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import CutoffExceededError, SpecError
 from .scalars import Polynomial, adjugate, frac_from_str, frac_to_str
@@ -68,7 +69,8 @@ class GradedLieAlgebra:
             cutoff = max((abs(g.degree) for g in self.generators), default=1) or 1
         self.cutoff = cutoff
         self.truncated = truncated
-        self.character = {gid: _scalar(v) for gid, v in character.items()}
+        # read-only: the per-degree caches are not keyed on the character
+        self.character = MappingProxyType({gid: _scalar(v) for gid, v in character.items()})
         table = {}
         for (a, b), terms in brackets.items():
             merged = {}

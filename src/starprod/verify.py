@@ -8,7 +8,10 @@ The two global identities (associativity of the product series and invariance
 of the canonical element) are verified inside a degree window: components
 whose slot degrees all lie within the window are exactly determined by the
 per-degree data up to that window, so the windowed check is a genuine proof
-for those components rather than an approximation.
+for those components rather than an approximation.  Both checks clear
+denominators once, through `_cleared`: each component is decided over the one
+common denominator Π det_n (squared for the products in associativity) by
+whether its numerator is the zero polynomial.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import CutoffExceededError
-from .scalars import HbarSeries, ONE_POLY, Polynomial, RationalFunction
+from .scalars import HbarSeries, ONE_POLY, ZERO_POLY, Polynomial, RationalFunction
 from .shapovalov import (
     build_basis,
     canonical_element,
@@ -83,15 +86,18 @@ class VerificationReport:
         }
 
 
-def _cofactors(dets):
-    out = []
-    for i in range(len(dets)):
-        p = ONE_POLY
-        for j, d in enumerate(dets):
-            if j != i:
-                p = p * d
-        out.append(p)
-    return out
+def _cleared(canon, window):
+    """(degree, (x, y), numerator) for every canonical-element term through the
+    window, by degree and pair, each numerator times the other degrees'
+    determinants so that all terms sit over one denominator Π det_n."""
+    terms = []
+    for n in range(window + 1):
+        cof = ONE_POLY
+        for m in range(window + 1):
+            if m != n:
+                cof = cof * canon.dets[m]
+        terms += [(n, pair, num * cof) for pair, num in sorted(canon.nums[n].items())]
+    return terms
 
 
 # -- global identities --------------------------------------------------------
@@ -104,20 +110,17 @@ def check_associativity(algebra, window, tie_break="desc"):
 
     after projecting zero-degree letters out of the middle slot, on every
     three-slot component whose degrees all sit inside the window."""
-    canon = canonical_element(algebra, window, tie_break)
     order = pi_order(algebra)
-    cof = _cofactors([canon.dets[n] for n in range(window + 1)])
-    terms = {n: sorted(canon.nums[n].items()) for n in range(window + 1)}
+    terms = _cleared(canonical_element(algebra, window, tie_break), window)
 
     acc = {}
 
-    def add(w1, w2, w3, p, q, poly, k):
-        # accumulate k·poly on the component, keyed by its (p, q) denominator
-        slot = acc.setdefault((w1, w2, w3), {})
-        cur = slot.get((p, q))
+    def add(comp, poly, k):
+        # accumulate k·poly on the component as a raw coefficient list
+        cur = acc.get(comp)
         cs = poly.coeffs
         if cur is None:
-            slot[(p, q)] = [c * k for c in cs]
+            acc[comp] = [c * k for c in cs]
             return
         if len(cur) < len(cs):
             cur.extend([0] * (len(cs) - len(cur)))
@@ -127,47 +130,38 @@ def check_associativity(algebra, window, tie_break="desc"):
 
     deg = lambda w: mono_degree(algebra, w)
     zfree = {}  # mid-slot products with zero-degree letters projected away
-    for p in range(window + 1):
-        for (x, y), nump in terms[p]:
-            xsplits = mono_splits(x)
-            ysplits = mono_splits(y)
-            for q in range(window + 1):
-                for (xq, yq), numq in terms[q]:
-                    base = nump * numq
-                    for x1, x2, mult in xsplits:
-                        if q - deg(x1) > window:
-                            continue
-                        mid = x2 + yq  # already normal: negatives then positives
-                        for w1, c1 in _word_product(order, x1, xq).items():
-                            add(w1, mid, y, p, q, base, mult * c1)
-                    for y1, y2, mult in ysplits:
-                        if deg(y2) + q > window:
-                            continue
-                        mid = zfree.get((y1, xq))
-                        if mid is None:
-                            mid = zfree[(y1, xq)] = {
-                                w: c
-                                for w, c in _word_product(order, y1, xq).items()
-                                if all(algebra.degree(g) != 0 for g in w)
-                            }
-                        if not mid:
-                            continue
-                        right = _word_product(order, y2, yq)
-                        for w2, c2 in mid.items():
-                            mc2 = mult * c2
-                            for w3, c3 in right.items():
-                                add(x, w2, w3, p, q, base, -mc2 * c3)
+    for _, (x, y), nump in terms:
+        xsplits = mono_splits(x)
+        ysplits = mono_splits(y)
+        for q, (xq, yq), numq in terms:
+            base = nump * numq
+            for x1, x2, mult in xsplits:
+                if q - deg(x1) > window:
+                    continue
+                mid = x2 + yq  # already normal: negatives then positives
+                for w1, c1 in _word_product(order, x1, xq).items():
+                    add((w1, mid, y), base, mult * c1)
+            for y1, y2, mult in ysplits:
+                if deg(y2) + q > window:
+                    continue
+                mid = zfree.get((y1, xq))
+                if mid is None:
+                    mid = zfree[(y1, xq)] = {
+                        w: c
+                        for w, c in _word_product(order, y1, xq).items()
+                        if all(algebra.degree(g) != 0 for g in w)
+                    }
+                if not mid:
+                    continue
+                right = _word_product(order, y2, yq)
+                for w2, c2 in mid.items():
+                    mc2 = mult * c2
+                    for w3, c3 in right.items():
+                        add((x, w2, w3), base, -mc2 * c3)
 
     for comp in sorted(acc):
-        by_p = {}
-        for (p, q), coeffs in acc[comp].items():
-            by_p[p] = by_p.get(p, Polynomial()) + Polynomial(coeffs) * cof[q]
-        total = Polynomial()
-        for p, poly in by_p.items():
-            total = total + poly * cof[p]
-        if total:
-            w1, w2, w3 = comp
-            where = " | ".join(word_name(algebra, w) for w in (w1, w2, w3))
+        if any(acc[comp]):
+            where = " | ".join(word_name(algebra, w) for w in comp)
             return CheckResult(
                 "associativity", False, f"window {window}: residual at [{where}]"
             )
@@ -179,34 +173,24 @@ def check_associativity(algebra, window, tie_break="desc"):
 def check_invariance(algebra, window, tie_break="desc"):
     """Every generator, acting on both tensor slots of the canonical element
     through the module and its mirror, gives zero on all in-window components."""
-    canon = canonical_element(algebra, window, tie_break)
-    cof = _cofactors([canon.dets[n] for n in range(window + 1)])
+    terms = _cleared(canonical_element(algebra, window, tie_break), window)
     deg = lambda w: mono_degree(algebra, w)
     for gen in algebra.generators:
         acc = {}
-
-        def add(key, n, poly):
-            slot = acc.setdefault(key, {})
-            slot[n] = slot.get(n, Polynomial()) + poly
-
         d = gen.degree
-        for n in range(window + 1):
+        for n, (x, y), num in terms:
             # Contributions landing outside the window belong to components
             # that are incomplete at this window anyway; skipping them before
             # acting keeps every bracket inside the window.
-            for (x, y), num in canon.nums[n].items():
-                if n - d <= window:
-                    for w, p in verma_act(algebra, (gen.id,), x, side=1).items():
-                        if -deg(w) <= window:
-                            add((w, y), n, p * num)
-                if n + d <= window:
-                    for w, p in verma_act(algebra, (gen.id,), y, side=-1).items():
-                        if deg(w) <= window:
-                            add((x, w), n, p * num)
-        for (xw, yw), parts in sorted(acc.items()):
-            total = Polynomial()
-            for n, poly in parts.items():
-                total = total + poly * cof[n]
+            if n - d <= window:
+                for w, p in verma_act(algebra, (gen.id,), x, side=1).items():
+                    if -deg(w) <= window:
+                        acc[(w, y)] = acc.get((w, y), ZERO_POLY) + p * num
+            if n + d <= window:
+                for w, p in verma_act(algebra, (gen.id,), y, side=-1).items():
+                    if deg(w) <= window:
+                        acc[(x, w)] = acc.get((x, w), ZERO_POLY) + p * num
+        for (xw, yw), total in sorted(acc.items()):
             if total:
                 where = f"{word_name(algebra, xw)} | {word_name(algebra, yw)}"
                 return CheckResult(
@@ -450,14 +434,24 @@ def _closed_form_virasoro(algebra):
 
 
 def check_closed_forms(algebra):
-    """Dispatch to the family the algebra belongs to, if any."""
+    """Dispatch to the family the algebra's name claims, if any.  A name that
+    claims a family whose generators the algebra lacks fails the check."""
     if algebra.name == "sl2":
-        return _closed_form_sl2(algebra)
-    if algebra.name.startswith("heisenberg("):
-        return _closed_form_heisenberg(algebra)
-    if algebra.name == "virasoro":
-        return _closed_form_virasoro(algebra)
-    return None
+        form, needed = _closed_form_sl2, ["h", "f", "e"]
+    elif algebra.name.startswith("heisenberg("):
+        qs = sorted((g for g in algebra.generators if g.degree < 0), key=lambda g: g.id)
+        form, needed = _closed_form_heisenberg, ["p" + g.name[1:] for g in qs] + ["c"]
+    elif algebra.name == "virasoro":
+        form, needed = _closed_form_virasoro, ["L0", "c", "L-1", "L-2", "L1", "L2"]
+    else:
+        return None
+    names = {g.name for g in algebra.generators}
+    missing = [name for name in needed if name not in names]
+    if missing:
+        family = algebra.name.split("(")[0]
+        why = f"the {family} closed form needs generator {missing[0]}, which the algebra lacks"
+        return CheckResult("closed-form", False, why)
+    return form(algebra)
 
 
 # -- randomized property suites --------------------------------------------------

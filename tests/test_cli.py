@@ -3,7 +3,7 @@
 import json
 
 from starprod.cli import main
-from starprod.lie import GradedLieAlgebra, Generator, sl2
+from starprod.lie import GradedLieAlgebra, Generator, random_two_step, sl2
 
 
 def _run(capsys, *argv):
@@ -169,6 +169,26 @@ def test_spec_file_failing_validation(tmp_path, capsys):
     code, out, _ = _run(capsys, "validate", "--spec", str(path))
     assert code == 2
     assert "INVALID" in out
+
+
+def test_verify_spec_outside_its_named_family(tmp_path, capsys):
+    # a valid algebra named after a family whose generators it lacks fails the
+    # closed-form check with exit 2 instead of crashing
+    for name, family, missing in (
+        ("sl2", "sl2", "h"),
+        ("virasoro", "virasoro", "L0"),
+        ("heisenberg(2)", "heisenberg", "p1"),
+    ):
+        data = dict(random_two_step(3).to_json(), name=name)
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps(data))
+        code, out, err = _run(capsys, "verify", "--spec", str(path), "--max-degree", "2")
+        assert code == 2 and err == ""
+        assert (
+            f"  FAIL closed-form: the {family} closed form needs generator {missing}, "
+            "which the algebra lacks"
+        ) in out.splitlines()
+        assert out.count("  FAIL ") == 1 and out.endswith("FAILED\n")
 
 
 def test_parse_errors(capsys):

@@ -15,6 +15,7 @@ from starprod.lie import (
     sl2,
     virasoro,
 )
+from starprod.star import star_series
 
 
 def test_sl2_brackets():
@@ -95,6 +96,18 @@ def test_validation_catches_character_on_commutators():
     alg = GradedLieAlgebra("bad", gens, {(0, 1): [(2, 1)]}, {2: 1})
     report = alg.validate()
     assert any(check == "character" for check, _ in report.failures)
+
+
+def test_character_is_read_only():
+    # the per-degree caches are not keyed on the character, so it cannot change
+    alg = sl2(1)
+    before = star_series(alg, 2).orders
+    with pytest.raises(TypeError):
+        alg.character[alg.by_name("h").id] = 2
+    with pytest.raises(TypeError):
+        del alg.character[alg.by_name("h").id]
+    assert alg.chi(alg.by_name("h").id) == 1
+    assert star_series(alg, 2).orders == before
 
 
 def test_nonsingularity():

@@ -58,29 +58,40 @@ def test_run_all_clamps_window_to_cutoff():
     assert "window 2" in assoc.detail
 
 
-def _tampered_sl2(window=2):
-    """Fresh sl2 with the degree-1 coefficient of the canonical element doubled."""
-    alg = sl2(1)
+def _tampered(alg, window, degree):
+    """The algebra with one degree-`degree` coefficient of its canonical
+    element (computed through `window`) doubled."""
     canonical_element(alg, window)
-    basis, coeffs, det = alg._cache[("component", 1, "desc")]
+    basis, coeffs, det = alg._cache[("component", degree, "desc")]
     key = next(iter(coeffs))
     coeffs[key] = coeffs[key].scale(2)
     return alg
 
 
 def test_tampering_breaks_associativity():
-    result = check_associativity(_tampered_sl2(), 2)
+    result = check_associativity(_tampered(sl2(1), 2, 1), 2)
     assert not result.passed
     assert "residual" in result.detail
+    for alg, detail in (
+        (random_two_step(17), "window 2: residual at [a1 | a1 | b1^2]"),
+        (virasoro(1, 1), "window 2: residual at [L-2 | L-1 L1 | L1^2]"),
+    ):
+        result = check_associativity(_tampered(alg, 2, 2), 2)
+        assert (result.passed, result.detail) == (False, detail)
 
 
 def test_tampering_breaks_invariance():
-    result = check_invariance(_tampered_sl2(), 2)
-    assert not result.passed
+    assert not check_invariance(_tampered(sl2(1), 2, 1), 2).passed
+    for alg, detail in (
+        (random_two_step(17), "generator a2 leaves a residual at [a1^2 | b1]"),
+        (virasoro(1, 1), "generator L-2 leaves a residual at [L-1^2 | 1]"),
+    ):
+        result = check_invariance(_tampered(alg, 2, 2), 2)
+        assert (result.passed, result.detail) == (False, detail)
 
 
 def test_tampering_breaks_residue_and_closed_form():
-    alg = _tampered_sl2()
+    alg = _tampered(sl2(1), 2, 1)
     assert not check_residue(alg, 2).passed
     assert not check_first_order(alg, 2).passed
     assert not check_closed_forms(alg).passed
