@@ -82,6 +82,21 @@ class GradedLieAlgebra:
         self._table = table
         self._cache = {}  # shared memo space for the PBW layer
 
+    # the per-degree caches are keyed on none of these, so none may change
+    _FIXED = frozenset(
+        ("name", "generators", "_by_id", "cutoff", "truncated", "character", "_table")
+    )
+
+    def __setattr__(self, attr, value):
+        if attr in self._FIXED and attr in self.__dict__:
+            raise AttributeError(f"{attr!r} of an algebra cannot be reassigned")
+        object.__setattr__(self, attr, value)
+
+    def __delattr__(self, attr):
+        if attr in self._FIXED:
+            raise AttributeError(f"{attr!r} of an algebra cannot be deleted")
+        object.__delattr__(self, attr)
+
     # -- lookups -----------------------------------------------------------
 
     def degree(self, gid):

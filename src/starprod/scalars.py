@@ -5,7 +5,7 @@ truncated power series in ħ obtained by expanding at λ = ∞ (ħ = 1/λ)."""
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm
 
 from .errors import PoleAtInfinityError
 
@@ -30,7 +30,10 @@ class Polynomial:
 
     Coefficients are stored as plain ints while they stay integral (the common
     case, and int arithmetic is far cheaper than Fraction's per-op gcd), and as
-    Fractions otherwise; the two mix exactly and compare/hash consistently."""
+    Fractions otherwise; the two mix exactly and compare/hash consistently.
+    `divmod` takes c // lc whenever an int c is divisible by an int leading
+    coefficient lc, and divides exactly in Fractions otherwise, so exact
+    division in ℤ[λ] (as in `adjugate`) never leaves the ints."""
 
     __slots__ = ("coeffs",)
 
@@ -136,11 +139,14 @@ class Polynomial:
         if dq < 0:
             return ZERO_POLY, self
         quo = [0] * (dq + 1)
-        inv = Fraction(1) / other.lc
-        if inv.denominator == 1:
-            inv = inv.numerator
+        lc = other.lc
+        int_lc = type(lc) is int
         for k in range(dq, -1, -1):
-            c = rem[other.degree + k] * inv
+            top = rem[other.degree + k]
+            if int_lc and type(top) is int and not top % lc:
+                c = top // lc
+            else:
+                c = Fraction(top) / lc
             quo[k] = c
             if c:
                 for i, oc in enumerate(other.coeffs):
@@ -256,12 +262,16 @@ def adjugate(matrix):
 
     Returns (adj, det) with A·adj = det·I, both polynomial.  A singular matrix
     gives (None, ZERO_POLY); whether that is an error is the caller's choice.
-    Every division by the previous pivot is exact, and zero entries are
-    skipped, so sparse and diagonal matrices stay cheap."""
+    The denominators are cleared once: elimination runs on d·A, d the lcm of
+    every coefficient's denominator, so each intermediate is a minor in ℤ[λ]
+    and each division by the previous pivot is exact in integers.  The result
+    is unscaled once at the end.  Zero entries are skipped, so sparse and
+    diagonal matrices stay cheap."""
     n = len(matrix)
     width = 2 * n
+    d = lcm(*(c.denominator for row in matrix for e in row for c in e.coeffs))
     aug = [
-        list(row) + [ONE_POLY if i == j else ZERO_POLY for j in range(n)]
+        [e.scale(d) for e in row] + [ONE_POLY if i == j else ZERO_POLY for j in range(n)]
         for i, row in enumerate(matrix)
     ]
     sign, prev = 1, ONE_POLY
@@ -283,10 +293,12 @@ def adjugate(matrix):
                 if row[j] or (f and top[j]):
                     row[j] = (row[j] * p - f * top[j]).exact_div(prev)
         prev = p
-    # the right block is det(PA)·A⁻¹ = sign·adj(A) for the row permutation P
-    if sign > 0:
+    # the right block is det(P·dA)·(dA)⁻¹ = sign·adj(dA) = sign·d^(n-1)·adj(A)
+    # for the row permutation P, and prev = det(P·dA) = sign·d^n·det(A)
+    if sign > 0 and d == 1:
         return [row[n:] for row in aug], prev
-    return [[-e for e in row[n:]] for row in aug], -prev
+    k = Fraction(sign, d ** (n - 1))
+    return [[e.scale(k) for e in row[n:]] for row in aug], prev.scale(k / d)
 
 
 class RationalFunction:

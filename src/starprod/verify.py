@@ -398,8 +398,16 @@ def _closed_form_virasoro(algebra):
     delta = algebra.chi(algebra.by_name("L0").id)
     c = algebra.chi(algebra.by_name("c").id)
     lm1 = algebra.by_name("L-1").id
-    lm2 = algebra.by_name("L-2").id
     lp1 = algebra.by_name("L1").id
+    if algebra.cutoff < 2:
+        # a window of 1 holds only the table's degree-1 part
+        if canonical_element(algebra, 1).dets[1] != Polynomial((0, -2 * delta)):
+            return CheckResult("closed-form", False, "degree-1 determinant is off")
+        want = {0: {((), ()): Fraction(1)}, 1: {((lm1,), (lp1,)): Fraction(-1) / (2 * delta)}}
+        if star_series(algebra, 1).orders != want:
+            return CheckResult("closed-form", False, "order ≤ 1 series differs from the table")
+        return CheckResult("closed-form", True, "order ≤ 1 series matches the table's degree-1 part")
+    lm2 = algebra.by_name("L-2").id
     lp2 = algebra.by_name("L2").id
     A = -32 * delta**3 - 4 * delta**2 * c
     Bq = 20 * delta**2 - 2 * delta * c
@@ -442,7 +450,9 @@ def check_closed_forms(algebra):
         qs = sorted((g for g in algebra.generators if g.degree < 0), key=lambda g: g.id)
         form, needed = _closed_form_heisenberg, ["p" + g.name[1:] for g in qs] + ["c"]
     elif algebra.name == "virasoro":
-        form, needed = _closed_form_virasoro, ["L0", "c", "L-1", "L-2", "L1", "L2"]
+        form, needed = _closed_form_virasoro, ["L0", "c", "L-1", "L1"]
+        if algebra.cutoff >= 2:
+            needed += ["L-2", "L2"]
     else:
         return None
     names = {g.name for g in algebra.generators}

@@ -191,6 +191,17 @@ def test_verify_spec_outside_its_named_family(tmp_path, capsys):
         assert out.count("  FAIL ") == 1 and out.endswith("FAILED\n")
 
 
+def test_verify_virasoro_window_one(capsys):
+    # a window of 1 holds no L±2, so the closed form checks the degree-1 part
+    code, out, err = _run(
+        capsys, "verify", "--builtin", "virasoro", "--param", "delta=1", "--param", "c=1",
+        "--cutoff", "1", "--max-degree", "1",
+    )
+    assert code == 0 and err == ""
+    assert "  PASS closed-form: order ≤ 1 series matches the table's degree-1 part" in out.splitlines()
+    assert "  FAIL " not in out and out.endswith("OK\n")
+
+
 def test_parse_errors(capsys):
     assert _run(capsys, "star")[0] == 5  # no algebra given
     assert _run(capsys)[0] == 5  # no subcommand

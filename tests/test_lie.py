@@ -110,6 +110,28 @@ def test_character_is_read_only():
     assert star_series(alg, 2).orders == before
 
 
+def test_attributes_cannot_be_reassigned():
+    # nor can the attributes the caches depend on be swapped out
+    alg = sl2(1)
+    before = star_series(alg, 1).orders
+    h = alg.by_name("h").id
+    with pytest.raises(AttributeError):
+        alg.character = {h: 2}
+    for attr, value in (
+        ("name", "sl2'"),
+        ("generators", ()),
+        ("cutoff", 3),
+        ("truncated", True),
+        ("_table", {}),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(alg, attr, value)
+        with pytest.raises(AttributeError):
+            delattr(alg, attr)
+    assert alg.chi(h) == 1 and alg.cutoff == 1 and alg.name == "sl2"
+    assert star_series(alg, 1).orders == before
+
+
 def test_nonsingularity():
     assert sl2(1).check_nonsingular(1) == {1: True}
     assert heisenberg(2, 0).check_nonsingular(1) == {1: False}

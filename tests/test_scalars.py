@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from starprod.errors import PoleAtInfinityError
 from starprod.scalars import (
@@ -68,6 +70,49 @@ def test_polynomial_division():
     # non-monic divisor forces rational quotient coefficients
     quo, rem = Polynomial([0, 0, 1]).divmod(Polynomial([0, 2]))
     assert quo.coeffs == (0, Fraction(1, 2)) and rem.is_zero
+
+
+# int and Fraction coefficients; leading ones include negative and non-dividing values
+COEFFS = st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=4))
+LEADS = st.sampled_from([1, -1, 2, -2, 3, -4, 12, Fraction(2, 3), Fraction(-5, 4)])
+
+
+def _fraction_divmod(a, b):
+    """Schoolbook long division with every coefficient a Fraction."""
+    rem = [Fraction(c) for c in a]
+    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[len(b) - 1 + k] / b[-1]
+        quo[k] = c
+        for i, bc in enumerate(b):
+            rem[i + k] -= c * bc
+    return quo, rem
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(COEFFS, max_size=6), st.lists(COEFFS, max_size=3), LEADS, st.booleans())
+def test_divmod_properties(a, b, lead, as_fractions):
+    if as_fractions:
+        # an integral coefficient given as Fraction(k, 1) rather than as k
+        a = [Fraction(c) for c in a]
+    a, b = Polynomial(a), Polynomial(b + [lead])
+    quo, rem = a.divmod(b)
+    assert quo * b + rem == a
+    assert rem.degree < b.degree
+    ref = tuple(Polynomial(cs) for cs in _fraction_divmod(a.coeffs, b.coeffs))
+    assert (quo, rem) == ref
+    assert (hash(quo), hash(rem)) == tuple(hash(p) for p in ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(COEFFS, max_size=3), st.lists(COEFFS, max_size=3), st.lists(COEFFS, max_size=3), LEADS)
+def test_exact_div_properties(q, b, r, lead):
+    q, b = Polynomial(q), Polynomial(b + [lead])
+    assert (q * b).exact_div(b) == q
+    r = Polynomial(r[: b.degree])
+    assume(not r.is_zero)
+    with pytest.raises(ArithmeticError):
+        (q * b + r).exact_div(b)
 
 
 def test_polynomial_render():

@@ -203,6 +203,47 @@ def test_canonical_element_virasoro():
     assert comp == {pair: RationalFunction(num, det) for pair, num in want.items()}
 
 
+def _kac_determinant(sympy, lam, n, delta, c):
+    """Π_{rs≤n} (h − h_{r,s})^{p(n−rs)} at h = λΔ, c = λc.  With u = t + 1/t =
+    (13 − c)/6 and h_{r,s} = a·t − b + e/t, a = (r²−1)/4, b = (rs−1)/2,
+    e = (s²−1)/4, the pair (r, s), (s, r) gives h² − σ₁h + σ₂ with σ₁ and σ₂
+    rational in u, and h_{r,r} = (r² − 1)(1 − c)/24."""
+    h, u = lam * delta, (13 - lam * c) / 6
+    out = sympy.Integer(1)
+    for r in range(1, n + 1):
+        for s in range(r, n // r + 1):
+            power = sympy.partition(n - r * s)
+            if r == s:
+                out *= (h - sympy.Rational(r * r - 1, 24) * (1 - lam * c)) ** power
+                continue
+            a = sympy.Rational(r * r - 1, 4)
+            b = sympy.Rational(r * s - 1, 2)
+            e = sympy.Rational(s * s - 1, 4)
+            sigma1 = (a + e) * u - 2 * b
+            sigma2 = a * e * (u**2 - 2) - b * (a + e) * u + a * a + b * b + e * e
+            out *= (h**2 - sigma1 * h + sigma2) ** power
+    return out
+
+
+def test_virasoro_dets_match_kac_determinant():
+    # a change of basis in U(n₋) does not involve λ, so det_n / Kac_n is one
+    # nonzero rational constant per degree, whatever Δ and c are
+    sympy = pytest.importorskip("sympy")
+    lam = sympy.Symbol("lam")
+    ratios = []
+    for delta, c in ((1, 1), (2, 2), (1, 2)):
+        dets = canonical_element(virasoro(delta, c, cutoff=5), 5).dets
+        ratios.append([
+            sympy.cancel(
+                sum(sympy.Rational(k) * lam**i for i, k in enumerate(dets[n].coeffs))
+                / _kac_determinant(sympy, lam, n, delta, c)
+            )
+            for n in range(1, 6)
+        ])
+    assert ratios[0] == [-2, -32, 2304, 37748736, 8697308774400]
+    assert ratios[1] == ratios[2] == ratios[0]
+
+
 def test_canonical_element_inverts_pairing():
     # Σ_l coeff(x_k, y_l)·(x_i, y_l) = δ_ik: the element really is the inverse
     for alg, n in ((heisenberg(2, 1), 2), (virasoro(1, 1), 2)):
