@@ -152,8 +152,7 @@ def cmd_star(args):
 
 
 def cmd_verify(args):
-    needed = max(args.max_degree, 2) if args.builtin == "virasoro" else args.max_degree
-    algebra = _load_algebra(args, needed_window=needed)
+    algebra = _load_algebra(args, needed_window=args.max_degree)
     report = run_all(algebra, window=args.max_degree, seed=args.seed, tie_break=args.order)
     _emit(args, report.to_json(), report.to_text())
     return 0 if report.passed else 2

@@ -55,6 +55,17 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+@dataclass
+class Memo:
+    """What is computed once per algebra and reused by later calls.  It cannot
+    go stale: `_FIXED` forbids reassigning anything it derives from."""
+
+    orders: dict = field(default_factory=dict)  # segments -> uea.BasisOrder
+    actions: dict = field(default_factory=dict)  # (side, letter, module word) -> terms
+    mirror: dict | None = None  # lowering id -> raising id
+    components: dict = field(default_factory=dict)  # (degree, tie_break) -> (basis, nums, det)
+
+
 class GradedLieAlgebra:
     """Finitely many homogeneous generators, an antisymmetric bracket table, and
     a character on degree 0.  `truncated` marks a window into an infinite
@@ -69,7 +80,7 @@ class GradedLieAlgebra:
             cutoff = max((abs(g.degree) for g in self.generators), default=1) or 1
         self.cutoff = cutoff
         self.truncated = truncated
-        # read-only: the per-degree caches are not keyed on the character
+        # read-only: the memo is not keyed on the character
         self.character = MappingProxyType({gid: _scalar(v) for gid, v in character.items()})
         table = {}
         for (a, b), terms in brackets.items():
@@ -80,9 +91,9 @@ class GradedLieAlgebra:
             if tidy or (b, a) in table or (a, b) in table:
                 table[(a, b)] = tidy
         self._table = table
-        self._cache = {}  # shared memo space for the PBW layer
+        self.memo = Memo()
 
-    # the per-degree caches are keyed on none of these, so none may change
+    # the memo is keyed on none of these, so none may change
     _FIXED = frozenset(
         ("name", "generators", "_by_id", "cutoff", "truncated", "character", "_table")
     )

@@ -108,24 +108,6 @@ class Polynomial:
             k = k.numerator
         return Polynomial([c * k for c in self.coeffs])
 
-    def shift(self, k):
-        """Multiply by λ^k."""
-        if self.is_zero:
-            return self
-        return Polynomial((0,) * k + self.coeffs)
-
-    def __pow__(self, n):
-        out = ONE_POLY
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __call__(self, x):
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def monic(self):
         if self.is_zero or self.lc == 1:
             return self
@@ -181,17 +163,9 @@ class Polynomial:
     def __repr__(self):
         return f"Polynomial({self.render()})"
 
-    def to_json(self):
-        return [frac_to_str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_json(cls, data):
-        return cls([frac_from_str(c) for c in data])
-
 
 ZERO_POLY = Polynomial()
 ONE_POLY = Polynomial([1])
-LAMBDA = Polynomial([0, 1])
 
 
 def _int_primitive(p: Polynomial):
@@ -399,9 +373,6 @@ class RationalFunction:
             return RF_ZERO
         return RationalFunction._reduced(self.num.scale(k), self.den)
 
-    def expand_at_infinity(self, n):
-        return expand_at_infinity(self, n)
-
     def render(self, var="λ"):
         if self.den == ONE_POLY:
             return self.num.render(var)
@@ -412,13 +383,6 @@ class RationalFunction:
 
     def __repr__(self):
         return f"RationalFunction({self.render()})"
-
-    def to_json(self):
-        return {"num": self.num.to_json(), "den": self.den.to_json()}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(Polynomial.from_json(data["num"]), Polynomial.from_json(data["den"]))
 
 
 RF_ZERO = RationalFunction(0)
@@ -445,25 +409,6 @@ class HbarSeries:
 
     def __hash__(self):
         return hash((self.order, self.coeffs))
-
-    def __add__(self, other):
-        n = min(self.order, other.order)
-        return HbarSeries(n, [self.coeffs[i] + other.coeffs[i] for i in range(n + 1)])
-
-    def __mul__(self, other):
-        n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if not a:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return HbarSeries(n, out)
-
-    def scale(self, k):
-        return HbarSeries(self.order, [c * k for c in self.coeffs])
 
     @classmethod
     def ratio(cls, num, den, order):
@@ -497,18 +442,20 @@ class HbarSeries:
         return f"HbarSeries({self})"
 
 
-def expand_at_infinity(f: RationalFunction, n: int) -> HbarSeries:
-    """First n+1 Taylor coefficients of f(1/ħ) at ħ = 0.
+def expand_at_infinity(num: Polynomial, den: Polynomial, n: int) -> HbarSeries:
+    """First n+1 Taylor coefficients of num(1/ħ)/den(1/ħ) at ħ = 0.
 
-    Requires f regular at λ = ∞, i.e. deg num ≤ deg den."""
-    if f.is_zero:
+    Requires the ratio regular at λ = ∞, i.e. deg num ≤ deg den.  The pair
+    need not be reduced: a common factor changes neither the series nor that
+    condition."""
+    if num.is_zero:
         return HbarSeries(n, [Fraction(0)] * (n + 1))
-    dn, dd = f.num.degree, f.den.degree
+    dn, dd = num.degree, den.degree
     if dn > dd:
         raise PoleAtInfinityError(
             f"pole at infinity: numerator degree {dn} exceeds denominator degree {dd}"
         )
-    # substitute λ = 1/ħ and clear ħ^dd from both numerator and denominator
-    num = [f.num.coeffs[dd - k] if 0 <= dd - k <= dn else Fraction(0) for k in range(dd + 1)]
-    den = [f.den.coeffs[dd - k] for k in range(dd + 1)]
-    return HbarSeries.ratio(num, den, n)
+    # substitute λ = 1/ħ and clear ħ^dd; only the first n+1 coefficients count
+    top = [num.coeffs[dd - k] if dd - k <= dn else 0 for k in range(min(dd, n) + 1)]
+    bottom = [den.coeffs[dd - k] for k in range(min(dd, n) + 1)]
+    return HbarSeries.ratio(top, bottom, n)

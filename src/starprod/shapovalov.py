@@ -7,6 +7,9 @@ handled exactly.  Each pairing matrix A is inverted by fraction-free
 Gauss–Jordan elimination on [A | I], which yields det A and the adjugate as
 polynomials; the result is accepted only after A·adj = det·I is checked in
 ℚ[λ].
+
+Each (degree, tie_break) component of the canonical element is built once per
+algebra, in its `memo.components`, and shared by `star_series` and every check.
 """
 
 from __future__ import annotations
@@ -59,9 +62,8 @@ def _monomials(gens, total):
 def mirror_map(algebra):
     """Pair each lowering generator with the raising generator in the same
     position at the opposite degree.  Fails when the dimensions differ."""
-    key = ("mirror",)
-    if key in algebra._cache:
-        return algebra._cache[key]
+    if algebra.memo.mirror is not None:
+        return algebra.memo.mirror
     mapping = {}
     degrees = sorted({abs(g.degree) for g in algebra.generators if g.degree != 0})
     for d in degrees:
@@ -73,7 +75,7 @@ def mirror_map(algebra):
                 f"but {len(plus)} at degree +{d}"
             )
         mapping.update(zip(minus, plus))
-    algebra._cache[key] = mapping
+    algebra.memo.mirror = mapping
     return mapping
 
 
@@ -142,11 +144,10 @@ def oracle_pairing(algebra, x, y):
     return acted.get((), Polynomial())
 
 
-def pairing_matrix(algebra, degree, tie_break="desc", basis=None):
+def pairing_matrix(algebra, degree, tie_break="desc"):
     """Matrix of the pairing at one degree: rows over lowering monomials x_k,
     columns over mirrored raising monomials y_l."""
-    if basis is None:
-        basis = build_basis(algebra, degree, tie_break)
+    basis = build_basis(algebra, degree, tie_break)
     rows = []
     for x in basis.minus:
         row = []
@@ -220,25 +221,21 @@ def canonical_element(algebra, max_degree, tie_break="desc"):
     bases[0] = GradedBasis(0, ((),), ((),))
     nums[0] = {((), ()): ONE_POLY}
     dets[0] = ONE_POLY
+    components = algebra.memo.components
     for n in range(1, max_degree + 1):
-        key = ("component", n, tie_break)
-        if key not in algebra._cache:
-            basis = build_basis(algebra, n, tie_break)
-            if not basis.minus:
-                algebra._cache[key] = (basis, {}, ONE_POLY)
-            else:
-                _, matrix = pairing_matrix(algebra, n, tie_break, basis=basis)
-                try:
-                    inv_nums, det = invert_pairing(matrix)
-                except SingularCharacterError:
-                    raise SingularCharacterError(
-                        f"{algebra.name}: pairing matrix at degree {n} is singular"
-                    ) from None
-                coeffs = {}
-                for k, x in enumerate(basis.minus):
-                    for l, y in enumerate(basis.plus):
-                        if inv_nums[l][k]:
-                            coeffs[(x, y)] = inv_nums[l][k]
-                algebra._cache[key] = (basis, coeffs, det)
-        bases[n], nums[n], dets[n] = algebra._cache[key]
+        if (n, tie_break) not in components:
+            basis, matrix = pairing_matrix(algebra, n, tie_break)
+            try:
+                inv_nums, det = invert_pairing(matrix)
+            except SingularCharacterError:
+                raise SingularCharacterError(
+                    f"{algebra.name}: pairing matrix at degree {n} is singular"
+                ) from None
+            coeffs = {}
+            for k, x in enumerate(basis.minus):
+                for l, y in enumerate(basis.plus):
+                    if inv_nums[l][k]:
+                        coeffs[(x, y)] = inv_nums[l][k]
+            components[(n, tie_break)] = (basis, coeffs, det)
+        bases[n], nums[n], dets[n] = components[(n, tie_break)]
     return CanonicalElement(algebra, max_degree, bases, nums, dets)

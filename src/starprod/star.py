@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import CutoffExceededError
-from .scalars import HbarSeries, RationalFunction, expand_at_infinity, frac_to_str
+from .scalars import expand_at_infinity, frac_to_str
 from .shapovalov import canonical_element, dual_basis
 
 
@@ -25,11 +25,6 @@ class StarProduct:
     max_order: int
     slot_degree_limit: int
     orders: dict = field(default_factory=dict)  # m -> {(x word, y word): Fraction}
-
-    def term(self, x, y):
-        """ħ-series of the coefficient of x ⊗ y, through max_order."""
-        coeffs = [self.orders.get(m, {}).get((x, y), Fraction(0)) for m in range(self.max_order + 1)]
-        return HbarSeries(self.max_order, coeffs)
 
     def to_json(self):
         name = self.algebra.gen_name
@@ -74,7 +69,7 @@ def star_series(algebra, max_order, slot_degree_limit=None, tie_break="desc"):
     for n in range(limit + 1):
         det = canon.dets[n]
         for (x, y), num in canon.nums[n].items():
-            series = expand_at_infinity(RationalFunction(num, det), max_order)
+            series = expand_at_infinity(num, det, max_order)
             for m, c in enumerate(series.coeffs):
                 if c:
                     bucket = orders[m]

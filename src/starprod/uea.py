@@ -5,13 +5,14 @@ scalars (plain ints while integral, Fractions otherwise).
 A BasisOrder fixes which PBW normal form is meant: letters are ranked by
 segment (negative / zero / positive degree), then by (degree, id) inside a
 segment.  Rewriting ab -> ba + [a, b] is applied through a memoized
-single-letter insertion, so repeated products over the same algebra share
-work.
+single-letter insertion and a memoized product of two words, both kept per
+order; the algebra's `memo.orders` keeps one order per segment sequence.
 
 The Verma-module action at the bottom of the file deliberately does not go
 through BasisOrder: it straightens words with its own recursion and applies
 the module relations at the right boundary, which keeps it an independent
-route for cross-checking pairing computations.
+route for cross-checking pairing computations; its terms are memoized in
+the algebra's `memo.actions`.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ class BasisOrder:
             seg = "neg" if g.degree < 0 else ("zero" if g.degree == 0 else "pos")
             rank[g.id] = (self.segments.index(seg), g.degree, g.id)
         self._rank = rank
-        self._cache = {}
+        self._inserts = {}  # (sorted word, letter) -> normal form
+        self._products = {}  # (word, word) -> normal form
 
     def key(self, gid):
         return self._rank[gid]
@@ -43,13 +45,10 @@ class BasisOrder:
     def is_sorted(self, word):
         return all(self._rank[word[i]] <= self._rank[word[i + 1]] for i in range(len(word) - 1))
 
-    def sort_word(self, word):
-        return tuple(sorted(word, key=self._rank.__getitem__))
-
     def insert(self, word, g):
         """Normal form of word * g, for word already sorted: dict word -> scalar."""
         key = (word, g)
-        hit = self._cache.get(key)
+        hit = self._inserts.get(key)
         if hit is not None:
             return hit
         if not word or self._rank[word[-1]] <= self._rank[g]:
@@ -65,7 +64,7 @@ class BasisOrder:
                 for w1, c1 in self.insert(head, h).items():
                     out[w1] = out.get(w1, 0) + k * c1
             out = {w: c for w, c in out.items() if c}
-        self._cache[key] = out
+        self._inserts[key] = out
         return out
 
     def nf_word(self, word):
@@ -80,21 +79,21 @@ class BasisOrder:
         return state
 
 
-def _order(algebra, name, segments):
-    key = ("order", name)
-    if key not in algebra._cache:
-        algebra._cache[key] = BasisOrder(algebra, segments)
-    return algebra._cache[key]
+def _order(algebra, segments):
+    order = algebra.memo.orders.get(segments)
+    if order is None:
+        order = algebra.memo.orders[segments] = BasisOrder(algebra, segments)
+    return order
 
 
 def phi_order(algebra):
     """Negative letters, then zero, then positive: the order behind phi."""
-    return _order(algebra, "phi", ("neg", "zero", "pos"))
+    return _order(algebra, ("neg", "zero", "pos"))
 
 
 def pi_order(algebra):
-    """Negative, positive, zero: the order behind pi."""
-    return _order(algebra, "pi", ("neg", "pos", "zero"))
+    """Negative, positive, zero: the order of associativity's middle slot."""
+    return _order(algebra, ("neg", "pos", "zero"))
 
 
 # -- elements ----------------------------------------------------------------
@@ -143,8 +142,7 @@ def normal_form_random(order, word, rng):
 
 def _word_product(order, w1, w2):
     """Normal form of the product of two words, memoized per order."""
-    cache = order._cache.setdefault("wprod", {})
-    got = cache.get((w1, w2))
+    got = order._products.get((w1, w2))
     if got is None:
         state = dict(order.nf_word(w1))
         for g in w2:
@@ -153,7 +151,7 @@ def _word_product(order, w1, w2):
                 for w3, c3 in order.insert(w, g).items():
                     nxt[w3] = nxt.get(w3, 0) + c * c3
             state = nxt
-        got = cache[(w1, w2)] = {w: c for w, c in state.items() if c}
+        got = order._products[(w1, w2)] = {w: c for w, c in state.items() if c}
     return got
 
 
@@ -256,13 +254,6 @@ def phi(algebra, x):
     return {w: c for w, c in nf.items() if all(algebra.degree(g) == 0 for g in w)}
 
 
-def pi(algebra, x):
-    """Project onto products (negative letters)(positive letters), killing every
-    normal word that contains a zero-degree letter."""
-    nf = normal_form(pi_order(algebra), x)
-    return {w: c for w, c in nf.items() if all(algebra.degree(g) != 0 for g in w)}
-
-
 def char_eval(algebra, x):
     """Evaluate a zero-degree element under the scaled character: each letter g
     becomes λ·χ(g).  Returns a Polynomial in λ."""
@@ -298,9 +289,8 @@ def _modkey(algebra, g):
 
 def _act1(algebra, g, word, side):
     """g · (word · v) as a tuple of (module word, Polynomial in λ) pairs."""
-    cache = algebra._cache.setdefault(("act", side), {})
-    key = (g, word)
-    hit = cache.get(key)
+    key = (side, g, word)
+    hit = algebra.memo.actions.get(key)
     if hit is not None:
         return hit
     dg = algebra.degree(g)
@@ -326,7 +316,7 @@ def _act1(algebra, g, word, side):
             for w1, p1 in _act1(algebra, h, rest, side):
                 acc[w1] = acc.get(w1, Polynomial()) + p1.scale(k)
         out = tuple((w, p) for w, p in sorted(acc.items()) if p)
-    cache[key] = out
+    algebra.memo.actions[key] = out
     return out
 
 

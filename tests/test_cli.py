@@ -192,13 +192,16 @@ def test_verify_spec_outside_its_named_family(tmp_path, capsys):
 
 
 def test_verify_virasoro_window_one(capsys):
+    vir = ("verify", "--builtin", "virasoro", "--param", "delta=1", "--param", "c=1")
     # a window of 1 holds no L±2, so the closed form checks the degree-1 part
-    code, out, err = _run(
-        capsys, "verify", "--builtin", "virasoro", "--param", "delta=1", "--param", "c=1",
-        "--cutoff", "1", "--max-degree", "1",
-    )
+    code, out, err = _run(capsys, *vir, "--cutoff", "1", "--max-degree", "1")
     assert code == 0 and err == ""
     assert "  PASS closed-form: order ≤ 1 series matches the table's degree-1 part" in out.splitlines()
+    assert "  FAIL " not in out and out.endswith("OK\n")
+    # without --cutoff the builtin's window stays ±2, so the full table is checked
+    code, out, err = _run(capsys, *vir, "--max-degree", "1")
+    assert code == 0 and err == ""
+    assert "  PASS closed-form: order ≤ 2 series matches the two-generator table" in out.splitlines()
     assert "  FAIL " not in out and out.endswith("OK\n")
 
 

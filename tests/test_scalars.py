@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from starprod.errors import PoleAtInfinityError
 from starprod.scalars import (
     HbarSeries,
-    LAMBDA,
     ONE_POLY,
     Polynomial,
     RationalFunction,
@@ -20,6 +19,8 @@ from starprod.scalars import (
     frac_to_str,
     poly_gcd,
 )
+
+LAMBDA = Polynomial([0, 1])
 
 
 def test_frac_round_trip():
@@ -50,11 +51,8 @@ def test_polynomial_arithmetic():
     assert (p + q).coeffs == (1, 2, 3)
     assert (p - p).is_zero
     assert (p * q).coeffs == (0, 0, 3, 6)
-    assert (p ** 2).coeffs == (1, 4, 4)
+    assert (p * p).coeffs == (1, 4, 4)
     assert p.scale(Fraction(1, 2)).coeffs == (Fraction(1, 2), 1)
-    assert q.shift(1).coeffs == (0, 0, 0, 3)
-    assert p(Fraction(3)) == 7
-    assert LAMBDA(Fraction(5, 2)) == Fraction(5, 2)
 
 
 def test_polynomial_division():
@@ -123,11 +121,6 @@ def test_polynomial_render():
     assert Polynomial([1, -1]).render() == "1-λ"
 
 
-def test_polynomial_json_round_trip():
-    p = Polynomial([Fraction(1, 3), -2, 0, 5])
-    assert Polynomial.from_json(p.to_json()) == p
-
-
 def test_poly_gcd():
     a = Polynomial([-1, 0, 1])       # (λ-1)(λ+1)
     b = Polynomial([1, 2, 1])        # (λ+1)²
@@ -173,16 +166,37 @@ def test_rational_function_arithmetic():
 
 def test_expansion_at_infinity():
     # 1 / (2λ(λ-1)) = (1/2)ħ² + (1/2)ħ³ + ... in ħ = 1/λ
-    f = RationalFunction(ONE_POLY, Polynomial([0, -2, 2]))
-    s = expand_at_infinity(f, 3)
+    s = expand_at_infinity(ONE_POLY, Polynomial([0, -2, 2]), 3)
     assert s.coeffs == (0, 0, Fraction(1, 2), Fraction(1, 2))
     # 1/(λ - 1) = ħ + ħ² + ħ³ + ...
-    g = RationalFunction(ONE_POLY, Polynomial([-1, 1]))
-    assert expand_at_infinity(g, 4).coeffs == (0, 1, 1, 1, 1)
+    assert expand_at_infinity(ONE_POLY, Polynomial([-1, 1]), 4).coeffs == (0, 1, 1, 1, 1)
     # constants survive; poles at infinity are refused
-    assert expand_at_infinity(RationalFunction(5), 2).coeffs == (5, 0, 0)
+    assert expand_at_infinity(Polynomial([5]), ONE_POLY, 2).coeffs == (5, 0, 0)
+    assert expand_at_infinity(ZERO_POLY, Polynomial([0, 1]), 2).coeffs == (0, 0, 0)
     with pytest.raises(PoleAtInfinityError):
-        expand_at_infinity(RationalFunction(LAMBDA, ONE_POLY), 2)
+        expand_at_infinity(LAMBDA, ONE_POLY, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(COEFFS, max_size=4),
+    st.lists(COEFFS, max_size=3),
+    LEADS,
+    st.lists(COEFFS, max_size=3),
+    LEADS,
+)
+def test_expansion_ignores_common_factors(num, den, den_lead, g, g_lead):
+    num, den = Polynomial(num), Polynomial(den + [den_lead])
+    g = Polynomial(g + [g_lead])  # a nonzero common factor
+    if num.degree > den.degree:
+        for a, b in ((num, den), (num * g, den * g)):
+            with pytest.raises(PoleAtInfinityError):
+                expand_at_infinity(a, b, 5)
+        return
+    s = expand_at_infinity(num, den, 5)
+    assert expand_at_infinity(num * g, den * g, 5) == s
+    reduced = RationalFunction(num, den)
+    assert expand_at_infinity(reduced.num, reduced.den, 5) == s
 
 
 def test_expansion_remainder_order():
@@ -195,21 +209,16 @@ def test_expansion_remainder_order():
         if num.is_zero:
             continue
         f = RationalFunction(num, den)
-        s = expand_at_infinity(f, n)
+        s = expand_at_infinity(num, den, n)
         # Σ c_k λ^{-k} = (Σ c_k λ^{n-k}) / λ^n
         partial = RationalFunction(
-            Polynomial(list(reversed(s.coeffs))), ONE_POLY.shift(n)
+            Polynomial(list(reversed(s.coeffs))), Polynomial([0] * n + [1])
         )
         diff = f - partial
         assert diff.is_zero or diff.den.degree - diff.num.degree > n
 
 
 def test_hbar_series():
-    s = HbarSeries(2, [1, 2, 3])
-    t = HbarSeries(3, [1, 0, 0, 5])
-    assert (s + t).coeffs == (2, 2, 3)
-    assert (s * t).coeffs == (1, 2, 3)
-    assert s.scale(2).coeffs == (2, 4, 6)
     assert HbarSeries.ratio([1], [1, -1], 4).coeffs == (1, 1, 1, 1, 1)
     assert HbarSeries.ratio([0, 1], [2], 2).coeffs == (0, Fraction(1, 2), 0)
     with pytest.raises(ZeroDivisionError):

@@ -18,6 +18,7 @@ from starprod.shapovalov import (
     pairing_entry,
     pairing_matrix,
 )
+from starprod.star import star_series
 
 
 def _names(algebra, words):
@@ -264,6 +265,42 @@ def test_canonical_element_singular_character():
         canonical_element(heisenberg(1, 0), 1)
     with pytest.raises(SingularCharacterError, match=r"^virasoro: pairing matrix at degree 1 is singular$"):
         canonical_element(virasoro(0, 1), 2)
+
+
+def test_canonical_element_empty_degree():
+    # generators only at ±2: degree 1 has an empty basis, det 1 and no terms
+    gens = [Generator(0, "x", -2), Generator(1, "z", 0), Generator(2, "y", 2)]
+    alg = GradedLieAlgebra("pm2", gens, {(2, 0): [(1, 1)]}, {1: 1})
+    assert pairing_matrix(alg, 1) == (build_basis(alg, 1), [])
+    canon = canonical_element(alg, 2)
+    assert (canon.bases[1].minus, canon.nums[1], canon.dets[1]) == ((), {}, ONE_POLY)
+    # (x, y) = χ(S(y)·x) = -λ·χ([y, x]) = -λ
+    assert canon.component(2) == {((0,), (2,)): RationalFunction(-1, Polynomial([0, 1]))}
+
+
+def test_components_are_memoized_per_algebra_and_tie_break(monkeypatch):
+    # the memo must hit on repeats, and miss on a new tie-break or algebra;
+    # a memo keyed without the tie-break would make check_canonicity vacuous
+    calls = []
+    real = shapovalov.pairing_matrix
+
+    def counted(algebra, degree, tie_break="desc"):
+        calls.append((degree, tie_break))
+        return real(algebra, degree, tie_break)
+
+    monkeypatch.setattr(shapovalov, "pairing_matrix", counted)
+    alg = heisenberg(2, 1)
+    canonical_element(alg, 3)
+    assert len(calls) == 3
+    calls.clear()
+    canonical_element(alg, 2)
+    star_series(alg, 3)
+    assert calls == []
+    canonical_element(alg, 3, "asc")
+    assert calls == [(1, "asc"), (2, "asc"), (3, "asc")]
+    calls.clear()
+    canonical_element(GradedLieAlgebra.from_json(alg.to_json()), 3)
+    assert len(calls) == 3
 
 
 def test_tie_break_gives_same_component():

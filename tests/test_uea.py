@@ -19,7 +19,6 @@ from starprod.uea import (
     normal_form_random,
     phi,
     phi_order,
-    pi,
     pi_order,
     tensor_mul2,
     verma_act,
@@ -51,9 +50,9 @@ def test_order_ranks():
     order = phi_order(alg)
     assert order.is_sorted((f, h, e))
     assert not order.is_sorted((e, f))
-    assert order.sort_word((e, h, f)) == (f, h, e)
+    assert tuple(sorted((e, h, f), key=order.key)) == (f, h, e)
     # pi order moves zero-degree letters to the end
-    assert pi_order(alg).sort_word((e, h, f)) == (f, e, h)
+    assert tuple(sorted((e, h, f), key=pi_order(alg).key)) == (f, e, h)
 
 
 def test_confluence_random_schedules():
@@ -113,7 +112,7 @@ def test_mono_splits():
     order = phi_order(alg)
     for left, right, _ in got:
         assert order.is_sorted(left) and order.is_sorted(right)
-        assert order.sort_word(left + right) == (f, f, e)
+        assert tuple(sorted(left + right, key=order.key)) == (f, f, e)
 
 
 def test_coproduct_and_counit():
@@ -134,11 +133,9 @@ def test_coproduct_and_counit():
 
 def test_projections():
     alg, f, h, e = _sl2_ids()
-    # ef = fe + h: phi keeps the zero-degree part, pi the two-sided part
+    # ef = fe + h: phi keeps the zero-degree part
     assert phi(alg, {(e, f): 1}) == {(h,): 1}
-    assert pi(alg, {(e, f): 1}) == {(f, e): 1}
     assert phi(alg, {(h, h): 1, (f, e): 4}) == {(h, h): 1}
-    assert pi(alg, {(h,): 1}) == {}
 
 
 def test_char_eval():

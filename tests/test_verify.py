@@ -62,7 +62,7 @@ def _tampered(alg, window, degree):
     """The algebra with one degree-`degree` coefficient of its canonical
     element (computed through `window`) doubled."""
     canonical_element(alg, window)
-    basis, coeffs, det = alg._cache[("component", degree, "desc")]
+    basis, coeffs, det = alg.memo.components[(degree, "desc")]
     key = next(iter(coeffs))
     coeffs[key] = coeffs[key].scale(2)
     return alg
