@@ -2,6 +2,10 @@
 per-degree matrices of that pairing, their exact inverses, and the canonical
 element assembled from them.
 
+Each pairing entry is read off the Verma module: act with S(y) on x·v and
+take the coefficient of v.  The PBW projection of S(y)·x (`pairing_entry`)
+computes the same scalar by another route and serves as its oracle.
+
 All scalars are polynomials or rational functions in the character scale λ,
 handled exactly.  Each pairing matrix A is inverted by fraction-free
 Gauss–Jordan elimination on [A | I], which yields det A and the adjugate as
@@ -17,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import SingularCharacterError
+from .errors import CutoffExceededError, SingularCharacterError
 from .scalars import ONE_POLY, ZERO_POLY, Polynomial, RationalFunction, adjugate
 from .uea import antipode, char_eval, mono_degree, multiply, phi, phi_order, verma_act
 
@@ -127,7 +131,8 @@ def dual_basis(algebra, degree):
 
 
 def pairing_entry(algebra, x, y):
-    """(x, y) = scaled character of the zero-degree projection of S(y)·x."""
+    """(x, y) = scaled character of the zero-degree projection of S(y)·x,
+    normal-ordered in the enveloping algebra.  The oracle route."""
     order = phi_order(algebra)
     if not isinstance(y, dict):
         y = {y: Fraction(1)}
@@ -138,21 +143,30 @@ def pairing_entry(algebra, x, y):
 
 def oracle_pairing(algebra, x, y):
     """The same scalar read off the module: act with S(y), letter by letter, on
-    the vector x·v and take the coefficient of v."""
+    the vector x·v and take the coefficient of v.  The route `pairing_matrix`
+    computes with; its action terms are memoized in `memo.actions`."""
     sign = Fraction(-1) if len(y) % 2 else Fraction(1)
     acted = verma_act(algebra, {tuple(reversed(y)): sign}, x, side=1)
     return acted.get((), Polynomial())
 
 
 def pairing_matrix(algebra, degree, tie_break="desc"):
-    """Matrix of the pairing at one degree: rows over lowering monomials x_k,
-    columns over mirrored raising monomials y_l."""
+    """Matrix of the pairing at one degree, through the module action: rows
+    over lowering monomials x_k, columns over mirrored raising monomials y_l.
+
+    A truncated algebra defines the pairing only inside its window, so a
+    degree beyond the cutoff raises CutoffExceededError."""
+    if algebra.truncated and degree > algebra.cutoff:
+        raise CutoffExceededError(
+            f"{algebra.name}: the pairing at degree {degree} needs a window of at "
+            f"least ±{degree}, but the window is ±{algebra.cutoff}"
+        )
     basis = build_basis(algebra, degree, tie_break)
     rows = []
     for x in basis.minus:
         row = []
         for y in basis.plus:
-            entry = pairing_entry(algebra, x, y)
+            entry = oracle_pairing(algebra, x, y)
             if entry.degree > degree:
                 raise ArithmeticError(
                     f"{algebra.name}: pairing entry of λ-degree {entry.degree} "

@@ -8,11 +8,12 @@ segment.  Rewriting ab -> ba + [a, b] is applied through a memoized
 single-letter insertion and a memoized product of two words, both kept per
 order; the algebra's `memo.orders` keeps one order per segment sequence.
 
-The Verma-module action at the bottom of the file deliberately does not go
-through BasisOrder: it straightens words with its own recursion and applies
-the module relations at the right boundary, which keeps it an independent
-route for cross-checking pairing computations; its terms are memoized in
-the algebra's `memo.actions`.
+The Verma-module action at the bottom of the file is the route the pairing
+matrices are built with.  It deliberately does not go through BasisOrder: it
+straightens words with its own recursion and applies the module relations at
+the right boundary, so the PBW projection (normal ordering through
+BasisOrder, then `phi`) stays an independent route that checks it.  Its
+terms are memoized in the algebra's `memo.actions`.
 """
 
 from __future__ import annotations

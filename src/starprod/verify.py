@@ -274,8 +274,10 @@ def check_determinant_structure(algebra, max_degree, tie_break="desc"):
 
 
 def check_oracle_agreement(algebra, max_degree, tie_break="desc"):
-    """The projection route and the module-action route compute the same
-    pairing on every basis pair (and vanish together across degrees)."""
+    """The module-action route, which builds the pairing matrices, and the
+    independent PBW-projection route (`pairing_entry`), used only here,
+    compute the same pairing on every basis pair (and vanish together across
+    degrees)."""
     checked = 0
     bases = {n: build_basis(algebra, n, tie_break) for n in range(1, max_degree + 1)}
     for n in range(1, max_degree + 1):

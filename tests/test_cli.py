@@ -92,6 +92,26 @@ def test_pairing_window_exit(capsys):
     assert err.startswith("error:")
 
 
+def test_pairing_window_table(capsys):
+    # a truncated window defines the pairing only through its cutoff: beyond
+    # it the request exits 4, inside it the output is the widened builtin's
+    vir = ("pairing", "--builtin", "virasoro", "--param", "delta=1", "--param", "c=1")
+    for cutoff in (1, 2, 3):
+        for degree in range(1, 6):
+            code, out, err = _run(
+                capsys, *vir, "--degree", str(degree), "--cutoff", str(cutoff)
+            )
+            if degree > cutoff:
+                assert (code, out) == (4, "")
+                assert err == (
+                    f"error: virasoro: the pairing at degree {degree} needs a window "
+                    f"of at least ±{degree}, but the window is ±{cutoff}\n"
+                )
+            else:
+                assert (code, err) == (0, "")
+                assert out == _run(capsys, *vir, "--degree", str(degree))[1]
+
+
 def test_pairing_order_flag(capsys):
     base = [
         "pairing", "--builtin", "virasoro", "--param", "delta=1", "--param", "c=1",

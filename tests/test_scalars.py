@@ -113,6 +113,27 @@ def test_exact_div_properties(q, b, r, lead):
         (q * b + r).exact_div(b)
 
 
+POLYS = st.lists(COEFFS, max_size=5).map(Polynomial)
+
+
+@settings(max_examples=100, deadline=None)
+@given(POLYS, POLYS, POLYS)
+def test_polynomial_ring_axioms(p, q, r):
+    assert (p + q) + r == p + (q + r)
+    assert p + q == q + p
+    assert (p * q) * r == p * (q * r)
+    assert p * q == q * p
+    assert p * (q + r) == p * q + p * r
+    assert p + (-p) == ZERO_POLY and (p + (-p)).is_zero
+    assert p * ONE_POLY == p
+    assert p - q == p + (-q)
+    # equal values hash equally, whether the coefficients came as int or Fraction
+    for a, b in (((p + q) + r, p + (q + r)), (p * q, q * p), (p * (q + r), p * q + p * r)):
+        assert hash(a) == hash(b)
+    as_fractions = Polynomial([Fraction(c) for c in p.coeffs])
+    assert as_fractions == p and hash(as_fractions) == hash(p)
+
+
 def test_polynomial_render():
     assert Polynomial([0, -2, 1]).render() == "-2*λ+λ^2"
     assert Polynomial([Fraction(1, 2)]).render() == "1/2"

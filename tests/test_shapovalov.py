@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from starprod.errors import SingularCharacterError
-from starprod.lie import GradedLieAlgebra, Generator, heisenberg, sl2, virasoro
+from starprod.lie import GradedLieAlgebra, Generator, heisenberg, random_two_step, sl2, virasoro
 from starprod.scalars import ONE_POLY, ZERO_POLY, Polynomial, RationalFunction, adjugate
-from starprod import shapovalov
+from starprod import shapovalov, verify
 from starprod.shapovalov import (
     build_basis,
     canonical_element,
@@ -124,13 +124,76 @@ def test_pairing_matrix_virasoro():
     ]
 
 
+def _projection_matrix(alg, basis):
+    return [[pairing_entry(alg, x, y) for y in basis.plus] for x in basis.minus]
+
+
 def test_oracle_agrees_on_random_degree_pairs():
-    for alg in (sl2(Fraction(5, 3)), heisenberg(2, 2), virasoro(2, -1, cutoff=3)):
-        for n in (1, 2, 3):
-            basis = build_basis(alg, n)
-            for x in basis.minus:
-                for y in basis.plus:
-                    assert pairing_entry(alg, x, y) == oracle_pairing(alg, x, y)
+    # pairing_matrix acts on the Verma module; the PBW projection is its oracle
+    cases = (
+        (sl2(1), 12),
+        (sl2(Fraction(5, 3)), 3),
+        (heisenberg(2, 2), 4),
+        (heisenberg(2, Fraction(-3, 2)), 4),
+        (virasoro(1, 1, cutoff=5), 5),
+        (virasoro(2, -1, cutoff=5), 5),
+        (random_two_step(0), 3),
+        (random_two_step(17), 3),
+    )
+    for alg, top in cases:
+        for tie_break in ("desc", "asc"):
+            for n in range(1, top + 1):
+                basis, rows = pairing_matrix(alg, n, tie_break)
+                assert basis == build_basis(alg, n, tie_break)
+                assert rows == _projection_matrix(alg, basis), (alg.name, n, tie_break)
+
+
+def test_hot_path_skips_the_projection_route(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("pairing_entry is the oracle route only")
+
+    monkeypatch.setattr(shapovalov, "pairing_entry", refuse)
+    for alg in (sl2(2), heisenberg(2, 1), virasoro(1, 1, cutoff=3), random_two_step(0)):
+        canonical_element(alg, 3)
+        star_series(GradedLieAlgebra.from_json(alg.to_json()), 3)
+
+
+def test_oracle_check_catches_a_corrupted_entry(monkeypatch):
+    alg = sl2(1)
+    f, e = alg.by_name("f").id, alg.by_name("e").id
+    assert verify.check_oracle_agreement(alg, 3).passed
+    real = shapovalov.oracle_pairing
+
+    def corrupted(algebra, x, y):
+        entry = real(algebra, x, y)
+        return entry + Polynomial((0, 1)) if (x, y) == ((f, f), (e, e)) else entry
+
+    monkeypatch.setattr(verify, "oracle_pairing", corrupted)
+    result = verify.check_oracle_agreement(alg, 3)
+    assert not result.passed
+    assert result.detail == "routes disagree at [f^2 | e^2]"
+
+
+def test_dets_match_sympy_on_projection_matrices():
+    # sympy's det of the oracle-route matrix against invert_pairing's det of
+    # the module-route matrix
+    sympy = pytest.importorskip("sympy")
+    lam = sympy.Symbol("lam")
+
+    def to_sympy(p):
+        return sum(sympy.Rational(k) * lam**i for i, k in enumerate(p.coeffs))
+
+    cases = ((sl2(1), 6), (heisenberg(2, 1), 3), (virasoro(1, 1, cutoff=4), 4), (random_two_step(0), 3))
+    for alg, top in cases:
+        for n in range(1, top + 1):
+            basis, rows = pairing_matrix(alg, n)
+            oracle = _projection_matrix(alg, basis)
+            matrix = sympy.Matrix([[to_sympy(p) for p in row] for row in oracle])
+            # elimination over sympy's QQ[lam] domain: its default Bareiss on
+            # expressions takes seconds at Virasoro n = 4
+            want = matrix.det(method="domain-ge")
+            _, det = invert_pairing(rows)
+            assert sympy.expand(want - to_sympy(det)) == 0, (alg.name, n)
 
 
 def test_adjugate_constant_2x2():

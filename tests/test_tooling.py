@@ -3,7 +3,13 @@
 import ast
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+from starprod.lie import random_two_step
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "starprod"
 
@@ -19,6 +25,25 @@ def test_no_assert_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert not found, "assert statements in src/starprod: " + ", ".join(found)
+
+
+def test_exit_codes_survive_python_O(tmp_path):
+    # the checks behind exit codes 2, 3 and 4 must still fire with asserts stripped
+    spec = tmp_path / "alg.json"
+    spec.write_text(json.dumps(dict(random_two_step(3).to_json(), name="sl2")))
+    vir = ["pairing", "--builtin", "virasoro", "--param", "c=1"]
+    cases = (
+        (vir + ["--param", "delta=1", "--cutoff", "1", "--degree", "2"], 4),
+        (vir + ["--param", "delta=0", "--degree", "1"], 3),
+        (["verify", "--spec", str(spec), "--max-degree", "2"], 2),
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    for argv, code in cases:
+        done = subprocess.run(
+            [sys.executable, "-O", "-m", "starprod.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == code, (argv, done.stdout, done.stderr)
 
 
 def _load_tracer():
