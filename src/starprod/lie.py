@@ -279,13 +279,23 @@ class GradedLieAlgebra:
         for key in ("name", "generators", "brackets", "character"):
             if key not in data:
                 raise SpecError(f"algebra spec is missing {key!r}")
+        for key in ("generators", "brackets", "character"):
+            if not isinstance(data[key], list):
+                raise SpecError(f"algebra spec field {key!r} must be a list")
+        if not data["generators"]:
+            raise SpecError("algebra spec has no generators")
+        truncated = data.get("truncated", False)
+        if not isinstance(truncated, bool):
+            raise SpecError("algebra spec field 'truncated' must be true or false")
         gens = []
         by_name = {}
         for i, g in enumerate(data["generators"]):
             try:
-                name, degree = g["name"], int(g["degree"])
-            except (TypeError, KeyError, ValueError) as exc:
+                name, degree = g["name"], g["degree"]
+            except (TypeError, KeyError) as exc:
                 raise SpecError(f"bad generator entry: {g!r}") from exc
+            if type(degree) is not int:
+                raise SpecError(f"generator {name!r}: 'degree' must be an integer, not {degree!r}")
             if name in by_name:
                 raise SpecError(f"duplicate generator name {name!r}")
             gens.append(Generator(i, name, degree))
@@ -311,7 +321,7 @@ class GradedLieAlgebra:
             except ValueError as exc:
                 raise SpecError(str(exc)) from exc
         cutoff = data.get("cutoff")
-        if cutoff is not None and (not isinstance(cutoff, int) or cutoff < 1):
+        if cutoff is not None and (type(cutoff) is not int or cutoff < 1):
             raise SpecError("cutoff must be a positive integer")
         return cls(
             str(data["name"]),
@@ -319,7 +329,7 @@ class GradedLieAlgebra:
             brackets,
             character,
             cutoff=cutoff,
-            truncated=bool(data.get("truncated", False)),
+            truncated=truncated,
         )
 
 

@@ -11,7 +11,12 @@ per-degree data up to that window, so the windowed check is a genuine proof
 for those components rather than an approximation.  Both checks clear
 denominators once, through `_cleared`: each component is decided over the one
 common denominator Π det_n (squared for the products in associativity) by
-whether its numerator is the zero polynomial.
+whether its numerator is the zero polynomial.  `_cleared` hands each cleared
+numerator over as (v, tail), the power λ^v stripped off and the rest a raw
+coefficient tuple, and each component accumulates as a [valuation, coefficient
+list] pair; a numerator that is a single power of λ, as on the two-step
+nilpotent algebras, then costs one multiplication rather than a walk over a
+dense polynomial (of λ-degree 45 at window 3 there).
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import CutoffExceededError
-from .scalars import HbarSeries, ONE_POLY, ZERO_POLY, Polynomial, RationalFunction
+from .scalars import HbarSeries, ONE_POLY, Polynomial, RationalFunction
 from .shapovalov import (
     build_basis,
     canonical_element,
@@ -87,17 +92,52 @@ class VerificationReport:
 
 
 def _cleared(canon, window):
-    """(degree, (x, y), numerator) for every canonical-element term through the
-    window, by degree and pair, each numerator times the other degrees'
-    determinants so that all terms sit over one denominator Π det_n."""
+    """(degree, (x, y), (v, tail)) for every canonical-element term through the
+    window, by degree and pair.  Each numerator is multiplied by the other
+    degrees' determinants, so that all terms sit over one denominator Π det_n,
+    and is then split as λ^v · tail: v is its λ-adic valuation and tail the
+    coefficient tuple from λ^v up, so tail[0] is nonzero (a zero numerator is
+    (0, ()))."""
     terms = []
     for n in range(window + 1):
         cof = ONE_POLY
         for m in range(window + 1):
             if m != n:
                 cof = cof * canon.dets[m]
-        terms += [(n, pair, num * cof) for pair, num in sorted(canon.nums[n].items())]
+        for pair, num in sorted(canon.nums[n].items()):
+            cs = (num * cof).coeffs
+            v = next((i for i, c in enumerate(cs) if c), 0)
+            terms.append((n, pair, (v, cs[v:])))
     return terms
+
+
+def _mul(a, b):
+    """Product of two coefficient sequences, as a list."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b, i):
+                out[j] += ca * cb
+    return out
+
+
+def _add(acc, key, v, cs, k=1):
+    """Add k·λ^v·cs into acc[key], a [valuation, coefficient list] pair whose
+    valuation drops to v when a contribution starts lower."""
+    cur = acc.get(key)
+    if cur is None:
+        acc[key] = [v, [c * k for c in cs]]
+        return
+    cv, cl = cur
+    if v < cv:
+        cl[:0] = [0] * (cv - v)
+        cur[0] = cv = v
+    off = v - cv
+    short = off + len(cs) - len(cl)
+    if short > 0:
+        cl.extend([0] * short)
+    for i, c in enumerate(cs, off):
+        cl[i] += c * k
 
 
 # -- global identities --------------------------------------------------------
@@ -112,37 +152,30 @@ def check_associativity(algebra, window, tie_break="desc"):
     three-slot component whose degrees all sit inside the window."""
     order = pi_order(algebra)
     terms = _cleared(canonical_element(algebra, window, tie_break), window)
+    wdeg = {}  # word degrees, each worked out once
+
+    def deg(w):
+        d = wdeg.get(w)
+        if d is None:
+            d = wdeg[w] = mono_degree(algebra, w)
+        return d
 
     acc = {}
-
-    def add(comp, poly, k):
-        # accumulate k·poly on the component as a raw coefficient list
-        cur = acc.get(comp)
-        cs = poly.coeffs
-        if cur is None:
-            acc[comp] = [c * k for c in cs]
-            return
-        if len(cur) < len(cs):
-            cur.extend([0] * (len(cs) - len(cur)))
-        for i, c in enumerate(cs):
-            if c:
-                cur[i] += c * k
-
-    deg = lambda w: mono_degree(algebra, w)
     zfree = {}  # mid-slot products with zero-degree letters projected away
-    for _, (x, y), nump in terms:
-        xsplits = mono_splits(x)
-        ysplits = mono_splits(y)
-        for q, (xq, yq), numq in terms:
-            base = nump * numq
-            for x1, x2, mult in xsplits:
-                if q - deg(x1) > window:
+    for _, (x, y), (vp, tp) in terms:
+        xsplits = [(x1, x2, mult, deg(x1)) for x1, x2, mult in mono_splits(x)]
+        ysplits = [(y1, y2, mult, deg(y2)) for y1, y2, mult in mono_splits(y)]
+        for q, (xq, yq), (vq, tq) in terms:
+            v = vp + vq
+            base = _mul(tp, tq)
+            for x1, x2, mult, d1 in xsplits:
+                if q - d1 > window:
                     continue
                 mid = x2 + yq  # already normal: negatives then positives
                 for w1, c1 in _word_product(order, x1, xq).items():
-                    add((w1, mid, y), base, mult * c1)
-            for y1, y2, mult in ysplits:
-                if deg(y2) + q > window:
+                    _add(acc, (w1, mid, y), v, base, mult * c1)
+            for y1, y2, mult, d2 in ysplits:
+                if d2 + q > window:
                     continue
                 mid = zfree.get((y1, xq))
                 if mid is None:
@@ -157,10 +190,10 @@ def check_associativity(algebra, window, tie_break="desc"):
                 for w2, c2 in mid.items():
                     mc2 = mult * c2
                     for w3, c3 in right.items():
-                        add((x, w2, w3), base, -mc2 * c3)
+                        _add(acc, (x, w2, w3), v, base, -mc2 * c3)
 
     for comp in sorted(acc):
-        if any(acc[comp]):
+        if any(acc[comp][1]):
             where = " | ".join(word_name(algebra, w) for w in comp)
             return CheckResult(
                 "associativity", False, f"window {window}: residual at [{where}]"
@@ -178,20 +211,20 @@ def check_invariance(algebra, window, tie_break="desc"):
     for gen in algebra.generators:
         acc = {}
         d = gen.degree
-        for n, (x, y), num in terms:
+        for n, (x, y), (v, tail) in terms:
             # Contributions landing outside the window belong to components
             # that are incomplete at this window anyway; skipping them before
             # acting keeps every bracket inside the window.
             if n - d <= window:
                 for w, p in verma_act(algebra, (gen.id,), x, side=1).items():
                     if -deg(w) <= window:
-                        acc[(w, y)] = acc.get((w, y), ZERO_POLY) + p * num
+                        _add(acc, (w, y), v, _mul(p.coeffs, tail))
             if n + d <= window:
                 for w, p in verma_act(algebra, (gen.id,), y, side=-1).items():
                     if deg(w) <= window:
-                        acc[(x, w)] = acc.get((x, w), ZERO_POLY) + p * num
-        for (xw, yw), total in sorted(acc.items()):
-            if total:
+                        _add(acc, (x, w), v, _mul(p.coeffs, tail))
+        for xw, yw in sorted(acc):
+            if any(acc[(xw, yw)][1]):
                 where = f"{word_name(algebra, xw)} | {word_name(algebra, yw)}"
                 return CheckResult(
                     "invariance",

@@ -248,6 +248,39 @@ def test_parse_errors(capsys):
         assert (code, out) == (5, "")
 
 
+def test_spec_field_types(tmp_path, capsys):
+    # a spec field of the wrong JSON type exits 5 with a message naming the
+    # field, where it used to crash or be coerced (1.5 → 1, "no" → true)
+    good = sl2(1).to_json()
+    first = good["generators"][0]["name"]
+    cases = [
+        ({"generators": 5}, "algebra spec field 'generators' must be a list"),
+        ({"brackets": {"a": "e"}}, "algebra spec field 'brackets' must be a list"),
+        ({"character": "h=1"}, "algebra spec field 'character' must be a list"),
+        (
+            {"generators": [dict(good["generators"][0], degree=1.5)] + good["generators"][1:]},
+            f"generator {first!r}: 'degree' must be an integer, not 1.5",
+        ),
+        ({"truncated": "no"}, "algebra spec field 'truncated' must be true or false"),
+        ({"cutoff": True}, "cutoff must be a positive integer"),
+    ]
+    path = tmp_path / "alg.json"
+    for change, message in cases:
+        path.write_text(json.dumps(dict(good, **change)))
+        code, out, err = _run(capsys, "validate", "--spec", str(path))
+        assert (code, out, err) == (5, "", f"error: {message}\n"), change
+
+
+def test_spec_without_generators(tmp_path, capsys):
+    # an empty algebra is refused up front by every command; verify used to
+    # crash sampling words from no letters
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"name": "empty", "generators": [], "brackets": [], "character": []}))
+    for argv in (("validate",), ("verify", "--max-degree", "1")):
+        code, out, err = _run(capsys, *argv, "--spec", str(path))
+        assert (code, out, err) == (5, "", "error: algebra spec has no generators\n")
+
+
 def test_spec_with_param_rejected(tmp_path, capsys):
     path = tmp_path / "alg.json"
     path.write_text(json.dumps(sl2(1).to_json()))

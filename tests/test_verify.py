@@ -3,6 +3,7 @@
 import json
 
 from starprod.lie import heisenberg, random_two_step, sl2, virasoro
+from starprod.scalars import Polynomial
 from starprod.shapovalov import canonical_element
 from starprod.verify import (
     CheckResult,
@@ -88,6 +89,34 @@ def test_tampering_breaks_invariance():
     ):
         result = check_invariance(_tampered(alg, 2, 2), 2)
         assert (result.passed, result.detail) == (False, detail)
+
+
+def test_tampering_across_valuations():
+    # λ⁰ added to a numerator that is a pure power of λ gives its cleared form
+    # a lower λ-adic valuation than every other term's, so the accumulators
+    # must align contributions that start at different powers of λ
+    alg = random_two_step(17)
+    canonical_element(alg, 2)
+    _, coeffs, _ = alg.memo.components[(2, "desc")]
+    key = next(iter(coeffs))
+    coeffs[key] = coeffs[key] + Polynomial((1,))
+
+    result = check_associativity(alg, 2)
+    assert (result.passed, result.detail) == (False, "window 2: residual at [a1 | a1 | b1^2]")
+    result = check_invariance(alg, 2)
+    assert (result.passed, result.detail) == (
+        False,
+        "generator a2 leaves a residual at [a1^2 | b1]",
+    )
+
+
+def test_associativity_component_counts():
+    for alg, detail in (
+        (random_two_step(0), "window 3: 29273 components vanish"),
+        (virasoro(1, 1, cutoff=3), "window 3: 340 components vanish"),
+    ):
+        result = check_associativity(alg, 3)
+        assert (result.passed, result.detail) == (True, detail)
 
 
 def test_tampering_breaks_residue_and_closed_form():
