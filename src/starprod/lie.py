@@ -58,12 +58,18 @@ class ValidationReport:
 @dataclass
 class Memo:
     """What is computed once per algebra and reused by later calls.  It cannot
-    go stale: `_FIXED` forbids reassigning anything it derives from."""
+    go stale: `_FIXED` forbids reassigning anything it derives from.
+
+    `components` holds the exact canonical-element components over ℚ(λ), and
+    `series` the certified ħ-adic series that `star_series` reads, each at the
+    highest ħ-order asked so far, so a lower order reads a prefix and a higher
+    one rebuilds the entry."""
 
     orders: dict = field(default_factory=dict)  # segments -> uea.BasisOrder
     actions: dict = field(default_factory=dict)  # (side, letter, module word) -> terms
     mirror: dict | None = None  # lowering id -> raising id
     components: dict = field(default_factory=dict)  # (degree, tie_break) -> (basis, nums, det)
+    series: dict = field(default_factory=dict)  # (degree, tie_break) -> (order, {(x, y): ħ-coefficients})
 
 
 class GradedLieAlgebra:
@@ -282,6 +288,8 @@ class GradedLieAlgebra:
         for key in ("generators", "brackets", "character"):
             if not isinstance(data[key], list):
                 raise SpecError(f"algebra spec field {key!r} must be a list")
+        if not isinstance(data["name"], str):
+            raise SpecError(f"algebra spec field 'name' must be a string, not {data['name']!r}")
         if not data["generators"]:
             raise SpecError("algebra spec has no generators")
         truncated = data.get("truncated", False)
@@ -315,16 +323,21 @@ class GradedLieAlgebra:
         character = {}
         for entry in data["character"]:
             try:
-                character[by_name[entry["gen"]]] = frac_from_str(entry["value"])
+                gid, value = by_name[entry["gen"]], frac_from_str(entry["value"])
             except (TypeError, KeyError) as exc:
                 raise SpecError(f"bad character entry: {entry!r}") from exc
             except ValueError as exc:
                 raise SpecError(str(exc)) from exc
+            if gid in character:
+                raise SpecError(
+                    f"algebra spec field 'character' lists generator {entry['gen']!r} twice"
+                )
+            character[gid] = value
         cutoff = data.get("cutoff")
         if cutoff is not None and (type(cutoff) is not int or cutoff < 1):
             raise SpecError("cutoff must be a positive integer")
         return cls(
-            str(data["name"]),
+            data["name"],
             gens,
             brackets,
             character,

@@ -239,33 +239,43 @@ def adjugate(matrix):
     The denominators are cleared once: elimination runs on d·A, d the lcm of
     every coefficient's denominator, so each intermediate is a minor in ℤ[λ]
     and each division by the previous pivot is exact in integers.  The result
-    is unscaled once at the end.  Zero entries are skipped, so sparse and
+    is unscaled once at the end.  Each row keeps the set of its nonzero
+    columns right of the pivot, and only those are visited, so sparse and
     diagonal matrices stay cheap."""
     n = len(matrix)
-    width = 2 * n
     d = lcm(*(c.denominator for row in matrix for e in row for c in e.coeffs))
     aug = [
         [e.scale(d) for e in row] + [ONE_POLY if i == j else ZERO_POLY for j in range(n)]
         for i, row in enumerate(matrix)
     ]
+    nonzero = [{j for j, e in enumerate(row) if e.coeffs} for row in aug]
     sign, prev = 1, ONE_POLY
     for k in range(n):
-        piv = next((r for r in range(k, n) if aug[r][k]), None)
+        piv = next((r for r in range(k, n) if k in nonzero[r]), None)
         if piv is None:
             return None, ZERO_POLY
         if piv != k:
             aug[k], aug[piv] = aug[piv], aug[k]
+            nonzero[k], nonzero[piv] = nonzero[piv], nonzero[k]
             sign = -sign
-        top = aug[k]
+        # columns through k are settled: only the implied diagonal is nonzero
+        for cols in nonzero:
+            cols.discard(k)
+        top, pcols = aug[k], nonzero[k]
         p = top[k]
-        # columns left of k are settled: only the implied diagonal is nonzero
         for i, row in enumerate(aug):
             if i == k:
                 continue
-            f = row[k]
-            for j in range(k + 1, width):
-                if row[j] or (f and top[j]):
-                    row[j] = (row[j] * p - f * top[j]).exact_div(prev)
+            f, cols = row[k], nonzero[i]
+            if not f.coeffs:
+                for j in cols:
+                    row[j] = (row[j] * p).exact_div(prev)
+                continue
+            cols |= pcols
+            for j in list(cols):
+                row[j] = e = (row[j] * p - f * top[j]).exact_div(prev)
+                if not e.coeffs:
+                    cols.discard(j)
         prev = p
     # the right block is det(P·dA)·(dA)⁻¹ = sign·adj(dA) = sign·d^(n-1)·adj(A)
     # for the row permutation P, and prev = det(P·dA) = sign·d^n·det(A)

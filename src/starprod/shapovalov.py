@@ -12,17 +12,35 @@ Gauss–Jordan elimination on [A | I], which yields det A and the adjugate as
 polynomials; the result is accepted only after A·adj = det·I is checked in
 ℚ[λ].
 
+`star_series` needs only the first ħ-coefficients of each inverse entry at
+λ = 1/ħ, so it takes a second route (`series_component`): the pairing matrix
+is inverted as a series in ħ by ħ-adic lifting (`inverse_series`), and the
+truncated inverse is accepted only after N·Σ Q_t ħ^t ≡ I mod ħ^(K+1) is
+checked exactly.  A degree where that route does not apply (a singular
+leading matrix N_0, or a row above its word-length bound) falls back to the
+exact inverse, expanded at λ = ∞.
+
 Each (degree, tie_break) component of the canonical element is built once per
-algebra, in its `memo.components`, and shared by `star_series` and every check.
+algebra, in its `memo.components`, and shared by every check; the series of
+`star_series` are kept apart, in `memo.series`, so the verify check that
+compares the two routes never compares a route with itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import CutoffExceededError, SingularCharacterError
-from .scalars import ONE_POLY, ZERO_POLY, Polynomial, RationalFunction, adjugate
+from .scalars import (
+    ONE_POLY,
+    ZERO_POLY,
+    Polynomial,
+    RationalFunction,
+    adjugate,
+    expand_at_infinity,
+)
 from .uea import antipode, char_eval, mono_degree, multiply, phi, phi_order, verma_act
 
 
@@ -230,26 +248,168 @@ class CanonicalElement:
         return RationalFunction(num, self.dets[n]) if num is not None else RationalFunction(0)
 
 
+def _exact_component(algebra, n, tie_break, pairing=None):
+    """The degree-n component over ℚ(λ) as (basis, {(x, y): numerator}, det),
+    memoized in `memo.components`; `pairing` hands over an already built
+    (basis, matrix)."""
+    key = (n, tie_break)
+    components = algebra.memo.components
+    if key not in components:
+        basis, matrix = pairing or pairing_matrix(algebra, n, tie_break)
+        try:
+            inv_nums, det = invert_pairing(matrix)
+        except SingularCharacterError:
+            raise SingularCharacterError(
+                f"{algebra.name}: pairing matrix at degree {n} is singular"
+            ) from None
+        coeffs = {}
+        for k, x in enumerate(basis.minus):
+            for l, y in enumerate(basis.plus):
+                if inv_nums[l][k]:
+                    coeffs[(x, y)] = inv_nums[l][k]
+        components[key] = (basis, coeffs, det)
+    return components[key]
+
+
+def expanded_component(algebra, n, order, tie_break="desc", pairing=None):
+    """{(x, y): coefficients of ħ^0 … ħ^order} of the exact degree-n
+    component, expanded at λ = ∞: the exact route to what `series_component`
+    computes."""
+    _, coeffs, det = _exact_component(algebra, n, tie_break, pairing)
+    return {pair: expand_at_infinity(num, det, order).coeffs for pair, num in coeffs.items()}
+
+
 def canonical_element(algebra, max_degree, tie_break="desc"):
     bases, nums, dets = {}, {}, {}
     bases[0] = GradedBasis(0, ((),), ((),))
     nums[0] = {((), ()): ONE_POLY}
     dets[0] = ONE_POLY
-    components = algebra.memo.components
     for n in range(1, max_degree + 1):
-        if (n, tie_break) not in components:
-            basis, matrix = pairing_matrix(algebra, n, tie_break)
-            try:
-                inv_nums, det = invert_pairing(matrix)
-            except SingularCharacterError:
-                raise SingularCharacterError(
-                    f"{algebra.name}: pairing matrix at degree {n} is singular"
-                ) from None
-            coeffs = {}
-            for k, x in enumerate(basis.minus):
-                for l, y in enumerate(basis.plus):
-                    if inv_nums[l][k]:
-                        coeffs[(x, y)] = inv_nums[l][k]
-            components[(n, tie_break)] = (basis, coeffs, det)
-        bases[n], nums[n], dets[n] = components[(n, tie_break)]
+        bases[n], nums[n], dets[n] = _exact_component(algebra, n, tie_break)
     return CanonicalElement(algebra, max_degree, bases, nums, dets)
+
+
+# -- the inverse at λ = ∞ ------------------------------------------------------
+
+
+def inverse_series(matrix, lengths, order):
+    """The inverse of A = `matrix` as a series in ħ = 1/λ, through ħ^order.
+
+    Row k of A must have λ-degree at most lengths[k].  Then A = L·N with
+    L = diag(λ^lengths[k]) and N = Σ_j N_j·ħ^j a polynomial in ħ, so
+    A⁻¹ = N⁻¹·L⁻¹ and column c of A⁻¹ starts at ħ^lengths[c].  N⁻¹ = Σ_t Q_t·ħ^t
+    lifts ħ-adically from Q_0 = N_0⁻¹ by Q_t = −Q_0·Σ_{j≥1} N_j·Q_{t−j}
+    (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 9), and column c
+    needs only t ≤ order − lengths[c].  Denominators are cleared once, N_0 is
+    inverted by `adjugate`, and each column lifts in integers over one common
+    denominator.
+
+    Returns {(l, c): (coefficients of ħ^0 … ħ^order of A⁻¹[l][c])} for the
+    entries with a nonzero coefficient, or None when the route does not apply:
+    an entry exceeds its row's bound, or N_0 is singular.  Raises
+    ArithmeticError unless N·Σ_t Q_t·ħ^t ≡ I mod ħ^(K+1) holds exactly for
+    every column and its K; the truncated inverse is unique, so a pass is a
+    proof."""
+    d = lcm(*(c.denominator for row in matrix for e in row for c in e.coeffs))
+    hrows = []  # per row: (k, [ħ^0, ħ^1, … coefficients of d·A[i][k] / λ^len])
+    for row, ell in zip(matrix, lengths):
+        entries = []
+        for k, e in enumerate(row):
+            if e.degree > ell:
+                return None
+            if e:
+                cs = e.coeffs
+                entries.append((k, [int(d * cs[ell - j]) if ell - j < len(cs) else 0
+                                    for j in range(ell + 1)]))
+        hrows.append(entries)
+    n0 = [[ZERO_POLY] * len(matrix) for _ in matrix]
+    for i, entries in enumerate(hrows):
+        for k, h in entries:
+            n0[i][k] = Polynomial([h[0]])
+    adj, det = adjugate(n0)
+    if det.is_zero:
+        return None
+    sign = 1 if det.lc > 0 else -1
+    q0 = [[sign * e.lc for e in row] for row in adj]
+    out = {}
+    for c, ell in enumerate(lengths):
+        if ell > order:
+            continue
+        lifted, den = _lift(hrows, q0, sign * det.lc, c, order - ell)
+        _certify(hrows, lifted, den, c)
+        for l in range(len(matrix)):
+            cs = [Fraction(d * v[l], den) for v in lifted]
+            if any(cs):
+                out[(l, c)] = (Fraction(0),) * ell + tuple(cs)
+    return out
+
+
+def _lift(hrows, q0, det, c, steps):
+    """Column c of Q_0 … Q_steps over one common denominator: (vectors, den)
+    with Q_t[l][c] = vectors[t][l] / den.  q0 = det·N_0⁻¹, det > 0."""
+    size = len(q0)
+    vectors = [[row[c] for row in q0]]
+    den = det
+    for t in range(1, steps + 1):
+        s = [0] * size  # Σ_{j≥1} N_j·Q_{t−j}, over den
+        for i, entries in enumerate(hrows):
+            acc = 0
+            for k, h in entries:
+                for j in range(1, min(t, len(h) - 1) + 1):
+                    if h[j]:
+                        acc += h[j] * vectors[t - j][k]
+            s[i] = acc
+        new = [-sum(a * b for a, b in zip(row, s) if a) for row in q0]
+        vectors = [[v * det for v in vec] for vec in vectors]
+        vectors.append(new)
+        den *= det
+        g = gcd(den, *(v for vec in vectors for v in vec))
+        if g > 1:
+            vectors = [[v // g for v in vec] for vec in vectors]
+            den //= g
+    return vectors, den
+
+
+def _certify(hrows, vectors, den, c):
+    """Raise ArithmeticError unless N·Σ_t Q_t·ħ^t ≡ e_c mod ħ^(K+1) in column
+    c, each product N[i][k](ħ)·q_k(ħ) formed afresh as a truncated product."""
+    top = len(vectors)
+    for i, entries in enumerate(hrows):
+        acc = [0] * top
+        for k, h in entries:
+            q = [vec[k] for vec in vectors]
+            for j, a in enumerate(h[:top]):
+                if a:
+                    for t in range(top - j):
+                        acc[j + t] += a * q[t]
+        if acc != [den if i == c else 0] + [0] * (top - 1):
+            raise ArithmeticError(
+                f"ħ-adic inverse certificate N·Q ≡ I mod ħ^{top} fails in column {c}"
+            )
+
+
+def series_component(algebra, n, order, tie_break="desc"):
+    """{(x, y): coefficients of ħ^0 … ħ^order} of the degree-n component of
+    the canonical element, memoized in `memo.series` at the highest order
+    asked so far (a lower order reads a prefix).
+
+    The coefficients come from `inverse_series` of the pairing matrix, with
+    row bounds the word lengths.  Where that route does not apply, the
+    degree takes the exact route: its component over ℚ(λ), expanded at λ = ∞.
+    Raises ArithmeticError, naming the algebra and the degree, when the
+    certificate of the ħ-adic inverse fails."""
+    key = (n, tie_break)
+    hit = algebra.memo.series.get(key)
+    if hit is not None and hit[0] >= order:
+        return hit[1]
+    basis, matrix = pairing_matrix(algebra, n, tie_break)
+    try:
+        inv = inverse_series(matrix, [len(x) for x in basis.minus], order)
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"{algebra.name}: degree {n}: {exc}") from None
+    if inv is None:
+        terms = expanded_component(algebra, n, order, tie_break, (basis, matrix))
+    else:
+        terms = {(basis.minus[c], basis.plus[l]): cs for (l, c), cs in inv.items()}
+    algebra.memo.series[key] = (order, terms)
+    return terms

@@ -7,6 +7,12 @@ only ever involves tensor slots of word length at most m.
 A slot degree limit bounds which components are collected: the component at
 degree n sits in slots of degree (-n, +n), so the series restricted to slot
 degrees ≤ D is exactly determined by the canonical element through degree D.
+
+`star_series` reads each degree's coefficients off the certified ħ-adic
+inverse of its pairing matrix (`shapovalov.series_component`), which never
+inverts over ℚ(λ); a degree that route cannot take falls back to the exact
+component.  `exact_series` expands the exact components of the canonical
+element instead, and serves as the oracle that verify compares against.
 """
 
 from __future__ import annotations
@@ -15,8 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import CutoffExceededError
-from .scalars import expand_at_infinity, frac_to_str
-from .shapovalov import canonical_element, dual_basis
+from .scalars import frac_to_str
+from .shapovalov import dual_basis, expanded_component, series_component
 
 
 @dataclass
@@ -56,27 +62,37 @@ def _require_window(algebra, needed):
         )
 
 
+def _collect(component, algebra, max_order, slot_degree_limit, tie_break):
+    """StarProduct from `component(algebra, n, max_order, tie_break)`, the
+    {(x, y): ħ-coefficients} of each degree n within the slot degree limit."""
+    limit = max_order if slot_degree_limit is None else slot_degree_limit
+    _require_window(algebra, limit)
+    orders = {m: {} for m in range(max_order + 1)}
+    orders[0][((), ())] = Fraction(1)
+    for n in range(1, limit + 1):
+        for pair, coeffs in component(algebra, n, max_order, tie_break).items():
+            for m, c in enumerate(coeffs[: max_order + 1]):
+                if c:
+                    orders[m][pair] = c
+    return StarProduct(algebra, max_order, limit, orders)
+
+
 def star_series(algebra, max_order, slot_degree_limit=None, tie_break="desc"):
     """Collect the ħ-expansion of the canonical element into a StarProduct.
 
     Slot degrees are limited to max_order unless a wider (or narrower) limit is
-    given explicitly.
+    given explicitly.  Each degree comes from `series_component`: the certified
+    ħ-adic inverse of its pairing matrix, or the exact route where that does
+    not apply.
     """
-    limit = max_order if slot_degree_limit is None else slot_degree_limit
-    _require_window(algebra, limit)
-    canon = canonical_element(algebra, limit, tie_break)
-    orders = {m: {} for m in range(max_order + 1)}
-    for n in range(limit + 1):
-        det = canon.dets[n]
-        for (x, y), num in canon.nums[n].items():
-            series = expand_at_infinity(num, det, max_order)
-            for m, c in enumerate(series.coeffs):
-                if c:
-                    bucket = orders[m]
-                    bucket[(x, y)] = bucket.get((x, y), Fraction(0)) + c
-    for m in range(max_order + 1):
-        orders[m] = {k: c for k, c in orders[m].items() if c}
-    return StarProduct(algebra, max_order, limit, orders)
+    return _collect(series_component, algebra, max_order, slot_degree_limit, tie_break)
+
+
+def exact_series(algebra, max_order, slot_degree_limit=None, tie_break="desc"):
+    """The same StarProduct through the exact route: each component of the
+    canonical element over ℚ(λ), expanded at λ = ∞.  The oracle for
+    `star_series`."""
+    return _collect(expanded_component, algebra, max_order, slot_degree_limit, tie_break)
 
 
 def residue(algebra, max_degree=None, tie_break="desc"):

@@ -34,7 +34,7 @@ from .shapovalov import (
     oracle_pairing,
     pairing_entry,
 )
-from .star import expected_residue, first_order, residue, star_series
+from .star import exact_series, expected_residue, first_order, residue, star_series
 from .uea import (
     _word_product,
     antipode,
@@ -208,6 +208,14 @@ def check_invariance(algebra, window, tie_break="desc"):
     through the module and its mirror, gives zero on all in-window components."""
     terms = _cleared(canonical_element(algebra, window, tie_break), window)
     deg = lambda w: mono_degree(algebra, w)
+    acted = {}  # (generator, word, side) -> terms, each acted out once
+
+    def act(gid, word, side):
+        key = (gid, word, side)
+        if key not in acted:
+            acted[key] = verma_act(algebra, (gid,), word, side=side)
+        return acted[key]
+
     for gen in algebra.generators:
         acc = {}
         d = gen.degree
@@ -216,11 +224,11 @@ def check_invariance(algebra, window, tie_break="desc"):
             # that are incomplete at this window anyway; skipping them before
             # acting keeps every bracket inside the window.
             if n - d <= window:
-                for w, p in verma_act(algebra, (gen.id,), x, side=1).items():
+                for w, p in act(gen.id, x, 1).items():
                     if -deg(w) <= window:
                         _add(acc, (w, y), v, _mul(p.coeffs, tail))
             if n + d <= window:
-                for w, p in verma_act(algebra, (gen.id,), y, side=-1).items():
+                for w, p in act(gen.id, y, -1).items():
                     if deg(w) <= window:
                         _add(acc, (x, w), v, _mul(p.coeffs, tail))
         for xw, yw in sorted(acc):
@@ -264,7 +272,9 @@ def check_first_order(algebra, max_degree=None, tie_break="desc"):
 
 def check_order_bounds(algebra, max_degree, tie_break="desc"):
     """Coefficient of x ⊗ y vanishes at infinity to order ≥ max(len x, len y),
-    so order-m series terms never carry slots longer than m."""
+    so order-m series terms never carry slots longer than m.  The series that
+    `star_series` builds through the ħ-adic inverse must also equal the exact
+    components expanded at λ = ∞ (`exact_series`), term by term."""
     canon = canonical_element(algebra, max_degree, tie_break)
     for n in range(1, max_degree + 1):
         det = canon.dets[n]
@@ -283,6 +293,14 @@ def check_order_bounds(algebra, max_degree, tie_break="desc"):
                 return CheckResult(
                     "order-bounds", False, f"order-{m} term with long slots at [{where}]"
                 )
+    exact = exact_series(algebra, max_degree, tie_break=tie_break)
+    for m, bucket in sp.orders.items():
+        want = exact.orders[m]
+        for x, y in sorted(bucket.keys() | want.keys()):
+            if bucket.get((x, y)) != want.get((x, y)):
+                where = f"{word_name(algebra, x)} | {word_name(algebra, y)}"
+                why = f"order-{m} series term at [{where}] differs from the exact route"
+                return CheckResult("order-bounds", False, why)
     return CheckResult(
         "order-bounds", True, f"decay and slot-length bounds hold through degree {max_degree}"
     )

@@ -271,6 +271,24 @@ def test_spec_field_types(tmp_path, capsys):
         assert (code, out, err) == (5, "", f"error: {message}\n"), change
 
 
+def test_spec_guesses_refused(tmp_path, capsys):
+    # a generator listed twice in the character used to take the last value,
+    # and a non-string name was coerced by str()
+    good = sl2(1).to_json()
+    cases = [
+        (
+            {"character": good["character"] + [{"gen": "h", "value": "7"}]},
+            "algebra spec field 'character' lists generator 'h' twice",
+        ),
+        ({"name": ["x", 1]}, "algebra spec field 'name' must be a string, not ['x', 1]"),
+    ]
+    path = tmp_path / "alg.json"
+    for change, message in cases:
+        path.write_text(json.dumps(dict(good, **change)))
+        code, out, err = _run(capsys, "validate", "--spec", str(path))
+        assert (code, out, err) == (5, "", f"error: {message}\n"), change
+
+
 def test_spec_without_generators(tmp_path, capsys):
     # an empty algebra is refused up front by every command; verify used to
     # crash sampling words from no letters

@@ -1,0 +1,155 @@
+"""The ħ-adic inverse behind `star_series`, against the exact route."""
+
+from fractions import Fraction
+
+import pytest
+
+from starprod import shapovalov
+from starprod.lie import heisenberg, sl2, virasoro
+from starprod.scalars import Polynomial, adjugate, expand_at_infinity
+from starprod.shapovalov import inverse_series
+from starprod.star import exact_series, star_series
+from starprod.verify import check_order_bounds
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+COEFFS = st.one_of(
+    st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+)
+
+
+def _lead(e, ell):
+    """The λ^ell coefficient of e."""
+    return e.coeffs[ell] if ell < len(e.coeffs) else 0
+
+
+def _with_lead(e, ell, lead):
+    """e with its λ^ell coefficient replaced by lead."""
+    cs = list(e.coeffs) + [0] * (ell + 1 - len(e.coeffs))
+    cs[ell] = lead
+    return Polynomial(cs)
+
+
+@st.composite
+def bounded_matrices(draw):
+    """(matrix, row lengths, order): row k has λ-degree at most lengths[k], and
+    the λ^lengths[k] coefficients form an invertible constant matrix N_0."""
+    n = draw(st.integers(1, 4))
+    lengths = [draw(st.integers(0, 3)) for _ in range(n)]
+    rows = [[Polynomial([draw(COEFFS) for _ in range(ell + 1)]) for _ in range(n)]
+            for ell in lengths]
+    n0 = [[Polynomial([_lead(e, ell)]) for e in row] for row, ell in zip(rows, lengths)]
+    if adjugate(n0)[1].is_zero:
+        # keep the lower coefficients as drawn, but make N_0 the identity
+        rows = [[_with_lead(e, ell, int(i == k)) for k, e in enumerate(row)]
+                for i, (row, ell) in enumerate(zip(rows, lengths))]
+    return rows, lengths, draw(st.integers(0, 7))
+
+
+def _p(*coeffs):
+    return Polynomial(coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bounded_matrices())
+# N_1 ≠ 0 with a rational entry, so the lift and the clearing both act
+@example(([[_p(1, 2), _p(Fraction(1, 3))], [_p(0, 1), _p(5, 0, 1)]], [1, 2], 6))
+@example(([[_p(2, 0, 3)]], [2], 7))  # 1×1, no ħ^1 term
+@example(([[_p(1), _p(1)], [_p(0, 1), _p(1)]], [0, 1], 0))  # order 0
+def test_series_equals_expanded_adjugate(case):
+    matrix, lengths, order = case
+    adj, det = adjugate(matrix)
+    got = inverse_series(matrix, lengths, order)
+    for l, row in enumerate(adj):
+        for c, num in enumerate(row):
+            want = expand_at_infinity(num, det, order).coeffs
+            assert got.get((l, c), (0,) * (order + 1)) == want, (l, c)
+    # absent entries are exactly the ones whose series vanishes through the order
+    assert all(any(cs) for cs in got.values())
+
+
+def test_series_declines_where_it_does_not_apply():
+    # N_0 singular: both rows lead with the same coefficients
+    assert inverse_series([[_p(0, 1), _p(0, 1)], [_p(0, 1), _p(1, 1)]], [1, 1], 3) is None
+    # an entry above its row's bound
+    assert inverse_series([[_p(1, 0, 1)]], [1], 3) is None
+
+
+def test_singular_leading_term_takes_the_exact_route():
+    # Virasoro Δ = 1, c = −8: N_0 is singular at degrees 2 and 3 (det A = 36λ²
+    # at degree 2), and the product series has an ħ⁰ term at a slot of length 1
+    alg = virasoro(1, -8, cutoff=3)
+    product = star_series(alg, 3)
+    assert sorted(n for n, _ in alg.memo.components) == [2, 3]  # the fallback degrees only
+    lm2, lp2 = alg.by_name("L-2").id, alg.by_name("L2").id
+    assert product.orders[0][((lm2,), (lp2,))] == Fraction(2, 9)
+    assert product.orders == exact_series(virasoro(1, -8, cutoff=3), 3).orders
+
+
+def test_row_bound_violation_takes_the_exact_route(monkeypatch):
+    real = shapovalov.pairing_matrix
+
+    def raised(algebra, degree, tie_break="desc"):
+        # λ^(n+1) on top of the entry: above the row bound, still regular at ∞
+        basis, rows = real(algebra, degree, tie_break)
+        rows[0][0] = rows[0][0] + Polynomial([0] * (degree + 1) + [1])
+        return basis, rows
+
+    plain = star_series(sl2(Fraction(3, 2)), 5).orders
+    monkeypatch.setattr(shapovalov, "pairing_matrix", raised)
+    alg = sl2(Fraction(3, 2))
+    product = star_series(alg, 5)
+    assert sorted(n for n, _ in alg.memo.components) == [1, 2, 3, 4, 5]
+    assert product.orders == exact_series(sl2(Fraction(3, 2)), 5).orders
+    assert product.orders != plain  # the raised matrices were used
+
+
+def test_corrupted_lift_fails_the_certificate(monkeypatch):
+    real = shapovalov._lift
+    for t in range(3):  # Q_0, Q_1 and Q_2 of the degree-1 column
+
+        def corrupt(*args, t=t):
+            vectors, den = real(*args)
+            vectors[t][0] += 1
+            return vectors, den
+
+        monkeypatch.setattr(shapovalov, "_lift", corrupt)
+        with pytest.raises(ArithmeticError, match=r"^sl2: degree 1: ħ-adic inverse certificate"):
+            star_series(sl2(1), 3)
+
+
+def test_corrupted_series_memo_fails_the_route_comparison():
+    alg = sl2(1)
+    f, e = alg.by_name("f").id, alg.by_name("e").id
+    star_series(alg, 2)
+    order, terms = alg.memo.series[(1, "desc")]
+    cs = terms[((f,), (e,))]
+    terms[((f,), (e,))] = cs[:1] + (2 * cs[1],) + cs[2:]
+    result = check_order_bounds(alg, 2)
+    assert (result.passed, result.detail) == (
+        False,
+        "order-1 series term at [f | e] differs from the exact route",
+    )
+
+
+def test_series_memo_extends_to_a_higher_order(monkeypatch):
+    w = Fraction(-3, 2)
+    want = {m: exact_series(heisenberg(2, w), m, slot_degree_limit=3).orders for m in (1, 5)}
+    calls = []
+    real = shapovalov.pairing_matrix
+
+    def counted(algebra, degree, tie_break="desc"):
+        calls.append(degree)
+        return real(algebra, degree, tie_break)
+
+    monkeypatch.setattr(shapovalov, "pairing_matrix", counted)
+    alg = heisenberg(2, w)
+    star_series(alg, 2, slot_degree_limit=3)
+    assert calls == [1, 2, 3]
+    # a higher order rebuilds, a lower one reads the memo's prefix
+    assert star_series(alg, 5, slot_degree_limit=3).orders == want[5]
+    assert calls == [1, 2, 3, 1, 2, 3]
+    assert star_series(alg, 1, slot_degree_limit=3).orders == want[1]
+    assert calls == [1, 2, 3, 1, 2, 3]

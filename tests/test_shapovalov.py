@@ -357,6 +357,11 @@ def test_components_are_memoized_per_algebra_and_tie_break(monkeypatch):
     assert len(calls) == 3
     calls.clear()
     canonical_element(alg, 2)
+    assert calls == []
+    # the series route keeps its own memo, and a repeat makes no calls
+    star_series(alg, 3)
+    assert calls == [(1, "desc"), (2, "desc"), (3, "desc")]
+    calls.clear()
     star_series(alg, 3)
     assert calls == []
     canonical_element(alg, 3, "asc")

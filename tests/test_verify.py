@@ -5,6 +5,7 @@ import json
 from starprod.lie import heisenberg, random_two_step, sl2, virasoro
 from starprod.scalars import Polynomial
 from starprod.shapovalov import canonical_element
+from starprod.star import star_series
 from starprod.verify import (
     CheckResult,
     VerificationReport,
@@ -119,11 +120,25 @@ def test_associativity_component_counts():
         assert (result.passed, result.detail) == (True, detail)
 
 
+def _tampered_series(alg, window, degree):
+    """The algebra with the first ħ-coefficient list that `star_series` keeps
+    for degree `degree` (computed through `window`) doubled."""
+    star_series(alg, window)
+    _, terms = alg.memo.series[(degree, "desc")]
+    key = next(iter(terms))
+    terms[key] = tuple(2 * c for c in terms[key])
+    return alg
+
+
 def test_tampering_breaks_residue_and_closed_form():
+    # the exact components: the closed form and the route comparison
     alg = _tampered(sl2(1), 2, 1)
+    assert not check_closed_forms(alg).passed
+    assert not check_order_bounds(alg, 2).passed
+    # the series that star_series reads: residue and first order
+    alg = _tampered_series(sl2(1), 2, 1)
     assert not check_residue(alg, 2).passed
     assert not check_first_order(alg, 2).passed
-    assert not check_closed_forms(alg).passed
 
 
 def test_untampered_checks_pass_directly():
