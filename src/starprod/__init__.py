@@ -16,7 +16,7 @@ from .errors import (
     StarprodError,
 )
 from .lie import GradedLieAlgebra, heisenberg, random_two_step, sl2, virasoro
-from .scalars import HbarSeries, Polynomial, RationalFunction
+from .scalars import Polynomial, RationalFunction
 from .shapovalov import CanonicalElement, canonical_element, pairing_matrix
 from .star import StarProduct, first_order, residue, star_series
 
@@ -26,7 +26,6 @@ __all__ = [
     "CanonicalElement",
     "CutoffExceededError",
     "GradedLieAlgebra",
-    "HbarSeries",
     "PoleAtInfinityError",
     "Polynomial",
     "RationalFunction",

@@ -302,6 +302,8 @@ class GradedLieAlgebra:
                 name, degree = g["name"], g["degree"]
             except (TypeError, KeyError) as exc:
                 raise SpecError(f"bad generator entry: {g!r}") from exc
+            if not isinstance(name, str):
+                raise SpecError(f"generator field 'name' must be a string, not {name!r}")
             if type(degree) is not int:
                 raise SpecError(f"generator {name!r}: 'degree' must be an integer, not {degree!r}")
             if name in by_name:

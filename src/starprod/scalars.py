@@ -1,11 +1,12 @@
 """Exact scalar arithmetic: arbitrary-precision rationals, dense polynomials in
-the formal parameter λ, reduced rational functions with monic denominators, and
-truncated power series in ħ obtained by expanding at λ = ∞ (ħ = 1/λ)."""
+the formal parameter λ and fraction-free elimination over them, ratios of
+polynomials compared by cross-multiplication, and truncated power series in ħ
+obtained by expanding at λ = ∞ (ħ = 1/λ), as tuples of Fractions."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd, lcm
+from math import lcm
 
 from .errors import PoleAtInfinityError
 
@@ -31,9 +32,9 @@ class Polynomial:
     Coefficients are stored as plain ints while they stay integral (the common
     case, and int arithmetic is far cheaper than Fraction's per-op gcd), and as
     Fractions otherwise; the two mix exactly and compare/hash consistently.
-    `divmod` takes c // lc whenever an int c is divisible by an int leading
-    coefficient lc, and divides exactly in Fractions otherwise, so exact
-    division in ℤ[λ] (as in `adjugate`) never leaves the ints."""
+    `exact_div` takes c // lc whenever an int c is divisible by an int leading
+    coefficient lc, and divides in Fractions otherwise, so exact division in
+    ℤ[λ] (as in `adjugate`) never leaves the ints."""
 
     __slots__ = ("coeffs",)
 
@@ -108,23 +109,17 @@ class Polynomial:
             k = k.numerator
         return Polynomial([c * k for c in self.coeffs])
 
-    def monic(self):
-        if self.is_zero or self.lc == 1:
-            return self
-        return self.scale(Fraction(1) / self.lc)
-
-    def divmod(self, other):
+    def exact_div(self, other):
+        """The quotient self / other in ℚ[λ]; raises ArithmeticError unless
+        the division leaves no remainder."""
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return ZERO_POLY, self
-        quo = [0] * (dq + 1)
-        lc = other.lc
+        db, lc = other.degree, other.lc
         int_lc = type(lc) is int
-        for k in range(dq, -1, -1):
-            top = rem[other.degree + k]
+        quo = [0] * max(len(rem) - db, 0)
+        for k in range(len(quo) - 1, -1, -1):
+            top = rem[db + k]
             if int_lc and type(top) is int and not top % lc:
                 c = top // lc
             else:
@@ -133,13 +128,9 @@ class Polynomial:
             if c:
                 for i, oc in enumerate(other.coeffs):
                     rem[i + k] -= c * oc
-        return Polynomial(quo), Polynomial(rem)
-
-    def exact_div(self, other):
-        quo, rem = self.divmod(other)
-        if not rem.is_zero:
+        if any(rem):
             raise ArithmeticError("polynomial division was expected to be exact")
-        return quo
+        return Polynomial(quo)
 
     def render(self, var="λ"):
         if self.is_zero:
@@ -166,69 +157,6 @@ class Polynomial:
 
 ZERO_POLY = Polynomial()
 ONE_POLY = Polynomial([1])
-
-
-def _int_primitive(p: Polynomial):
-    """Integer coefficient list of p scaled primitive, positive leading."""
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // _int_gcd(den, c.denominator)
-    ints = [int(c.numerator * (den // c.denominator)) for c in p.coeffs]
-    g = 0
-    for c in ints:
-        g = _int_gcd(g, abs(c))
-    if ints[-1] < 0:
-        g = -g
-    return [c // g for c in ints]
-
-
-def _prem(a, b):
-    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b on integer lists."""
-    db = len(b) - 1
-    lb = b[-1]
-    r = list(a)
-    for k in range(len(a) - len(b), -1, -1):
-        top = r[db + k]
-        r = [lb * c for c in r]
-        for i in range(db + 1):
-            r[i + k] -= top * b[i]
-    del r[db:]
-    while r and not r[-1]:
-        r.pop()
-    return r
-
-
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd over ℚ via the subresultant PRS (keeps integer coefficients
-    small without full-rational remainder blow-up)."""
-    if a.is_zero:
-        return b.monic()
-    if b.is_zero:
-        return a.monic()
-    if a.degree == 0 or b.degree == 0:
-        return ONE_POLY
-    fa, fb = _int_primitive(a), _int_primitive(b)
-    if len(fa) < len(fb):
-        fa, fb = fb, fa
-    g = h = 1
-    while True:
-        delta = len(fa) - len(fb)
-        r = _prem(fa, fb)
-        if not r:
-            break
-        div = g * h**delta
-        fa, fb = fb, [c // div for c in r]
-        if len(fb) == 1:
-            return ONE_POLY
-        g = fa[-1]
-        if delta:
-            h = g**delta // h ** (delta - 1)
-    sign = -1 if fb[-1] < 0 else 1
-    cont = 0
-    for c in fb:
-        cont = _int_gcd(cont, abs(c))
-    cont *= sign
-    return Polynomial([Fraction(c, cont) for c in fb]).monic()
 
 
 def adjugate(matrix):
@@ -286,45 +214,21 @@ def adjugate(matrix):
 
 
 class RationalFunction:
-    """Reduced ratio of polynomials in λ with monic denominator, so structural
-    equality doubles as mathematical equality."""
+    """A ratio of polynomials in λ, a value to build and compare.  The pair is
+    kept as given, with no common factor removed, so two ratios are equal when
+    their cross products are (a.num·b.den == b.num·a.den); having no normal
+    form, the value is not hashable."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None):
+    def __init__(self, num, den=ONE_POLY):
         if isinstance(num, (int, Fraction)):
             num = Polynomial([num])
-        if den is None:
-            den = ONE_POLY
-        elif isinstance(den, (int, Fraction)):
+        if isinstance(den, (int, Fraction)):
             den = Polynomial([den])
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
-            self.num, self.den = ZERO_POLY, ONE_POLY
-            return
-        if den.degree > 0 and num.degree > 0:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-        if den.lc != 1:
-            inv = Fraction(1) / den.lc
-            num, den = num.scale(inv), den.scale(inv)
         self.num, self.den = num, den
-
-    @classmethod
-    def _reduced(cls, num, den):
-        """Wrap an already coprime pair, normalizing only the leading coefficient."""
-        self = object.__new__(cls)
-        if num.is_zero:
-            self.num, self.den = ZERO_POLY, ONE_POLY
-            return self
-        if den.lc != 1:
-            inv = Fraction(1) / den.lc
-            num, den = num.scale(inv), den.scale(inv)
-        self.num, self.den = num, den
-        return self
 
     @property
     def is_zero(self):
@@ -334,132 +238,37 @@ class RationalFunction:
         return not self.num.is_zero
 
     def __eq__(self, other):
-        return (
-            isinstance(other, RationalFunction)
-            and self.num == other.num
-            and self.den == other.den
-        )
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __neg__(self):
-        return RationalFunction._reduced(-self.num, self.den)
-
-    def __add__(self, other):
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        if self.den == other.den:
-            return RationalFunction(self.num + other.num, self.den)
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if self.is_zero or other.is_zero:
-            return RF_ZERO
-        na, da = self.num, self.den
-        nb, db = other.num, other.den
-        g1 = poly_gcd(na, db) if na.degree > 0 and db.degree > 0 else ONE_POLY
-        if g1.degree > 0:
-            na, db = na.exact_div(g1), db.exact_div(g1)
-        g2 = poly_gcd(nb, da) if nb.degree > 0 and da.degree > 0 else ONE_POLY
-        if g2.degree > 0:
-            nb, da = nb.exact_div(g2), da.exact_div(g2)
-        return RationalFunction._reduced(na * nb, da * db)
-
-    def __truediv__(self, other):
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        return self * RationalFunction(other.den, other.num)
-
-    def scale(self, k):
-        if not k:
-            return RF_ZERO
-        return RationalFunction._reduced(self.num.scale(k), self.den)
-
-    def render(self, var="λ"):
-        if self.den == ONE_POLY:
-            return self.num.render(var)
-        return f"({self.num.render(var)})/({self.den.render(var)})"
-
-    def __str__(self):
-        return self.render()
+        if not isinstance(other, RationalFunction):
+            return NotImplemented
+        return self.num * other.den == other.num * self.den
 
     def __repr__(self):
-        return f"RationalFunction({self.render()})"
+        return f"RationalFunction(({self.num.render()})/({self.den.render()}))"
 
 
-RF_ZERO = RationalFunction(0)
+def series_ratio(num, den, order):
+    """The ħ⁰ … ħ^order coefficients, as Fractions, of the power-series quotient
+    of two coefficient lists in ħ; den[0] must be nonzero."""
+    if not den or not den[0]:
+        raise ZeroDivisionError("series division needs an invertible denominator")
+    inv0 = 1 / Fraction(den[0])
+    out = []
+    for k in range(order + 1):
+        acc = Fraction(num[k]) if k < len(num) else Fraction(0)
+        for j in range(1, min(k, len(den) - 1) + 1):
+            acc -= den[j] * out[k - j]
+        out.append(acc * inv0)
+    return tuple(out)
 
 
-class HbarSeries:
-    """Truncated power series in ħ with exact rational coefficients (ħ⁰ … ħ^N)."""
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order, coeffs):
-        coeffs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        if len(coeffs) != order + 1:
-            raise ValueError("series needs exactly order+1 coefficients")
-        self.order = order
-        self.coeffs = tuple(coeffs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HbarSeries)
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
-    @classmethod
-    def ratio(cls, num, den, order):
-        """Power-series division of coefficient lists in ħ; den[0] must be nonzero."""
-        num = [c if isinstance(c, Fraction) else Fraction(c) for c in num]
-        den = [c if isinstance(c, Fraction) else Fraction(c) for c in den]
-        if not den or not den[0]:
-            raise ZeroDivisionError("series division needs an invertible denominator")
-        inv0 = 1 / den[0]
-        out = []
-        for k in range(order + 1):
-            acc = num[k] if k < len(num) else Fraction(0)
-            for j in range(1, min(k, len(den) - 1) + 1):
-                acc -= den[j] * out[k - j]
-            out.append(acc * inv0)
-        return cls(order, out)
-
-    def __str__(self):
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if i == 0:
-                terms.append(frac_to_str(c))
-            else:
-                h = "ħ" if i == 1 else f"ħ^{i}"
-                terms.append(f"{frac_to_str(c)}*{h}")
-        return " + ".join(terms) if terms else "0"
-
-    def __repr__(self):
-        return f"HbarSeries({self})"
-
-
-def expand_at_infinity(num: Polynomial, den: Polynomial, n: int) -> HbarSeries:
+def expand_at_infinity(num: Polynomial, den: Polynomial, n: int) -> tuple:
     """First n+1 Taylor coefficients of num(1/ħ)/den(1/ħ) at ħ = 0.
 
     Requires the ratio regular at λ = ∞, i.e. deg num ≤ deg den.  The pair
     need not be reduced: a common factor changes neither the series nor that
     condition."""
     if num.is_zero:
-        return HbarSeries(n, [Fraction(0)] * (n + 1))
+        return (Fraction(0),) * (n + 1)
     dn, dd = num.degree, den.degree
     if dn > dd:
         raise PoleAtInfinityError(
@@ -468,4 +277,4 @@ def expand_at_infinity(num: Polynomial, den: Polynomial, n: int) -> HbarSeries:
     # substitute λ = 1/ħ and clear ħ^dd; only the first n+1 coefficients count
     top = [num.coeffs[dd - k] if dd - k <= dn else 0 for k in range(min(dd, n) + 1)]
     bottom = [den.coeffs[dd - k] for k in range(min(dd, n) + 1)]
-    return HbarSeries.ratio(top, bottom, n)
+    return series_ratio(top, bottom, n)

@@ -6,11 +6,11 @@ Each pairing entry is read off the Verma module: act with S(y) on x·v and
 take the coefficient of v.  The PBW projection of S(y)·x (`pairing_entry`)
 computes the same scalar by another route and serves as its oracle.
 
-All scalars are polynomials or rational functions in the character scale λ,
-handled exactly.  Each pairing matrix A is inverted by fraction-free
-Gauss–Jordan elimination on [A | I], which yields det A and the adjugate as
-polynomials; the result is accepted only after A·adj = det·I is checked in
-ℚ[λ].
+All scalars are polynomials in the character scale λ, handled exactly.  Each
+pairing matrix A is inverted by fraction-free Gauss–Jordan elimination on
+[A | I], which yields det A and the adjugate as polynomials; the result is
+accepted only after A·adj = det·I is checked in ℚ[λ].  An inverse entry stays
+a numerator over det A; no arithmetic in ℚ(λ) is ever done.
 
 `star_series` needs only the first ħ-coefficients of each inverse entry at
 λ = 1/ħ, so it takes a second route (`series_component`): the pairing matrix
@@ -227,7 +227,10 @@ def invert_pairing(matrix):
 class CanonicalElement:
     """Per-degree components of the canonical element: at degree n the
     coefficient of x_k ⊗ y_l is the (l, k) entry of the inverse pairing matrix,
-    stored as a polynomial numerator over one common determinant."""
+    stored as a polynomial numerator over one common determinant.
+    `component` and `coefficient` hand each entry out as a RationalFunction,
+    a value to compare; a pair outside n₋ ⊗ n₊ or of unequal degrees has
+    coefficient zero."""
 
     def __init__(self, algebra, max_degree, bases, nums, dets):
         self.algebra = algebra
@@ -242,7 +245,7 @@ class CanonicalElement:
 
     def coefficient(self, x, y):
         n = -mono_degree(self.algebra, x)
-        if n > self.max_degree or n != mono_degree(self.algebra, y):
+        if not 0 <= n <= self.max_degree or n != mono_degree(self.algebra, y):
             return RationalFunction(0)
         num = self.nums[n].get((x, y))
         return RationalFunction(num, self.dets[n]) if num is not None else RationalFunction(0)
@@ -276,7 +279,7 @@ def expanded_component(algebra, n, order, tie_break="desc", pairing=None):
     component, expanded at λ = ∞: the exact route to what `series_component`
     computes."""
     _, coeffs, det = _exact_component(algebra, n, tie_break, pairing)
-    return {pair: expand_at_infinity(num, det, order).coeffs for pair, num in coeffs.items()}
+    return {pair: expand_at_infinity(num, det, order) for pair, num in coeffs.items()}
 
 
 def canonical_element(algebra, max_degree, tie_break="desc"):

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import CutoffExceededError
-from .scalars import HbarSeries, ONE_POLY, Polynomial, RationalFunction
+from .scalars import ONE_POLY, Polynomial, RationalFunction, series_ratio
 from .shapovalov import (
     build_basis,
     canonical_element,
@@ -397,12 +397,12 @@ def _closed_form_sl2(algebra, max_n=6):
     expected = {m: {} for m in range(max_n + 1)}
     expected[0][((), ())] = Fraction(1)
     for n in range(1, max_n + 1):
-        series = HbarSeries.ratio(
+        series = series_ratio(
             [Fraction((-1) ** n, factorial(n))],
             _hbar_product([(z, Fraction(-j)) for j in range(n)], max_n - n),
             max_n - n,
         )
-        for i, c in enumerate(series.coeffs):
+        for i, c in enumerate(series):
             if c:
                 expected[n + i][((f,) * n, (e,) * n)] = c
     if sp.orders != expected:
@@ -472,18 +472,18 @@ def _closed_form_virasoro(algebra):
     if canon.dets[2] != Polynomial((0, 0, Bq, A)):
         return CheckResult("closed-form", False, "degree-2 determinant is not Aλ³+Bλ²")
     sp = star_series(algebra, 2, slot_degree_limit=2)
-    t22 = HbarSeries.ratio([Fraction(0), 8 * delta**2, 4 * delta], [A, Bq], 2)
-    tmix = HbarSeries.ratio([Fraction(0), Fraction(0), 6 * delta], [A, Bq], 2)
+    t22 = series_ratio([Fraction(0), 8 * delta**2, 4 * delta], [A, Bq], 2)
+    tmix = series_ratio([Fraction(0), Fraction(0), 6 * delta], [A, Bq], 2)
     expected = {
         0: {((), ()): Fraction(1)},
         1: {
             ((lm1,), (lp1,)): Fraction(-1) / (2 * delta),
-            ((lm2,), (lp2,)): t22.coeffs[1],
+            ((lm2,), (lp2,)): t22[1],
         },
         2: {
-            ((lm2,), (lp2,)): t22.coeffs[2],
-            ((lm2,), (lp1, lp1)): tmix.coeffs[2],
-            ((lm1, lm1), (lp2,)): -tmix.coeffs[2],
+            ((lm2,), (lp2,)): t22[2],
+            ((lm2,), (lp1, lp1)): tmix[2],
+            ((lm1, lm1), (lp2,)): -tmix[2],
             ((lm1, lm1), (lp1, lp1)): Fraction(1) / (8 * delta**2),
         },
     }

@@ -282,6 +282,11 @@ def test_spec_guesses_refused(tmp_path, capsys):
         ),
         ({"name": ["x", 1]}, "algebra spec field 'name' must be a string, not ['x', 1]"),
     ]
+    # a generator named by a number passed validate and crashed star, and one
+    # named by a list crashed validate itself; rename f everywhere it is used
+    for name in ("5", '["f"]'):
+        renamed = json.loads(json.dumps(good).replace('"f"', name))
+        cases.append((renamed, f"generator field 'name' must be a string, not {json.loads(name)!r}"))
     path = tmp_path / "alg.json"
     for change, message in cases:
         path.write_text(json.dumps(dict(good, **change)))

@@ -196,6 +196,35 @@ def test_dets_match_sympy_on_projection_matrices():
             assert sympy.expand(want - to_sympy(det)) == 0, (alg.name, n)
 
 
+def test_canonical_element_matches_sympy_inverse():
+    # sympy inverts the pairing matrix over ℚ(λ), in lowest terms, and every
+    # coefficient, kept as numerator over det, must equal its entry
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    lam = sympy.Symbol("lam")
+    field = sympy.QQ.frac_field(lam)
+
+    def to_poly(expr):
+        coeffs = reversed(sympy.Poly(expr, lam).all_coeffs())
+        return Polynomial([Fraction(int(c.p), int(c.q)) for c in coeffs])
+
+    cases = ((sl2(1), 4), (heisenberg(2, 1), 3), (virasoro(1, 1, cutoff=4), 4), (random_two_step(0), 3))
+    for alg, top in cases:
+        canon = canonical_element(alg, top)
+        for n in range(1, top + 1):
+            basis, rows = pairing_matrix(alg, n)
+            size = len(rows)
+            entries = [[field.from_sympy(sum(sympy.Rational(k) * lam**i for i, k in enumerate(p.coeffs)))
+                        for p in row] for row in rows]
+            inverse = DomainMatrix(entries, (size, size), field).inv().to_Matrix()
+            for k, x in enumerate(basis.minus):
+                for l, y in enumerate(basis.plus):
+                    num, den = sympy.fraction(sympy.cancel(inverse[l, k]))
+                    want = RationalFunction(to_poly(num), to_poly(den))
+                    assert canon.coefficient(x, y) == want, (alg.name, n, x, y)
+
+
 def test_adjugate_constant_2x2():
     def const(rows):
         return [[Polynomial([v]) for v in row] for row in rows]
@@ -213,13 +242,13 @@ def test_invert_pairing():
     _, rows = pairing_matrix(alg, 2)
     nums, det = invert_pairing(rows)
     assert det == Polynomial((0, 0, 18, -36))
-    # multiply back by hand: M · (nums/det) = I
+    # multiply back by hand in ℚ[λ]: Σ_k A[i][k]·adj[k][j] = δ_ij·det
     for i in range(2):
         for j in range(2):
-            s = RationalFunction(Fraction(i == j))
+            s = ZERO_POLY
             for k in range(2):
-                s = s - RationalFunction(rows[i][k]) * RationalFunction(nums[k][j], det)
-            assert s.is_zero
+                s = s + rows[i][k] * nums[k][j]
+            assert s == (det if i == j else ZERO_POLY)
 
     singular = [[Polynomial((0, 1)), Polynomial((0, 1))], [Polynomial((0, 1)), Polynomial((0, 1))]]
     with pytest.raises(SingularCharacterError):
@@ -248,8 +277,9 @@ def test_canonical_element_sl2():
     assert canon.coefficient((f, f), (e, e)) == RationalFunction(
         ONE_POLY, Polynomial((0, -4, 8))
     )
-    # degree mismatch gives zero
+    # degree mismatch gives zero, and so does a pair outside n₋ ⊗ n₊
     assert canon.coefficient((f,), (e, e)).is_zero
+    assert canon.coefficient((e,), (f,)) == RationalFunction(0)
 
 
 def test_canonical_element_virasoro():
@@ -309,18 +339,18 @@ def test_virasoro_dets_match_kac_determinant():
 
 
 def test_canonical_element_inverts_pairing():
-    # Σ_l coeff(x_k, y_l)·(x_i, y_l) = δ_ik: the element really is the inverse
+    # Σ_y num(x_k, y)·(x_i, y) = δ_ik·det: the element really is the inverse,
+    # checked in ℚ[λ] against the projection route's entries
     for alg, n in ((heisenberg(2, 1), 2), (virasoro(1, 1), 2)):
         basis = build_basis(alg, n)
         canon = canonical_element(alg, n)
+        nums, det = canon.nums[n], canon.dets[n]
         for i, xi in enumerate(basis.minus):
             for k, xk in enumerate(basis.minus):
-                s = RationalFunction(Fraction(i == k))
+                s = ZERO_POLY
                 for y in basis.plus:
-                    s = s - canon.coefficient(xk, y) * RationalFunction(
-                        pairing_entry(alg, xi, y)
-                    )
-                assert s.is_zero
+                    s = s + nums.get((xk, y), ZERO_POLY) * pairing_entry(alg, xi, y)
+                assert s == (det if i == k else ZERO_POLY)
 
 
 def test_canonical_element_singular_character():

@@ -65,3 +65,11 @@ def test_traced_layers_resolve():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert not missing, "traced layers that no longer resolve: " + ", ".join(missing)
+
+
+def test_exported_names_resolve():
+    # a stale name in __all__ breaks `from starprod import *` for a user; fail here first
+    import starprod
+
+    missing = [name for name in starprod.__all__ if not hasattr(starprod, name)]
+    assert not missing, "names in starprod.__all__ that do not exist: " + ", ".join(missing)
