@@ -88,6 +88,28 @@ def _fraction_divmod(a, b):
 
 
 @settings(max_examples=100, deadline=None)
+@given(st.lists(COEFFS, max_size=6), st.lists(COEFFS, max_size=3), LEADS, st.booleans())
+def test_divmod_properties(a, b, lead, as_fractions):
+    # exact_div carries out the whole long division: it must agree with the
+    # all-Fraction reference on the quotient, and divide a exactly iff the
+    # reference remainder vanishes
+    if as_fractions:
+        # an integral coefficient given as Fraction(k, 1) rather than as k
+        a = [Fraction(c) for c in a]
+    a, b = Polynomial(a), Polynomial(b + [lead])
+    quo, rem = (Polynomial(cs) for cs in _fraction_divmod(a.coeffs, b.coeffs))
+    assert quo * b + rem == a
+    assert rem.degree < b.degree
+    if rem.is_zero:
+        assert a.exact_div(b) == quo
+    else:
+        with pytest.raises(ArithmeticError):
+            a.exact_div(b)
+    got = (a - rem).exact_div(b)
+    assert got == quo and hash(got) == hash(quo)
+
+
+@settings(max_examples=100, deadline=None)
 @given(
     st.lists(COEFFS, max_size=3),
     st.lists(COEFFS, max_size=3),
