@@ -19,7 +19,7 @@ from .errors import (
 )
 from .lie import GradedLieAlgebra, builtin
 from .scalars import frac_from_str
-from .shapovalov import invert_pairing, pairing_matrix
+from .shapovalov import exact_component, pairing_matrix
 from .star import star_series
 from .uea import word_name
 from .verify import run_all
@@ -107,12 +107,7 @@ def cmd_validate(args):
 def cmd_pairing(args):
     algebra = _load_algebra(args, needed_window=args.degree)
     basis, matrix = pairing_matrix(algebra, args.degree, tie_break=args.order)
-    try:
-        _, det = invert_pairing(matrix)
-    except SingularCharacterError:
-        raise SingularCharacterError(
-            f"{algebra.name}: pairing matrix at degree {args.degree} is singular"
-        ) from None
+    _, _, det = exact_component(algebra, args.degree, args.order)
     payload = {
         "algebra": algebra.name,
         "degree": args.degree,

@@ -60,14 +60,15 @@ class Memo:
     """What is computed once per algebra and reused by later calls.  It cannot
     go stale: `_FIXED` forbids reassigning anything it derives from.
 
-    `components` holds the exact canonical-element components over ℚ(λ), and
-    `series` the certified ħ-adic series that `star_series` reads, each at the
-    highest ħ-order asked so far, so a lower order reads a prefix and a higher
-    one rebuilds the entry."""
+    `pairings` holds each degree's pairing matrix, rows as tuples, and
+    `components` the exact components over ℚ(λ); `series` holds the certified
+    ħ-adic series of `star_series`, each at the highest ħ-order asked so far,
+    so a lower order reads a prefix and a higher one rebuilds the entry."""
 
     orders: dict = field(default_factory=dict)  # segments -> uea.BasisOrder
     actions: dict = field(default_factory=dict)  # (side, letter, module word) -> terms
     mirror: dict | None = None  # lowering id -> raising id
+    pairings: dict = field(default_factory=dict)  # (degree, tie_break) -> (basis, rows)
     components: dict = field(default_factory=dict)  # (degree, tie_break) -> (basis, nums, det)
     series: dict = field(default_factory=dict)  # (degree, tie_break) -> (order, {(x, y): ħ-coefficients})
 

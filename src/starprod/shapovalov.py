@@ -16,12 +16,14 @@ a numerator over det A; no arithmetic in ℚ(λ) is ever done.
 λ = 1/ħ, so it takes a second route (`series_component`): the pairing matrix
 is inverted as a series in ħ by ħ-adic lifting (`inverse_series`), and the
 truncated inverse is accepted only after N·Σ Q_t ħ^t ≡ I mod ħ^(K+1) is
-checked exactly.  A degree where that route does not apply (a singular
-leading matrix N_0, or a row above its word-length bound) falls back to the
-exact inverse, expanded at λ = ∞.
+checked exactly.  `pairing_matrix` holds every entry (x, y) to λ-degree
+min(len x, len y), so each row meets its word-length bound, and only a degree
+whose leading matrix N_0 is singular falls back to the exact inverse,
+expanded at λ = ∞.
 
-Each (degree, tie_break) component of the canonical element is built once per
-algebra, in its `memo.components`, and shared by every check; the series of
+Each (degree, tie_break) pairing matrix is built once per algebra, in its
+`memo.pairings`, and read by both routes and every check; each component of
+the canonical element is built once, in `memo.components`.  The series of
 `star_series` are kept apart, in `memo.series`, so the verify check that
 compares the two routes never compares a route with itself.
 """
@@ -171,28 +173,34 @@ def oracle_pairing(algebra, x, y):
 def pairing_matrix(algebra, degree, tie_break="desc"):
     """Matrix of the pairing at one degree, through the module action: rows
     over lowering monomials x_k, columns over mirrored raising monomials y_l.
+    Returns (basis, rows), memoized in `memo.pairings` as tuples of tuples.
 
-    A truncated algebra defines the pairing only inside its window, so a
-    degree beyond the cutoff raises CutoffExceededError."""
+    An entry (x, y) above λ-degree min(len x, len y) raises ArithmeticError:
+    each power of λ comes from a disjoint bracket cluster holding a letter of
+    x and one of y.  A degree beyond a truncated algebra's cutoff raises
+    CutoffExceededError."""
     if algebra.truncated and degree > algebra.cutoff:
         raise CutoffExceededError(
             f"{algebra.name}: the pairing at degree {degree} needs a window of at "
             f"least ±{degree}, but the window is ±{algebra.cutoff}"
         )
-    basis = build_basis(algebra, degree, tie_break)
-    rows = []
-    for x in basis.minus:
-        row = []
-        for y in basis.plus:
-            entry = oracle_pairing(algebra, x, y)
-            if entry.degree > degree:
-                raise ArithmeticError(
-                    f"{algebra.name}: pairing entry of λ-degree {entry.degree} "
-                    f"exceeds its bound at degree {degree}"
-                )
-            row.append(entry)
-        rows.append(row)
-    return basis, rows
+    key = (degree, tie_break)
+    if key not in algebra.memo.pairings:
+        basis = build_basis(algebra, degree, tie_break)
+        rows = []
+        for x in basis.minus:
+            row = []
+            for y in basis.plus:
+                entry = oracle_pairing(algebra, x, y)
+                if entry.degree > min(len(x), len(y)):
+                    raise ArithmeticError(
+                        f"{algebra.name}: pairing entry of λ-degree {entry.degree} "
+                        f"exceeds its bound at degree {degree}"
+                    )
+                row.append(entry)
+            rows.append(tuple(row))
+        algebra.memo.pairings[key] = (basis, tuple(rows))
+    return algebra.memo.pairings[key]
 
 
 # -- exact inversion ---------------------------------------------------------
@@ -251,14 +259,14 @@ class CanonicalElement:
         return RationalFunction(num, self.dets[n]) if num is not None else RationalFunction(0)
 
 
-def _exact_component(algebra, n, tie_break, pairing=None):
+def exact_component(algebra, n, tie_break="desc"):
     """The degree-n component over ℚ(λ) as (basis, {(x, y): numerator}, det),
-    memoized in `memo.components`; `pairing` hands over an already built
-    (basis, matrix)."""
+    memoized in `memo.components`.  Raises SingularCharacterError, naming the
+    algebra and the degree, when the pairing matrix is singular."""
     key = (n, tie_break)
     components = algebra.memo.components
     if key not in components:
-        basis, matrix = pairing or pairing_matrix(algebra, n, tie_break)
+        basis, matrix = pairing_matrix(algebra, n, tie_break)
         try:
             inv_nums, det = invert_pairing(matrix)
         except SingularCharacterError:
@@ -274,11 +282,11 @@ def _exact_component(algebra, n, tie_break, pairing=None):
     return components[key]
 
 
-def expanded_component(algebra, n, order, tie_break="desc", pairing=None):
+def expanded_component(algebra, n, order, tie_break="desc"):
     """{(x, y): coefficients of ħ^0 … ħ^order} of the exact degree-n
     component, expanded at λ = ∞: the exact route to what `series_component`
     computes."""
-    _, coeffs, det = _exact_component(algebra, n, tie_break, pairing)
+    _, coeffs, det = exact_component(algebra, n, tie_break)
     return {pair: expand_at_infinity(num, det, order) for pair, num in coeffs.items()}
 
 
@@ -288,7 +296,7 @@ def canonical_element(algebra, max_degree, tie_break="desc"):
     nums[0] = {((), ()): ONE_POLY}
     dets[0] = ONE_POLY
     for n in range(1, max_degree + 1):
-        bases[n], nums[n], dets[n] = _exact_component(algebra, n, tie_break)
+        bases[n], nums[n], dets[n] = exact_component(algebra, n, tie_break)
     return CanonicalElement(algebra, max_degree, bases, nums, dets)
 
 
@@ -397,8 +405,9 @@ def series_component(algebra, n, order, tie_break="desc"):
     asked so far (a lower order reads a prefix).
 
     The coefficients come from `inverse_series` of the pairing matrix, with
-    row bounds the word lengths.  Where that route does not apply, the
-    degree takes the exact route: its component over ℚ(λ), expanded at λ = ∞.
+    row bounds the word lengths.  Where that route does not apply (a singular
+    N_0, since `pairing_matrix` enforces the bounds), the degree takes the
+    exact route: its component over ℚ(λ), expanded at λ = ∞.
     Raises ArithmeticError, naming the algebra and the degree, when the
     certificate of the ħ-adic inverse fails."""
     key = (n, tie_break)
@@ -411,7 +420,7 @@ def series_component(algebra, n, order, tie_break="desc"):
     except ArithmeticError as exc:
         raise ArithmeticError(f"{algebra.name}: degree {n}: {exc}") from None
     if inv is None:
-        terms = expanded_component(algebra, n, order, tie_break, (basis, matrix))
+        terms = expanded_component(algebra, n, order, tie_break)
     else:
         terms = {(basis.minus[c], basis.plus[l]): cs for (l, c), cs in inv.items()}
     algebra.memo.series[key] = (order, terms)

@@ -93,9 +93,10 @@ def test_row_bound_violation_takes_the_exact_route(monkeypatch):
 
     def raised(algebra, degree, tie_break="desc"):
         # λ^(n+1) on top of the entry: above the row bound, still regular at ∞
+        # (new rows: the memoized ones are tuples that no caller may change)
         basis, rows = real(algebra, degree, tie_break)
-        rows[0][0] = rows[0][0] + Polynomial([0] * (degree + 1) + [1])
-        return basis, rows
+        top = rows[0][0] + Polynomial([0] * (degree + 1) + [1])
+        return basis, ((top, *rows[0][1:]), *rows[1:])
 
     plain = star_series(sl2(Fraction(3, 2)), 5).orders
     monkeypatch.setattr(shapovalov, "pairing_matrix", raised)

@@ -108,24 +108,24 @@ def test_pairing_matrix_heisenberg():
     basis, rows = pairing_matrix(alg, 2)
     # (q^K, p^L) = δ_KL (-λw)^|K| Π kᵢ!
     lam2 = Polynomial((0, 0, 1))
-    assert rows == [
-        [lam2.scale(2), Polynomial(), Polynomial()],
-        [Polynomial(), lam2, Polynomial()],
-        [Polynomial(), Polynomial(), lam2.scale(2)],
-    ]
+    assert rows == (
+        (lam2.scale(2), Polynomial(), Polynomial()),
+        (Polynomial(), lam2, Polynomial()),
+        (Polynomial(), Polynomial(), lam2.scale(2)),
+    )
 
 
 def test_pairing_matrix_virasoro():
     alg = virasoro(1, 1)
     _, rows = pairing_matrix(alg, 2)
-    assert rows == [
-        [Polynomial((0, 4, 8)), Polynomial((0, -6))],
-        [Polynomial((0, 6)), Polynomial((0, Fraction(-9, 2)))],
-    ]
+    assert rows == (
+        (Polynomial((0, 4, 8)), Polynomial((0, -6))),
+        (Polynomial((0, 6)), Polynomial((0, Fraction(-9, 2)))),
+    )
 
 
 def _projection_matrix(alg, basis):
-    return [[pairing_entry(alg, x, y) for y in basis.plus] for x in basis.minus]
+    return tuple(tuple(pairing_entry(alg, x, y) for y in basis.plus) for x in basis.minus)
 
 
 def test_oracle_agrees_on_random_degree_pairs():
@@ -159,19 +159,27 @@ def test_hot_path_skips_the_projection_route(monkeypatch):
 
 
 def test_oracle_check_catches_a_corrupted_entry(monkeypatch):
+    # the check reads the memoized matrices the engine computed with, so a
+    # corrupted module-side entry fails it, and so does a PBW-side one
     alg = sl2(1)
     f, e = alg.by_name("f").id, alg.by_name("e").id
     assert verify.check_oracle_agreement(alg, 3).passed
-    real = shapovalov.oracle_pairing
+    basis, rows = alg.memo.pairings[(2, "desc")]
+    assert (basis.minus[0], basis.plus[0]) == ((f, f), (e, e))
+    rows = ((rows[0][0] + Polynomial((0, 1)),),)
+    alg.memo.pairings[(2, "desc")] = (basis, rows)
+    result = verify.check_oracle_agreement(alg, 3)
+    assert (result.passed, result.detail) == (False, "routes disagree at [f^2 | e^2]")
+
+    real = shapovalov.pairing_entry
 
     def corrupted(algebra, x, y):
         entry = real(algebra, x, y)
         return entry + Polynomial((0, 1)) if (x, y) == ((f, f), (e, e)) else entry
 
-    monkeypatch.setattr(verify, "oracle_pairing", corrupted)
-    result = verify.check_oracle_agreement(alg, 3)
-    assert not result.passed
-    assert result.detail == "routes disagree at [f^2 | e^2]"
+    monkeypatch.setattr(verify, "pairing_entry", corrupted)
+    result = verify.check_oracle_agreement(sl2(1), 3)
+    assert (result.passed, result.detail) == (False, "routes disagree at [f^2 | e^2]")
 
 
 def test_dets_match_sympy_on_projection_matrices():
@@ -364,7 +372,7 @@ def test_canonical_element_empty_degree():
     # generators only at ±2: degree 1 has an empty basis, det 1 and no terms
     gens = [Generator(0, "x", -2), Generator(1, "z", 0), Generator(2, "y", 2)]
     alg = GradedLieAlgebra("pm2", gens, {(2, 0): [(1, 1)]}, {1: 1})
-    assert pairing_matrix(alg, 1) == (build_basis(alg, 1), [])
+    assert pairing_matrix(alg, 1) == (build_basis(alg, 1), ())
     canon = canonical_element(alg, 2)
     assert (canon.bases[1].minus, canon.nums[1], canon.dets[1]) == ((), {}, ONE_POLY)
     # (x, y) = χ(S(y)·x) = -λ·χ([y, x]) = -λ
@@ -399,6 +407,51 @@ def test_components_are_memoized_per_algebra_and_tie_break(monkeypatch):
     calls.clear()
     canonical_element(GradedLieAlgebra.from_json(alg.to_json()), 3)
     assert len(calls) == 3
+
+
+def test_pairing_matrices_are_built_once_per_degree(monkeypatch):
+    # every route and check reads the one memoized matrix of each
+    # (degree, tie-break): sl2 window 3 needs degrees 1-6 under "desc" (the
+    # closed form goes to 6) and 1-3 under "asc" (canonicity)
+    builds = []
+    real = shapovalov.build_basis
+
+    def counted(algebra, degree, tie_break="desc"):
+        builds.append((degree, tie_break))
+        return real(algebra, degree, tie_break)
+
+    monkeypatch.setattr(shapovalov, "build_basis", counted)
+    assert verify.run_all(sl2(1), 3).passed
+    want = [(n, "desc") for n in range(1, 7)] + [(n, "asc") for n in range(1, 4)]
+    assert sorted(builds) == sorted(want) and len(builds) == 9
+
+
+def test_pairing_matrix_memo_is_shared_and_frozen():
+    alg = virasoro(1, 1)
+    first = pairing_matrix(alg, 2)
+    assert pairing_matrix(alg, 2) is first
+    assert alg.memo.pairings[(2, "desc")] is first
+    _, rows = first
+    with pytest.raises(TypeError):
+        rows[0][0] = ZERO_POLY
+    with pytest.raises(TypeError):
+        rows[0] = ()
+
+
+def test_entry_above_its_length_bound_raises(monkeypatch):
+    # λ² on the (L-2, L2) entry stays within the degree but not within
+    # min(len x, len y) = 1
+    real = shapovalov.oracle_pairing
+    alg = virasoro(1, 1)
+    lm2, lp2 = alg.by_name("L-2").id, alg.by_name("L2").id
+
+    def raised(algebra, x, y):
+        entry = real(algebra, x, y)
+        return entry + Polynomial((0, 0, 1)) if (x, y) == ((lm2,), (lp2,)) else entry
+
+    monkeypatch.setattr(shapovalov, "oracle_pairing", raised)
+    with pytest.raises(ArithmeticError, match=r"^virasoro: pairing entry of λ-degree 2 exceeds its bound at degree 2$"):
+        pairing_matrix(alg, 2)
 
 
 def test_tie_break_gives_same_component():

@@ -141,6 +141,33 @@ def test_tampering_breaks_residue_and_closed_form():
     assert not check_first_order(alg, 2).passed
 
 
+def test_tampering_breaks_canonicity():
+    alg = virasoro(1, 1)
+    assert check_canonicity(alg, 2).passed
+    _, coeffs, _ = alg.memo.components[(2, "asc")]
+    key = next(iter(coeffs))
+    coeffs[key] = coeffs[key] + Polynomial((0, 1))
+    result = check_canonicity(alg, 2)
+    assert (result.passed, result.detail) == (False, "components differ at degree 2")
+
+
+def test_long_slot_in_the_series_breaks_order_bounds():
+    # an order-1 coefficient on the length-2 slot f^2 ⊗ e^2, which the exact
+    # route has starting at ħ^2
+    alg = sl2(1)
+    star_series(alg, 2)
+    f, e = alg.by_name("f").id, alg.by_name("e").id
+    _, terms = alg.memo.series[(2, "desc")]
+    cs = terms[((f, f), (e, e))]
+    assert cs[:2] == (0, 0)
+    terms[((f, f), (e, e))] = (cs[0], 1, *cs[2:])
+    result = check_order_bounds(alg, 2)
+    assert (result.passed, result.detail) == (
+        False,
+        "order-1 series term at [f^2 | e^2] differs from the exact route",
+    )
+
+
 def test_untampered_checks_pass_directly():
     alg = virasoro(1, 1)
     assert check_associativity(alg, 2).passed
