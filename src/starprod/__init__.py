@@ -9,6 +9,7 @@ B = Σ ħ^m B_m, and machine-checks the identities the construction satisfies
 """
 
 from .errors import (
+    CertificateError,
     CutoffExceededError,
     PoleAtInfinityError,
     SingularCharacterError,
@@ -24,6 +25,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CanonicalElement",
+    "CertificateError",
     "CutoffExceededError",
     "GradedLieAlgebra",
     "PoleAtInfinityError",

@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 a verification or validation check failed,
-3 singular character pairing, 4 a computation left the algebra's degree
-window, 5 the request or algebra spec could not be parsed.
+Exit codes: 0 success, 2 a verification or validation check failed, or an
+exact certificate of a computed result failed, 3 singular character pairing,
+4 a computation left the algebra's degree window, 5 the request or algebra
+spec could not be parsed.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import json
 import sys
 
 from .errors import (
+    CertificateError,
     CutoffExceededError,
     PoleAtInfinityError,
     SingularCharacterError,
@@ -19,7 +21,7 @@ from .errors import (
 )
 from .lie import GradedLieAlgebra, builtin
 from .scalars import frac_from_str
-from .shapovalov import exact_component, pairing_matrix
+from .shapovalov import pairing_determinant
 from .star import star_series
 from .uea import word_name
 from .verify import run_all
@@ -106,8 +108,7 @@ def cmd_validate(args):
 
 def cmd_pairing(args):
     algebra = _load_algebra(args, needed_window=args.degree)
-    basis, matrix = pairing_matrix(algebra, args.degree, tie_break=args.order)
-    _, _, det = exact_component(algebra, args.degree, args.order)
+    basis, matrix, det = pairing_determinant(algebra, args.degree, args.order)
     payload = {
         "algebra": algebra.name,
         "degree": args.degree,
@@ -171,7 +172,7 @@ def build_parser():
     common(p)
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("pairing", help="print one degree of the pairing matrix")
+    p = sub.add_parser("pairing", help="print one degree of the pairing matrix and its determinant")
     common(p)
     p.add_argument("--degree", type=_degree, required=True)
     p.set_defaults(func=cmd_pairing)
@@ -205,6 +206,9 @@ def main(argv=None):
     except (CutoffExceededError, PoleAtInfinityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except CertificateError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

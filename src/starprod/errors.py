@@ -19,3 +19,7 @@ class SpecError(StarprodError):
 
 class PoleAtInfinityError(StarprodError):
     """A rational function expected to be regular at infinity has a pole there."""
+
+
+class CertificateError(StarprodError, ArithmeticError):
+    """An exact certificate of a computed result failed: the result is wrong."""

@@ -10,7 +10,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .errors import CutoffExceededError, SpecError
-from .scalars import Polynomial, adjugate, frac_from_str, frac_to_str
+from .scalars import Polynomial, determinant, frac_from_str, frac_to_str
 
 
 def _scalar(v):
@@ -247,7 +247,7 @@ class GradedLieAlgebra:
         out = {}
         for i in range(1, max_degree + 1):
             minus, plus, rows = self.character_pairing(i)
-            out[i] = len(minus) == len(plus) and not adjugate(rows)[1].is_zero
+            out[i] = len(minus) == len(plus) and not determinant(rows).is_zero
         return out
 
     # -- serialization -----------------------------------------------------

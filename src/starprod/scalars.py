@@ -1,7 +1,9 @@
 """Exact scalar arithmetic: arbitrary-precision rationals, dense polynomials in
-the formal parameter λ and fraction-free elimination over them, ratios of
-polynomials compared by cross-multiplication, and truncated power series in ħ
-obtained by expanding at λ = ∞ (ħ = 1/λ), as tuples of Fractions."""
+the formal parameter λ and fraction-free elimination over them (one step
+kernel, run as Gauss–Jordan for the adjugate and forward only for the
+determinant), ratios of polynomials compared by cross-multiplication, and
+truncated power series in ħ obtained by expanding at λ = ∞ (ħ = 1/λ), as
+tuples of Fractions."""
 
 from __future__ import annotations
 
@@ -159,58 +161,101 @@ ZERO_POLY = Polynomial()
 ONE_POLY = Polynomial([1])
 
 
+def _eliminate(rows, nonzero, k, prev, first):
+    """One step of fraction-free elimination (Bareiss 1968) in ℤ[λ], at column k.
+
+    Brings the first row at or below k with a nonzero entry in column k up to
+    row k, then clears column k from every other row from index `first` on:
+    row ← (row·p − row[k]·top) / prev, with p the new pivot and the division by
+    the previous pivot exact.  `nonzero` holds each row's set of nonzero
+    columns right of the settled ones, and only those are visited, so sparse
+    and diagonal matrices stay cheap.  Returns (p, swapped), or None when
+    column k has no pivot."""
+    n = len(rows)
+    piv = next((r for r in range(k, n) if k in nonzero[r]), None)
+    if piv is None:
+        return None
+    if piv != k:
+        rows[k], rows[piv] = rows[piv], rows[k]
+        nonzero[k], nonzero[piv] = nonzero[piv], nonzero[k]
+    # columns through k are settled: only the implied diagonal is nonzero
+    for cols in nonzero:
+        cols.discard(k)
+    top, pcols = rows[k], nonzero[k]
+    p = top[k]
+    for i in range(first, n):
+        if i == k:
+            continue
+        row, cols = rows[i], nonzero[i]
+        f = row[k]
+        if not f.coeffs:
+            for j in cols:
+                row[j] = (row[j] * p).exact_div(prev)
+            continue
+        cols |= pcols
+        for j in list(cols):
+            row[j] = e = (row[j] * p - f * top[j]).exact_div(prev)
+            if not e.coeffs:
+                cols.discard(j)
+    return p, piv != k
+
+
+def _cleared(matrix):
+    """(d, d·A) with d the lcm of every coefficient's denominator, so d·A is
+    in ℤ[λ]; the rows are fresh lists."""
+    d = lcm(*(c.denominator for row in matrix for e in row for c in e.coeffs))
+    return d, [[e.scale(d) for e in row] for row in matrix]
+
+
 def adjugate(matrix):
-    """Fraction-free Gauss–Jordan elimination (Bareiss 1968) on [A | I] over ℚ[λ].
+    """Fraction-free Gauss–Jordan elimination on [A | I] over ℚ[λ].
 
     Returns (adj, det) with A·adj = det·I, both polynomial.  A singular matrix
     gives (None, ZERO_POLY); whether that is an error is the caller's choice.
-    The denominators are cleared once: elimination runs on d·A, d the lcm of
-    every coefficient's denominator, so each intermediate is a minor in ℤ[λ]
-    and each division by the previous pivot is exact in integers.  The result
-    is unscaled once at the end.  Each row keeps the set of its nonzero
-    columns right of the pivot, and only those are visited, so sparse and
-    diagonal matrices stay cheap."""
+    The denominators are cleared once: elimination runs on d·A, so each
+    intermediate is a minor in ℤ[λ] and each division by the previous pivot is
+    exact in integers.  Every step clears its column from all other rows
+    (`_eliminate` from row 0), and the result is unscaled once at the end."""
     n = len(matrix)
-    d = lcm(*(c.denominator for row in matrix for e in row for c in e.coeffs))
-    aug = [
-        [e.scale(d) for e in row] + [ONE_POLY if i == j else ZERO_POLY for j in range(n)]
-        for i, row in enumerate(matrix)
-    ]
+    d, rows = _cleared(matrix)
+    aug = [row + [ONE_POLY if i == j else ZERO_POLY for j in range(n)]
+           for i, row in enumerate(rows)]
     nonzero = [{j for j, e in enumerate(row) if e.coeffs} for row in aug]
     sign, prev = 1, ONE_POLY
     for k in range(n):
-        piv = next((r for r in range(k, n) if k in nonzero[r]), None)
-        if piv is None:
+        step = _eliminate(aug, nonzero, k, prev, 0)
+        if step is None:
             return None, ZERO_POLY
-        if piv != k:
-            aug[k], aug[piv] = aug[piv], aug[k]
-            nonzero[k], nonzero[piv] = nonzero[piv], nonzero[k]
+        prev, swapped = step
+        if swapped:
             sign = -sign
-        # columns through k are settled: only the implied diagonal is nonzero
-        for cols in nonzero:
-            cols.discard(k)
-        top, pcols = aug[k], nonzero[k]
-        p = top[k]
-        for i, row in enumerate(aug):
-            if i == k:
-                continue
-            f, cols = row[k], nonzero[i]
-            if not f.coeffs:
-                for j in cols:
-                    row[j] = (row[j] * p).exact_div(prev)
-                continue
-            cols |= pcols
-            for j in list(cols):
-                row[j] = e = (row[j] * p - f * top[j]).exact_div(prev)
-                if not e.coeffs:
-                    cols.discard(j)
-        prev = p
     # the right block is det(P·dA)·(dA)⁻¹ = sign·adj(dA) = sign·d^(n-1)·adj(A)
     # for the row permutation P, and prev = det(P·dA) = sign·d^n·det(A)
     if sign > 0 and d == 1:
         return [row[n:] for row in aug], prev
     k = Fraction(sign, d ** (n - 1))
     return [[e.scale(k) for e in row[n:]] for row in aug], prev.scale(k / d)
+
+
+def determinant(matrix):
+    """det A over ℚ[λ] by forward fraction-free elimination: the same steps as
+    `adjugate`, on d·A alone and clearing each column from the rows below the
+    pivot only.  The last pivot is det(P·dA) = sign·d^n·det(A), unscaled once.
+    A singular matrix gives ZERO_POLY."""
+    n = len(matrix)
+    d, rows = _cleared(matrix)
+    nonzero = [{j for j, e in enumerate(row) if e.coeffs} for row in rows]
+    sign, prev = 1, ONE_POLY
+    for k in range(n):
+        step = _eliminate(rows, nonzero, k, prev, k + 1)
+        if step is None:
+            return ZERO_POLY
+        prev, swapped = step
+        if swapped:
+            sign = -sign
+    if sign > 0 and d == 1:
+        return prev
+    return prev.scale(Fraction(sign, d**n))
 
 
 class RationalFunction:

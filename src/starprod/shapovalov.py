@@ -10,7 +10,10 @@ All scalars are polynomials in the character scale λ, handled exactly.  Each
 pairing matrix A is inverted by fraction-free Gauss–Jordan elimination on
 [A | I], which yields det A and the adjugate as polynomials; the result is
 accepted only after A·adj = det·I is checked in ℚ[λ].  An inverse entry stays
-a numerator over det A; no arithmetic in ℚ(λ) is ever done.
+a numerator over det A; no arithmetic in ℚ(λ) is ever done.  Where det A alone
+is wanted (`pairing_determinant`), the elimination runs forward only, and det
+is accepted only after it matches the integer determinants of A at D + 1
+points, D = Σ len x the bound on its λ-degree.
 
 `star_series` needs only the first ħ-coefficients of each inverse entry at
 λ = 1/ħ, so it takes a second route (`series_component`): the pairing matrix
@@ -22,7 +25,7 @@ whose leading matrix N_0 is singular falls back to the exact inverse,
 expanded at λ = ∞.
 
 Each (degree, tie_break) pairing matrix is built once per algebra, in its
-`memo.pairings`, and read by both routes and every check; each component of
+`memo.pairings`, and read by every route and check; each component of
 the canonical element is built once, in `memo.components`.  The series of
 `star_series` are kept apart, in `memo.series`, so the verify check that
 compares the two routes never compares a route with itself.
@@ -34,13 +37,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import CutoffExceededError, SingularCharacterError
+from .errors import CertificateError, CutoffExceededError, SingularCharacterError
 from .scalars import (
     ONE_POLY,
     ZERO_POLY,
     Polynomial,
     RationalFunction,
     adjugate,
+    determinant,
     expand_at_infinity,
 )
 from .uea import antipode, char_eval, mono_degree, multiply, phi, phi_order, verma_act
@@ -175,7 +179,7 @@ def pairing_matrix(algebra, degree, tie_break="desc"):
     over lowering monomials x_k, columns over mirrored raising monomials y_l.
     Returns (basis, rows), memoized in `memo.pairings` as tuples of tuples.
 
-    An entry (x, y) above λ-degree min(len x, len y) raises ArithmeticError:
+    An entry (x, y) above λ-degree min(len x, len y) raises CertificateError:
     each power of λ comes from a disjoint bracket cluster holding a letter of
     x and one of y.  A degree beyond a truncated algebra's cutoff raises
     CutoffExceededError."""
@@ -193,7 +197,7 @@ def pairing_matrix(algebra, degree, tie_break="desc"):
             for y in basis.plus:
                 entry = oracle_pairing(algebra, x, y)
                 if entry.degree > min(len(x), len(y)):
-                    raise ArithmeticError(
+                    raise CertificateError(
                         f"{algebra.name}: pairing entry of λ-degree {entry.degree} "
                         f"exceeds its bound at degree {degree}"
                     )
@@ -211,7 +215,7 @@ def invert_pairing(matrix):
 
     Returns (adjugate, det), with inverse[i][j] = adjugate[i][j] / det.
     Raises SingularCharacterError when the determinant vanishes, and
-    ArithmeticError unless matrix·adjugate = det·I holds exactly in ℚ[λ].
+    CertificateError unless matrix·adjugate = det·I holds exactly in ℚ[λ].
     """
     adj, det = adjugate(matrix)
     if det.is_zero:
@@ -225,8 +229,75 @@ def invert_pairing(matrix):
                 if adj[k][j]:
                     s = s + a * adj[k][j]
             if s != (det if i == j else ZERO_POLY):
-                raise ArithmeticError("adjugate certificate A·adj = det·I failed")
+                raise CertificateError("adjugate certificate A·adj = det·I failed")
     return adj, det
+
+
+# -- the determinant alone ----------------------------------------------------
+
+
+def pairing_determinant(algebra, n, tie_break="desc"):
+    """(basis, matrix, det) at degree n: the memoized pairing matrix and its
+    determinant alone, by forward fraction-free elimination, with no inverse.
+    Raises SingularCharacterError when det = 0.
+
+    det is certified first.  Row k of the matrix has λ-degree at most
+    len x_k (`pairing_matrix` enforces it), so deg det ≤ D = Σ_k len x_k.  A
+    computed det above D fails, and so does one whose value at any of
+    λ = 0, 1, …, D differs from the determinant of the matrix evaluated there,
+    taken by a separate elimination in plain integers (`_integer_det`).  Two
+    polynomials of degree ≤ D that agree at D + 1 points are equal, so a pass
+    is a proof.  A failure raises CertificateError naming the algebra and the
+    degree."""
+    basis, matrix = pairing_matrix(algebra, n, tie_break)
+    det = determinant(matrix)
+    bound = sum(len(x) for x in basis.minus)
+    if det.degree > bound:
+        raise CertificateError(
+            f"{algebra.name}: degree {n}: det has λ-degree {det.degree}, above the "
+            f"bound Σ len = {bound}"
+        )
+    d = lcm(*(c.denominator for row in matrix for e in row for c in e.coeffs))
+    cleared = [[[int(d * c) for c in e.coeffs] for e in row] for row in matrix]
+    scale = d ** len(matrix)
+    for x in range(bound + 1):
+        at_x = [[_horner(cs, x) for cs in row] for row in cleared]
+        if _horner(det.coeffs, x) * scale != _integer_det(at_x):
+            raise CertificateError(
+                f"{algebra.name}: degree {n}: det certificate det(λ) = det A(λ) "
+                f"fails at λ = {x}"
+            )
+    if det.is_zero:
+        raise SingularCharacterError(f"{algebra.name}: pairing matrix at degree {n} is singular")
+    return basis, matrix, det
+
+
+def _horner(coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _integer_det(rows):
+    """det of a square integer matrix by Bareiss elimination in ℤ, kept apart
+    from the ℤ[λ] kernel it certifies."""
+    m = [list(row) for row in rows]
+    size, sign, prev = len(m), 1, 1
+    for k in range(size):
+        piv = next((r for r in range(k, size) if m[r][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        top, p = m[k], m[k][k]
+        for row in m[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, size):
+                row[j] = (row[j] * p - f * top[j]) // prev
+        prev = p
+    return sign * prev
 
 
 # -- the canonical element ---------------------------------------------------
@@ -261,8 +332,9 @@ class CanonicalElement:
 
 def exact_component(algebra, n, tie_break="desc"):
     """The degree-n component over ℚ(λ) as (basis, {(x, y): numerator}, det),
-    memoized in `memo.components`.  Raises SingularCharacterError, naming the
-    algebra and the degree, when the pairing matrix is singular."""
+    memoized in `memo.components`.  Raises SingularCharacterError when the
+    pairing matrix is singular and CertificateError when A·adj = det·I fails,
+    each naming the algebra and the degree."""
     key = (n, tie_break)
     components = algebra.memo.components
     if key not in components:
@@ -273,6 +345,8 @@ def exact_component(algebra, n, tie_break="desc"):
             raise SingularCharacterError(
                 f"{algebra.name}: pairing matrix at degree {n} is singular"
             ) from None
+        except CertificateError as exc:
+            raise CertificateError(f"{algebra.name}: degree {n}: {exc}") from None
         coeffs = {}
         for k, x in enumerate(basis.minus):
             for l, y in enumerate(basis.plus):
@@ -318,7 +392,7 @@ def inverse_series(matrix, lengths, order):
     Returns {(l, c): (coefficients of ħ^0 … ħ^order of A⁻¹[l][c])} for the
     entries with a nonzero coefficient, or None when the route does not apply:
     an entry exceeds its row's bound, or N_0 is singular.  Raises
-    ArithmeticError unless N·Σ_t Q_t·ħ^t ≡ I mod ħ^(K+1) holds exactly for
+    CertificateError unless N·Σ_t Q_t·ħ^t ≡ I mod ħ^(K+1) holds exactly for
     every column and its K; the truncated inverse is unique, so a pass is a
     proof."""
     d = lcm(*(c.denominator for row in matrix for e in row for c in e.coeffs))
@@ -382,7 +456,7 @@ def _lift(hrows, q0, det, c, steps):
 
 
 def _certify(hrows, vectors, den, c):
-    """Raise ArithmeticError unless N·Σ_t Q_t·ħ^t ≡ e_c mod ħ^(K+1) in column
+    """Raise CertificateError unless N·Σ_t Q_t·ħ^t ≡ e_c mod ħ^(K+1) in column
     c, each product N[i][k](ħ)·q_k(ħ) formed afresh as a truncated product."""
     top = len(vectors)
     for i, entries in enumerate(hrows):
@@ -394,7 +468,7 @@ def _certify(hrows, vectors, den, c):
                     for t in range(top - j):
                         acc[j + t] += a * q[t]
         if acc != [den if i == c else 0] + [0] * (top - 1):
-            raise ArithmeticError(
+            raise CertificateError(
                 f"ħ-adic inverse certificate N·Q ≡ I mod ħ^{top} fails in column {c}"
             )
 
@@ -408,7 +482,7 @@ def series_component(algebra, n, order, tie_break="desc"):
     row bounds the word lengths.  Where that route does not apply (a singular
     N_0, since `pairing_matrix` enforces the bounds), the degree takes the
     exact route: its component over ℚ(λ), expanded at λ = ∞.
-    Raises ArithmeticError, naming the algebra and the degree, when the
+    Raises CertificateError, naming the algebra and the degree, when the
     certificate of the ħ-adic inverse fails."""
     key = (n, tie_break)
     hit = algebra.memo.series.get(key)
@@ -417,8 +491,8 @@ def series_component(algebra, n, order, tie_break="desc"):
     basis, matrix = pairing_matrix(algebra, n, tie_break)
     try:
         inv = inverse_series(matrix, [len(x) for x in basis.minus], order)
-    except ArithmeticError as exc:
-        raise ArithmeticError(f"{algebra.name}: degree {n}: {exc}") from None
+    except CertificateError as exc:
+        raise CertificateError(f"{algebra.name}: degree {n}: {exc}") from None
     if inv is None:
         terms = expanded_component(algebra, n, order, tie_break)
     else:

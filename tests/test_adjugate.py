@@ -1,10 +1,11 @@
-"""The fraction-free Gauss–Jordan kernel against sympy's det and adjugate."""
+"""The fraction-free elimination kernel, Gauss–Jordan (`adjugate`) and
+forward-only (`determinant`), against sympy's det and adjugate."""
 
 from fractions import Fraction
 
 import pytest
 
-from starprod.scalars import ZERO_POLY, Polynomial, adjugate
+from starprod.scalars import ZERO_POLY, Polynomial, adjugate, determinant
 from starprod.shapovalov import invert_pairing
 
 sympy = pytest.importorskip("sympy")
@@ -73,6 +74,7 @@ def test_adjugate_matches_sympy(rows):
     ref = sympy.Matrix([[_sympy(e) for e in row] for row in rows])
     adj, det = adjugate(rows)
     assert sympy.expand(_sympy(det) - ref.det()) == 0
+    assert determinant(rows) == det
     if det.is_zero:
         assert adj is None
         return

@@ -2,8 +2,10 @@
 
 import json
 
+from starprod import cli, shapovalov
 from starprod.cli import main
 from starprod.lie import GradedLieAlgebra, Generator, random_two_step, sl2
+from starprod.scalars import Polynomial
 
 
 def _run(capsys, *argv):
@@ -121,6 +123,48 @@ def test_pairing_order_flag(capsys):
     _, out_asc, _ = _run(capsys, *base, "--order", "asc")
     assert "basis: L-1^4, L-2 L-1^2, L-3 L-1, L-2^2, L-4" in out_desc
     assert "basis: L-1^4, L-2 L-1^2, L-2^2, L-3 L-1, L-4" in out_asc
+
+
+def test_pairing_det_certificate_catches_a_wrong_kernel(capsys, monkeypatch):
+    # a det off by a factor, a sign or a term above deg ≤ Σ len = 6 exits 2;
+    # det vanishes at λ = 0 and 1, so the values first differ at λ = 2
+    real = shapovalov.determinant
+    vir = ("pairing", "--builtin", "virasoro", "--param", "delta=1", "--param", "c=1")
+    failures = {
+        lambda det: det.scale(2): "det certificate det(λ) = det A(λ) fails at λ = 2",
+        lambda det: -det: "det certificate det(λ) = det A(λ) fails at λ = 2",
+        lambda det: det + Polynomial([0] * 7 + [1]): "det has λ-degree 7, above the bound Σ len = 6",
+    }
+    for wrong, message in failures.items():
+        monkeypatch.setattr(shapovalov, "determinant", lambda matrix, wrong=wrong: wrong(real(matrix)))
+        code, out, err = _run(capsys, *vir, "--degree", "3")
+        assert (code, out) == (2, "")
+        assert err == f"error: virasoro: degree 3: {message}\n"
+
+
+def test_pairing_builds_no_inverse(capsys, monkeypatch):
+    # `pairing` prints det only, so it neither inverts nor stores a component
+    calls, loaded = [], []
+    for name in ("adjugate", "invert_pairing"):
+        real = getattr(shapovalov, name)
+        monkeypatch.setattr(
+            shapovalov, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+        )
+    load = cli._load_algebra
+
+    def kept(*args, **kwargs):
+        loaded.append(load(*args, **kwargs))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "_load_algebra", kept)
+    code, _, _ = _run(
+        capsys, "pairing", "--builtin", "virasoro", "--param", "delta=1", "--param", "c=1",
+        "--degree", "6",
+    )
+    assert code == 0
+    assert calls == []
+    assert list(loaded[0].memo.pairings) == [(6, "desc")]
+    assert loaded[0].memo.components == {}
 
 
 def test_star_text(capsys):

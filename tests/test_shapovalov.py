@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from starprod.errors import SingularCharacterError
+from starprod.errors import CertificateError, SingularCharacterError
 from starprod.lie import GradedLieAlgebra, Generator, heisenberg, random_two_step, sl2, virasoro
 from starprod.scalars import ONE_POLY, ZERO_POLY, Polynomial, RationalFunction, adjugate
 from starprod import shapovalov, verify
@@ -12,9 +12,11 @@ from starprod.shapovalov import (
     build_basis,
     canonical_element,
     dual_basis,
+    exact_component,
     invert_pairing,
     mirror_map,
     oracle_pairing,
+    pairing_determinant,
     pairing_entry,
     pairing_matrix,
 )
@@ -270,6 +272,9 @@ def test_invert_pairing_rejects_tampered_adjugate(monkeypatch):
     monkeypatch.setattr(shapovalov, "adjugate", lambda matrix: (adj, det))
     with pytest.raises(ArithmeticError):
         invert_pairing(rows)
+    message = r"^virasoro: degree 2: adjugate certificate A·adj = det·I failed$"
+    with pytest.raises(CertificateError, match=message):
+        exact_component(virasoro(1, 1), 2)
 
 
 def test_canonical_element_sl2():
@@ -309,40 +314,44 @@ def _kac_determinant(sympy, lam, n, delta, c):
     """Π_{rs≤n} (h − h_{r,s})^{p(n−rs)} at h = λΔ, c = λc.  With u = t + 1/t =
     (13 − c)/6 and h_{r,s} = a·t − b + e/t, a = (r²−1)/4, b = (rs−1)/2,
     e = (s²−1)/4, the pair (r, s), (s, r) gives h² − σ₁h + σ₂ with σ₁ and σ₂
-    rational in u, and h_{r,r} = (r² − 1)(1 − c)/24."""
+    rational in u, and h_{r,r} = (r² − 1)(1 − c)/24.  Returned as a sympy Poly
+    in lam, multiplied out factor by factor."""
     h, u = lam * delta, (13 - lam * c) / 6
-    out = sympy.Integer(1)
+    out = sympy.Poly(1, lam, domain="QQ")
     for r in range(1, n + 1):
         for s in range(r, n // r + 1):
             power = sympy.partition(n - r * s)
             if r == s:
-                out *= (h - sympy.Rational(r * r - 1, 24) * (1 - lam * c)) ** power
+                out *= sympy.Poly(h - sympy.Rational(r * r - 1, 24) * (1 - lam * c), lam) ** power
                 continue
             a = sympy.Rational(r * r - 1, 4)
             b = sympy.Rational(r * s - 1, 2)
             e = sympy.Rational(s * s - 1, 4)
             sigma1 = (a + e) * u - 2 * b
             sigma2 = a * e * (u**2 - 2) - b * (a + e) * u + a * a + b * b + e * e
-            out *= (h**2 - sigma1 * h + sigma2) ** power
+            out *= sympy.Poly(h**2 - sigma1 * h + sigma2, lam) ** power
     return out
 
 
 def test_virasoro_dets_match_kac_determinant():
     # a change of basis in U(n₋) does not involve λ, so det_n / Kac_n is one
-    # nonzero rational constant per degree, whatever Δ and c are
+    # nonzero rational constant per degree, whatever Δ and c are; the dets
+    # come from the det-only route through degree 7
     sympy = pytest.importorskip("sympy")
     lam = sympy.Symbol("lam")
     ratios = []
     for delta, c in ((1, 1), (2, 2), (1, 2)):
-        dets = canonical_element(virasoro(delta, c, cutoff=5), 5).dets
-        ratios.append([
-            sympy.cancel(
-                sum(sympy.Rational(k) * lam**i for i, k in enumerate(dets[n].coeffs))
-                / _kac_determinant(sympy, lam, n, delta, c)
-            )
-            for n in range(1, 6)
-        ])
-    assert ratios[0] == [-2, -32, 2304, 37748736, 8697308774400]
+        alg = virasoro(delta, c, cutoff=7)
+        row = []
+        for n in range(1, 8):
+            det = pairing_determinant(alg, n)[2]
+            det = sympy.Poly([sympy.Rational(k) for k in reversed(det.coeffs)], lam, domain="QQ")
+            kac = _kac_determinant(sympy, lam, n, delta, c)
+            ratio = det.LC() / kac.LC()
+            row.append(ratio if (det - kac.mul_ground(ratio)).is_zero else None)
+        ratios.append(row)
+    assert ratios[0][:5] == [-2, -32, 2304, 37748736, 8697308774400]
+    assert all(r is not None and r.is_Rational and r != 0 for r in ratios[0])
     assert ratios[1] == ratios[2] == ratios[0]
 
 

@@ -1,6 +1,7 @@
 """Source-level rules for the package itself."""
 
 import ast
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -9,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from starprod import cli
 from starprod.lie import random_two_step
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "starprod"
@@ -73,3 +75,16 @@ def test_exported_names_resolve():
 
     missing = [name for name in starprod.__all__ if not hasattr(starprod, name)]
     assert not missing, "names in starprod.__all__ that do not exist: " + ", ".join(missing)
+
+
+def test_pairing_bytes_match_the_benchmark_digests(capsys):
+    # every `pairing` request of the benchmark prints the bytes the seed commit
+    # printed: the sha256 of stdout, as perfbench/make_expected.py hashes it
+    path = SRC.parent.parent / "perfbench" / "expected.json"
+    digests = json.loads(path.read_text(encoding="utf-8"))["digests"]
+    keys = sorted(k for k in digests if k.startswith("pairing "))
+    assert len(keys) == 17  # 16 workload argvs and the degree-5 baseline
+    for key in keys:
+        assert cli.main(key.split(" ")) == 0, key
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == digests[key], key
