@@ -1,7 +1,7 @@
 """Exact scalar arithmetic: arbitrary-precision rationals, dense polynomials in
-the formal parameter λ and fraction-free elimination over them (one step
-kernel, run as Gauss–Jordan for the adjugate and forward only for the
-determinant), ratios of polynomials compared by cross-multiplication, and
+the formal parameter λ and fraction-free elimination over them (one driver
+and one step kernel, run as Gauss–Jordan for the adjugate and forward only
+for the determinant), ratios of polynomials compared by cross-multiplication, and
 truncated power series in ħ obtained by expanding at λ = ∞ (ħ = 1/λ), as
 tuples of Fractions."""
 
@@ -207,55 +207,54 @@ def _cleared(matrix):
     return d, [[e.scale(d) for e in row] for row in matrix]
 
 
-def adjugate(matrix):
-    """Fraction-free Gauss–Jordan elimination on [A | I] over ℚ[λ].
-
-    Returns (adj, det) with A·adj = det·I, both polynomial.  A singular matrix
-    gives (None, ZERO_POLY); whether that is an error is the caller's choice.
-    The denominators are cleared once: elimination runs on d·A, so each
-    intermediate is a minor in ℤ[λ] and each division by the previous pivot is
-    exact in integers.  Every step clears its column from all other rows
-    (`_eliminate` from row 0), and the result is unscaled once at the end."""
+def _bareiss(matrix, gauss_jordan):
+    """Fraction-free elimination on d·A (`_cleared`), so each intermediate is
+    a minor in ℤ[λ] and each division by the previous pivot is exact.  As
+    Gauss–Jordan, [d·A | I] is cleared above and below each pivot; otherwise
+    d·A alone, below it only.  Returns (rows, prev, sign, d), prev = det(P·dA)
+    = sign·d^n·det(A) for the row permutation P, or None if A is singular."""
     n = len(matrix)
     d, rows = _cleared(matrix)
-    aug = [row + [ONE_POLY if i == j else ZERO_POLY for j in range(n)]
-           for i, row in enumerate(rows)]
-    nonzero = [{j for j, e in enumerate(row) if e.coeffs} for row in aug]
-    sign, prev = 1, ONE_POLY
-    for k in range(n):
-        step = _eliminate(aug, nonzero, k, prev, 0)
-        if step is None:
-            return None, ZERO_POLY
-        prev, swapped = step
-        if swapped:
-            sign = -sign
-    # the right block is det(P·dA)·(dA)⁻¹ = sign·adj(dA) = sign·d^(n-1)·adj(A)
-    # for the row permutation P, and prev = det(P·dA) = sign·d^n·det(A)
-    if sign > 0 and d == 1:
-        return [row[n:] for row in aug], prev
-    k = Fraction(sign, d ** (n - 1))
-    return [[e.scale(k) for e in row[n:]] for row in aug], prev.scale(k / d)
-
-
-def determinant(matrix):
-    """det A over ℚ[λ] by forward fraction-free elimination: the same steps as
-    `adjugate`, on d·A alone and clearing each column from the rows below the
-    pivot only.  The last pivot is det(P·dA) = sign·d^n·det(A), unscaled once.
-    A singular matrix gives ZERO_POLY."""
-    n = len(matrix)
-    d, rows = _cleared(matrix)
+    if gauss_jordan:
+        rows = [row + [ONE_POLY if i == j else ZERO_POLY for j in range(n)]
+                for i, row in enumerate(rows)]
     nonzero = [{j for j, e in enumerate(row) if e.coeffs} for row in rows]
     sign, prev = 1, ONE_POLY
     for k in range(n):
-        step = _eliminate(rows, nonzero, k, prev, k + 1)
+        step = _eliminate(rows, nonzero, k, prev, 0 if gauss_jordan else k + 1)
         if step is None:
-            return ZERO_POLY
+            return None
         prev, swapped = step
         if swapped:
             sign = -sign
+    return rows, prev, sign, d
+
+
+def adjugate(matrix):
+    """(adj, det) with A·adj = det·I over ℚ[λ], both polynomial, by
+    Gauss–Jordan `_bareiss`.  A singular matrix gives (None, ZERO_POLY);
+    whether that is an error is the caller's choice."""
+    n = len(matrix)
+    run = _bareiss(matrix, True)
+    if run is None:
+        return None, ZERO_POLY
+    rows, prev, sign, d = run
+    # the right block is det(P·dA)·(dA)⁻¹ = sign·adj(dA) = sign·d^(n-1)·adj(A)
+    if sign > 0 and d == 1:
+        return [row[n:] for row in rows], prev
+    k = Fraction(sign, d ** (n - 1))
+    return [[e.scale(k) for e in row[n:]] for row in rows], prev.scale(k / d)
+
+
+def determinant(matrix):
+    """det A over ℚ[λ] by forward `_bareiss`; ZERO_POLY if A is singular."""
+    run = _bareiss(matrix, False)
+    if run is None:
+        return ZERO_POLY
+    _, prev, sign, d = run
     if sign > 0 and d == 1:
         return prev
-    return prev.scale(Fraction(sign, d**n))
+    return prev.scale(Fraction(sign, d ** len(matrix)))
 
 
 class RationalFunction:

@@ -481,7 +481,10 @@ def series_component(algebra, n, order, tie_break="desc"):
     The coefficients come from `inverse_series` of the pairing matrix, with
     row bounds the word lengths.  Where that route does not apply (a singular
     N_0, since `pairing_matrix` enforces the bounds), the degree takes the
-    exact route: its component over ℚ(λ), expanded at λ = ∞.
+    exact route: its component over ℚ(λ), expanded at λ = ∞.  N_0 is block
+    lower-triangular by word length, its length-k diagonal block the k-th
+    symmetric power of χ([·,·]), so only a character singular through degree
+    n (`check_nonsingular`) takes that fallback.
     Raises CertificateError, naming the algebra and the degree, when the
     certificate of the ħ-adic inverse fails."""
     key = (n, tie_break)

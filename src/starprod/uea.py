@@ -5,15 +5,17 @@ scalars (plain ints while integral, Fractions otherwise).
 A BasisOrder fixes which PBW normal form is meant: letters are ranked by
 segment (negative / zero / positive degree), then by (degree, id) inside a
 segment.  Rewriting ab -> ba + [a, b] is applied through a memoized
-single-letter insertion and a memoized product of two words, both kept per
-order; the algebra's `memo.orders` keeps one order per segment sequence.
+single-letter insertion and a memoized normal form per word, both kept per
+order; the product of two words is the normal form of their concatenation.
+The algebra's `memo.orders` keeps one order per segment sequence.
 
 The Verma-module action at the bottom of the file is the route the pairing
 matrices are built with.  It deliberately does not go through BasisOrder: it
 straightens words with its own recursion and applies the module relations at
 the right boundary, so the PBW projection (normal ordering through
-BasisOrder, then `phi`) stays an independent route that checks it.  Its
-terms are memoized in the algebra's `memo.actions`.
+BasisOrder, then `phi`) stays an independent route that checks it.  The
+action of one letter on one module word (`letter_action`) is memoized in the
+algebra's `memo.actions`.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ class BasisOrder:
             rank[g.id] = (self.segments.index(seg), g.degree, g.id)
         self._rank = rank
         self._inserts = {}  # (sorted word, letter) -> normal form
-        self._products = {}  # (word, word) -> normal form
+        self._words = {}  # word -> normal form
 
     def key(self, gid):
         return self._rank[gid]
@@ -69,7 +71,11 @@ class BasisOrder:
         return out
 
     def nf_word(self, word):
-        """PBW normal form of a single word."""
+        """PBW normal form of a single word, memoized per word: callers only
+        read the dict.  The product of two words is nf_word(w1 + w2)."""
+        hit = self._words.get(word)
+        if hit is not None:
+            return hit
         state = {(): 1}
         for g in word:
             nxt = {}
@@ -77,6 +83,7 @@ class BasisOrder:
                 for w1, c1 in self.insert(w, g).items():
                     nxt[w1] = nxt.get(w1, 0) + c * c1
             state = {w: c for w, c in nxt.items() if c}
+        self._words[word] = state
         return state
 
 
@@ -141,21 +148,6 @@ def normal_form_random(order, word, rng):
             terms[wb] = terms.get(wb, 0) + c * k
 
 
-def _word_product(order, w1, w2):
-    """Normal form of the product of two words, memoized per order."""
-    got = order._products.get((w1, w2))
-    if got is None:
-        state = dict(order.nf_word(w1))
-        for g in w2:
-            nxt = {}
-            for w, c in state.items():
-                for w3, c3 in order.insert(w, g).items():
-                    nxt[w3] = nxt.get(w3, 0) + c * c3
-            state = nxt
-        got = order._products[(w1, w2)] = {w: c for w, c in state.items() if c}
-    return got
-
-
 def multiply(order, u, v):
     """Product in the enveloping algebra, returned in normal form."""
     u, v = as_element(u), as_element(v)
@@ -163,7 +155,7 @@ def multiply(order, u, v):
     for w1, c1 in u.items():
         for w2, c2 in v.items():
             k = c1 * c2
-            for w, c in _word_product(order, w1, w2).items():
+            for w, c in order.nf_word(w1 + w2).items():
                 out[w] = out.get(w, 0) + c * k
     return {w: c for w, c in out.items() if c}
 
@@ -288,7 +280,7 @@ def _modkey(algebra, g):
     return (d, g)
 
 
-def _act1(algebra, g, word, side):
+def letter_action(algebra, g, word, side):
     """g · (word · v) as a tuple of (module word, Polynomial in λ) pairs."""
     key = (side, g, word)
     hit = algebra.memo.actions.get(key)
@@ -310,11 +302,11 @@ def _act1(algebra, g, word, side):
         w0, rest = word[0], word[1:]
         acc = {}
         # g w0 (rest·v) = w0 (g · rest·v) + [g, w0] (rest·v)
-        for w1, p1 in _act1(algebra, g, rest, side):
-            for w2, p2 in _act1(algebra, w0, w1, side):
+        for w1, p1 in letter_action(algebra, g, rest, side):
+            for w2, p2 in letter_action(algebra, w0, w1, side):
                 acc[w2] = acc.get(w2, Polynomial()) + p1 * p2
         for h, k in algebra.bracket(g, w0):
-            for w1, p1 in _act1(algebra, h, rest, side):
+            for w1, p1 in letter_action(algebra, h, rest, side):
                 acc[w1] = acc.get(w1, Polynomial()) + p1.scale(k)
         out = tuple((w, p) for w, p in sorted(acc.items()) if p)
     algebra.memo.actions[key] = out
@@ -338,7 +330,7 @@ def verma_act(algebra, u, m, side=1):
         for g in reversed(uword):
             nxt = {}
             for w, p in part.items():
-                for w1, p1 in _act1(algebra, g, w, side):
+                for w1, p1 in letter_action(algebra, g, w, side):
                     nxt[w1] = nxt.get(w1, Polynomial()) + p * p1
             part = {w: p for w, p in nxt.items() if p}
         for w, p in part.items():

@@ -2,7 +2,7 @@
 
 import json
 
-from starprod import cli, shapovalov
+from starprod import cli, shapovalov, verify
 from starprod.cli import main
 from starprod.lie import GradedLieAlgebra, Generator, random_two_step, sl2
 from starprod.scalars import Polynomial
@@ -214,6 +214,28 @@ def test_verify_command(capsys):
     )
     assert code == 0
     assert json.loads(out)["passed"] is True
+
+
+def test_verify_refuses_a_singular_character_before_any_check(capsys, monkeypatch):
+    # the canonical element and the residue's dual basis are formed first, so
+    # a singular pairing or character exits 3 before associativity runs
+    calls = []
+    real = verify.check_associativity
+    monkeypatch.setattr(
+        verify, "check_associativity", lambda *a, **k: calls.append(a) or real(*a, **k)
+    )
+    for argv, message in (
+        (
+            ("--builtin", "virasoro", "--param", "delta=1", "--param", "c=-8", "--max-degree", "4"),
+            "error: virasoro: character pairing is singular at degree 2\n",
+        ),
+        (
+            ("--builtin", "sl2", "--param", "z=0", "--max-degree", "3"),
+            "error: sl2: pairing matrix at degree 1 is singular\n",
+        ),
+    ):
+        assert _run(capsys, "verify", *argv) == (3, "", message)
+    assert calls == []
 
 
 def test_spec_file(tmp_path, capsys):

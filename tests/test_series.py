@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from starprod import shapovalov
-from starprod.lie import heisenberg, sl2, virasoro
+from starprod.lie import heisenberg, random_two_step, sl2, virasoro
 from starprod.scalars import Polynomial, adjugate, expand_at_infinity
-from starprod.shapovalov import inverse_series
+from starprod.shapovalov import inverse_series, pairing_matrix
 from starprod.star import exact_series, star_series
 from starprod.verify import check_order_bounds
 
@@ -86,6 +86,33 @@ def test_singular_leading_term_takes_the_exact_route():
     lm2, lp2 = alg.by_name("L-2").id, alg.by_name("L2").id
     assert product.orders[0][((lm2,), (lp2,))] == Fraction(2, 9)
     assert product.orders == exact_series(virasoro(1, -8, cutoff=3), 3).orders
+
+
+def test_series_route_falls_back_only_on_a_singular_character():
+    # N_0 is block lower-triangular by word length, and its length-k diagonal
+    # block is the k-th symmetric power of χ([·,·]); so N_0 is invertible, and
+    # the degree stays off the exact route, whenever the character is
+    # nonsingular through that degree
+    grid = [
+        (f"virasoro {d} {c}", virasoro(d, c, cutoff=5), 5)
+        for d in (1, Fraction(1, 2), -2)
+        for c in (1, -8, 0, Fraction(7, 5))
+    ]
+    grid += [(f"sl2 {z}", sl2(z), 3) for z in (1, 0, Fraction(5, 3))]
+    grid += [(f"heisenberg(2) {w}", heisenberg(2, w), 3) for w in (1, 0)]
+    grid += [(f"random_two_step {seed}", random_two_step(seed), 3) for seed in range(10)]
+    fallbacks, singular = set(), set()
+    for label, alg, top in grid:
+        for n in range(1, top + 1):
+            basis, matrix = pairing_matrix(alg, n)
+            if inverse_series(matrix, [len(x) for x in basis.minus], n) is None:
+                fallbacks.add((label, n))
+            if not all(alg.check_nonsingular(n).values()):
+                singular.add((label, n))
+    expected = {("virasoro 1 -8", n) for n in range(2, 6)}
+    expected |= {("sl2 0", n) for n in range(1, 4)}
+    expected |= {("heisenberg(2) 0", n) for n in range(1, 4)}
+    assert fallbacks == singular == expected
 
 
 def test_row_bound_violation_takes_the_exact_route(monkeypatch):

@@ -29,6 +29,36 @@ def test_no_assert_in_src():
     assert not found, "assert statements in src/starprod: " + ", ".join(found)
 
 
+def test_no_module_imports_another_modules_private_name():
+    # an underscore name is private to its module: a second module that needs
+    # it should use a public name, so one kernel is never reached two ways
+    private = lambda name: name.startswith("_") and not name.endswith("__")
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        modules = set()  # local names bound to starprod modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "starprod"
+            ):
+                for alias in node.names:
+                    if private(alias.name):
+                        found.append(f"{path.name}:{node.lineno} imports {alias.name}")
+                    if node.module in (None, "starprod"):
+                        modules.add(alias.asname or alias.name)
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "starprod":
+                        modules.add(alias.asname or alias.name.split(".")[0])
+        found += [
+            f"{path.name}:{node.lineno} reads {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and private(node.attr)
+            and isinstance(node.value, ast.Name) and node.value.id in modules
+        ]
+    assert not found, "private names read across modules: " + ", ".join(found)
+
+
 def test_exit_codes_survive_python_O(tmp_path):
     # the checks behind exit codes 2, 3 and 4 must still fire with asserts stripped
     spec = tmp_path / "alg.json"
