@@ -7,6 +7,7 @@ tuples of Fractions."""
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from math import lcm
 
@@ -14,10 +15,19 @@ from .errors import PoleAtInfinityError
 
 
 def frac_to_str(x: Fraction) -> str:
-    """Render a rational as "p/q", or just "p" when q = 1."""
+    """Render a rational as "p/q", or just "p" when q = 1, with every digit."""
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return _digits(x.numerator)
+    return f"{_digits(x.numerator)}/{_digits(x.denominator)}"
+
+
+def _digits(n: int) -> str:
+    # str() refuses an int above sys.get_int_max_str_digits() digits (4300 by
+    # default); Decimal converts any int exactly
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
 
 
 def frac_from_str(s) -> Fraction:

@@ -2,8 +2,10 @@
 per-degree matrices of that pairing, their exact inverses, and the canonical
 element assembled from them.
 
-Each pairing entry is read off the Verma module: act with S(y) on x·v and
-take the coefficient of v.  The PBW projection of S(y)·x (`pairing_entry`)
+Each pairing entry is read off the Verma module, as the coefficient of v in
+S(y)·x·v, by recursion on the first letter of y: one letter action leaves
+pairings of shorter words, memoized per algebra in `memo.vacua`, so an entry
+costs one letter action.  The PBW projection of S(y)·x (`pairing_entry`)
 computes the same scalar by another route and serves as its oracle.
 
 All scalars are polynomials in the character scale λ, handled exactly.  Each
@@ -47,7 +49,7 @@ from .scalars import (
     determinant,
     expand_at_infinity,
 )
-from .uea import antipode, char_eval, mono_degree, multiply, phi, phi_order, verma_act
+from .uea import antipode, char_eval, letter_action, mono_degree, multiply, phi, phi_order
 
 
 @dataclass(frozen=True)
@@ -166,12 +168,27 @@ def pairing_entry(algebra, x, y):
 
 
 def oracle_pairing(algebra, x, y):
-    """The same scalar read off the module: act with S(y), letter by letter, on
-    the vector x·v and take the coefficient of v.  The route `pairing_matrix`
-    computes with; its action terms are memoized in `memo.actions`."""
-    sign = Fraction(-1) if len(y) % 2 else Fraction(1)
-    acted = verma_act(algebra, {tuple(reversed(y)): sign}, x, side=1)
-    return acted.get((), Polynomial())
+    """The same scalar read off the module: the coefficient of v in S(y)·x·v,
+    the route `pairing_matrix` computes with.  S(y) = (−1)^len y·reversed(y)
+    acts with y[0] first: if y[0]·x·v = Σ p_w·w·v (`letter_action`), what is
+    left is Σ p_w·(w, y[1:]), a pairing with a shorter y.  That recursion runs
+    in `_vacuum`, memoized per (x, y) in `memo.vacua` without the sign."""
+    value = _vacuum(algebra, x, y)
+    return -value if len(y) % 2 else value
+
+
+def _vacuum(algebra, x, y):
+    """The coefficient of v in y[-1]···y[0]·x·v."""
+    if not y:
+        return ZERO_POLY if x else ONE_POLY
+    key = (x, y)
+    value = algebra.memo.vacua.get(key)
+    if value is None:
+        value = ZERO_POLY
+        for w, p in letter_action(algebra, y[0], x, 1):
+            value = value + p * _vacuum(algebra, w, y[1:])
+        algebra.memo.vacua[key] = value
+    return value
 
 
 def pairing_matrix(algebra, degree, tie_break="desc"):

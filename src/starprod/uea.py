@@ -9,13 +9,13 @@ single-letter insertion and a memoized normal form per word, both kept per
 order; the product of two words is the normal form of their concatenation.
 The algebra's `memo.orders` keeps one order per segment sequence.
 
-The Verma-module action at the bottom of the file is the route the pairing
-matrices are built with.  It deliberately does not go through BasisOrder: it
+The action of one letter on one Verma-module word (`letter_action`, at the
+bottom of the file, memoized in the algebra's `memo.actions`) is the step the
+pairing matrices are built from: `shapovalov.oracle_pairing` recurses on it one
+letter of y at a time.  It deliberately does not go through BasisOrder: it
 straightens words with its own recursion and applies the module relations at
 the right boundary, so the PBW projection (normal ordering through
-BasisOrder, then `phi`) stays an independent route that checks it.  The
-action of one letter on one module word (`letter_action`) is memoized in the
-algebra's `memo.actions`.
+BasisOrder, then `phi`) stays an independent route that checks it.
 """
 
 from __future__ import annotations
@@ -311,28 +311,3 @@ def letter_action(algebra, g, word, side):
         out = tuple((w, p) for w, p in sorted(acc.items()) if p)
     algebra.memo.actions[key] = out
     return out
-
-
-def verma_act(algebra, u, m, side=1):
-    """Act with u (word or element) on the module vector given by m.
-
-    m maps module words to scalar or Polynomial coefficients; the result maps
-    module words to Polynomials in λ.
-    """
-    if isinstance(m, tuple):
-        m = {m: 1}
-    base = {}
-    for w, c in m.items():
-        base[w] = c if isinstance(c, Polynomial) else Polynomial((c,))
-    out = {}
-    for uword, ucoeff in as_element(u).items():
-        part = base
-        for g in reversed(uword):
-            nxt = {}
-            for w, p in part.items():
-                for w1, p1 in letter_action(algebra, g, w, side):
-                    nxt[w1] = nxt.get(w1, Polynomial()) + p * p1
-            part = {w: p for w, p in nxt.items() if p}
-        for w, p in part.items():
-            out[w] = out.get(w, Polynomial()) + p.scale(ucoeff)
-    return {w: p for w, p in out.items() if p}

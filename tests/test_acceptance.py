@@ -184,17 +184,36 @@ def test_criterion_06_invariance():
 
 
 def test_criterion_07_oracle_equivalence():
-    checked = 0
-    for alg in (sl2(1), heisenberg(2, 1), heisenberg(1, 3), virasoro(1, 1, cutoff=4)):
-        for n in range(1, 5):
-            basis = build_basis(alg, n)
+    checked = crossed = 0
+    for alg, top in (
+        (sl2(1), 4),
+        (heisenberg(2, 1), 4),
+        (heisenberg(1, 3), 4),
+        (virasoro(1, 1, cutoff=4), 4),
+        (random_two_step(0), 3),
+    ):
+        bases = {n: build_basis(alg, n) for n in range(1, top + 1)}
+        for n, basis in bases.items():
             for x in basis.minus:
                 for y in basis.plus:
                     assert pairing_entry(alg, x, y) == oracle_pairing(alg, x, y), (
                         f"{alg.name} degree {n}: routes disagree"
                     )
                     checked += 1
-    assert checked == 4 + (4 + 9 + 16 + 25) + 4 + (1 + 4 + 9 + 25)
+        # a pair of unequal degrees pairs to zero on both routes
+        for n in range(1, 4):
+            for m in range(1, 4):
+                if n == m:
+                    continue
+                for x in bases[n].minus:
+                    for y in bases[m].plus:
+                        assert pairing_entry(alg, x, y).is_zero, (alg.name, n, m)
+                        assert oracle_pairing(alg, x, y).is_zero, (alg.name, n, m)
+                        crossed += 1
+    assert checked == 4 + (4 + 9 + 16 + 25) + 4 + (1 + 4 + 9 + 25) + (9 + 36 + 100)
+    assert crossed == 6 + 2 * (2 * 3 + 2 * 4 + 3 * 4) + 6 + 2 * (1 * 2 + 1 * 3 + 2 * 3) + 2 * (
+        3 * 6 + 3 * 10 + 6 * 10
+    )
 
 
 def test_criterion_08_determinant_degree():

@@ -1,6 +1,13 @@
 """Command-line behavior: output formats, exit codes, spec loading."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from decimal import Decimal
+from math import factorial
+from pathlib import Path
 
 from starprod import cli, shapovalov, verify
 from starprod.cli import main
@@ -142,6 +149,23 @@ def test_pairing_det_certificate_catches_a_wrong_kernel(capsys, monkeypatch):
         assert err == f"error: virasoro: degree 3: {message}\n"
 
 
+def test_pairing_prints_every_digit():
+    # the λ coefficient of det at sl2 degree 900, -(900!·899!), has 4540 digits,
+    # above the 4300 that str() allows an int by default; a child process, since
+    # the suffix memo of this one request holds ~0.5 GiB
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "starprod.cli", "pairing", "--builtin", "sl2", "--param", "z=1",
+         "--degree", "900", "--format", "json"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    det = json.loads(done.stdout)["det"]
+    assert max(int(k) for k in re.findall(r"λ\^(\d+)", det)) == 900
+    assert det.startswith(f"-{Decimal(factorial(900) * factorial(899))}*λ+")
+    assert det.endswith(f"+{factorial(900)}*λ^900")
+
+
 def test_pairing_builds_no_inverse(capsys, monkeypatch):
     # `pairing` prints det only, so it neither inverts nor stores a component
     calls, loaded = [], []
@@ -227,6 +251,11 @@ def test_verify_refuses_a_singular_character_before_any_check(capsys, monkeypatc
     for argv, message in (
         (
             ("--builtin", "virasoro", "--param", "delta=1", "--param", "c=-8", "--max-degree", "4"),
+            "error: virasoro: character pairing is singular at degree 2\n",
+        ),
+        (
+            # window 1, but the closed form reads degree 2 of the widened cutoff
+            ("--builtin", "virasoro", "--param", "delta=1", "--param", "c=-8", "--max-degree", "1"),
             "error: virasoro: character pairing is singular at degree 2\n",
         ),
         (

@@ -435,6 +435,15 @@ def test_pairing_matrices_are_built_once_per_degree(monkeypatch):
     assert sorted(builds) == sorted(want) and len(builds) == 9
 
 
+def test_module_route_keeps_one_suffix_pairing_per_degree():
+    # e·f^n·v = p·f^(n-1)·v, so the degree-n entry recurses into the degree
+    # n − 1 entry, already memoized: sl2 through order N leaves N values
+    alg = sl2(1)
+    f, e = alg.by_name("f").id, alg.by_name("e").id
+    star_series(alg, 8)
+    assert set(alg.memo.vacua) == {((f,) * n, (e,) * n) for n in range(1, 9)}
+
+
 def test_pairing_matrix_memo_is_shared_and_frozen():
     alg = virasoro(1, 1)
     first = pairing_matrix(alg, 2)

@@ -118,3 +118,25 @@ def test_pairing_bytes_match_the_benchmark_digests(capsys):
         assert cli.main(key.split(" ")) == 0, key
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == digests[key], key
+
+
+def test_verify_bytes_match_the_benchmark_digests(tmp_path, capsys):
+    # the `verify` requests of the benchmark print the seed commit's bytes; the
+    # specs are written from expected.json, as perfbench/workloads.py writes them
+    path = SRC.parent.parent / "perfbench" / "expected.json"
+    expected = json.loads(path.read_text(encoding="utf-8"))
+    digests, specs = expected["digests"], expected["specs"]
+    keys = sorted(k for k in digests if k.startswith("verify ") and " --max-degree 2 " in k)
+    assert len(keys) == 8  # four bases, each with χ and −χ
+    keys.append("verify --spec @nilpotent2(17) --max-degree 3 --format json")
+    for key in keys:
+        argv = []
+        for arg in key.split(" "):
+            if arg.startswith("@"):
+                spec = tmp_path / f"{arg[1:]}.json"
+                spec.write_text(json.dumps(specs[arg[1:]], sort_keys=True), encoding="utf-8")
+                arg = str(spec)
+            argv.append(arg)
+        assert cli.main(argv) == 0, key
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == digests[key], key

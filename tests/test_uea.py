@@ -7,11 +7,13 @@ import pytest
 
 from starprod.lie import heisenberg, sl2, virasoro
 from starprod.scalars import Polynomial
+from starprod.shapovalov import oracle_pairing
 from starprod.uea import (
     antipode,
     char_eval,
     coproduct,
     counit,
+    letter_action,
     mono_degree,
     mono_splits,
     multiply,
@@ -21,7 +23,6 @@ from starprod.uea import (
     phi_order,
     pi_order,
     tensor_mul2,
-    verma_act,
     word_name,
 )
 
@@ -156,25 +157,29 @@ def test_mono_degree():
 def test_verma_action():
     alg, f, h, e = _sl2_ids()
     # e·(f·v) = h·v = λ v for z = 1
-    assert verma_act(alg, (e,), (f,), side=1) == {(): Polynomial((0, 1))}
+    assert dict(letter_action(alg, e, (f,), 1)) == {(): Polynomial((0, 1))}
+    # the pairing reads the same coefficient of v, through S(e) = -e
+    assert -oracle_pairing(alg, (f,), (e,)) == Polynomial((0, 1))
     # positive letters kill the highest-weight vector
-    assert verma_act(alg, (e,), (), side=1) == {}
-    assert verma_act(alg, (f,), (), side=1) == {(f,): Polynomial((1,))}
+    assert dict(letter_action(alg, e, (), 1)) == {}
+    assert oracle_pairing(alg, (), (e,)) == Polynomial()
+    assert dict(letter_action(alg, f, (), 1)) == {(f,): Polynomial((1,))}
     # h on f²·v: weight λ - 2·2 ... χ is scaled by λ, commutators are not:
     # h f² v = f² h v + [h, f²] v = (λ - 4) f² v
-    assert verma_act(alg, (h,), (f, f), side=1) == {(f, f): Polynomial((-4, 1))}
+    assert dict(letter_action(alg, h, (f, f), 1)) == {(f, f): Polynomial((-4, 1))}
     # mirror module: f kills v, h acts by -λ
-    assert verma_act(alg, (f,), (), side=-1) == {}
-    assert verma_act(alg, (f,), (e,), side=-1) == {(): Polynomial((0, 1))}
-    assert verma_act(alg, (h,), (e, e), side=-1) == {(e, e): Polynomial((4, -1))}
+    assert dict(letter_action(alg, f, (), -1)) == {}
+    assert dict(letter_action(alg, f, (e,), -1)) == {(): Polynomial((0, 1))}
+    assert dict(letter_action(alg, h, (e, e), -1)) == {(e, e): Polynomial((4, -1))}
 
 
 def test_verma_action_heisenberg():
     alg = heisenberg(1, 2)
     q, p = alg.by_name("q1").id, alg.by_name("p1").id
     # p·(q·v) = [p, q]·v = c·v = 2λ v
-    assert verma_act(alg, (p,), (q,), side=1) == {(): Polynomial((0, 2))}
-    assert verma_act(alg, (p,), (q, q), side=1) == {(q,): Polynomial((0, 4))}
+    assert dict(letter_action(alg, p, (q,), 1)) == {(): Polynomial((0, 2))}
+    assert -oracle_pairing(alg, (q,), (p,)) == Polynomial((0, 2))
+    assert dict(letter_action(alg, p, (q, q), 1)) == {(q,): Polynomial((0, 4))}
 
 
 def test_word_name():
