@@ -20,7 +20,7 @@ from .errors import (
     SpecError,
 )
 from .lie import GradedLieAlgebra, builtin
-from .scalars import frac_from_str
+from .scalars import frac_from_str, frac_to_str
 from .shapovalov import pairing_determinant
 from .star import star_series
 from .uea import word_name
@@ -131,7 +131,7 @@ def cmd_pairing(args):
 def cmd_star(args):
     algebra = _load_algebra(args, needed_window=args.max_degree)
     limit = min(args.max_degree, algebra.cutoff) if algebra.truncated else args.max_degree
-    product = star_series(algebra, args.max_degree, slot_degree_limit=limit, tie_break=args.order)
+    product = star_series(algebra, args.max_degree, slot_degree_limit=limit)
     lines = [f"{algebra.name}: product series through ħ^{args.max_degree} (slots within ±{limit})"]
     for m in range(args.max_degree + 1):
         terms = product.orders.get(m, {})
@@ -139,7 +139,7 @@ def cmd_star(args):
             lines.append(f"  ħ^{m}: 0")
             continue
         rendered = [
-            f"{c} · {word_name(algebra, x)} ⊗ {word_name(algebra, y)}"
+            f"{frac_to_str(c)} · {word_name(algebra, x)} ⊗ {word_name(algebra, y)}"
             for (x, y), c in sorted(terms.items())
         ]
         lines.append(f"  ħ^{m}: " + "  +  ".join(rendered))
@@ -149,7 +149,7 @@ def cmd_star(args):
 
 def cmd_verify(args):
     algebra = _load_algebra(args, needed_window=args.max_degree)
-    report = run_all(algebra, window=args.max_degree, seed=args.seed, tie_break=args.order)
+    report = run_all(algebra, window=args.max_degree, seed=args.seed)
     _emit(args, report.to_json(), report.to_text())
     return 0 if report.passed else 2
 
@@ -165,7 +165,8 @@ def build_parser():
                        help="builtin parameter, e.g. z=1 or delta=2")
         p.add_argument("--cutoff", type=int, help="degree window for the algebra")
         p.add_argument("--order", choices=["desc", "asc"], default="desc",
-                       help="tie-break order for graded bases")
+                       help="tie-break of equal-length monomials in the basis that "
+                            "pairing prints; star and verify print the same either way")
         p.add_argument("--format", choices=["text", "json"], default="text")
 
     p = sub.add_parser("validate", help="check the structure and character of an algebra")

@@ -65,9 +65,10 @@ class Memo:
     suffix pairing (w, y[1:]) it recursed through, keyed on words alone, since
     the value derives only from the bracket table and the character.
     `pairings` holds each degree's pairing matrix, rows as tuples, and
-    `components` the exact components over ℚ(λ); `series` holds the certified
-    ħ-adic series of `star_series`, each at the highest ħ-order asked so far,
-    so a lower order reads a prefix and a higher one rebuilds the entry."""
+    `components` the exact components over ℚ(λ), both per basis tie-break;
+    `series` holds the certified ħ-adic series of `star_series` per degree
+    alone, each at the highest ħ-order asked so far, so a lower order reads a
+    prefix and a higher one rebuilds the entry."""
 
     orders: dict = field(default_factory=dict)  # segments -> uea.BasisOrder
     actions: dict = field(default_factory=dict)  # (side, letter, module word) -> terms
@@ -75,7 +76,7 @@ class Memo:
     mirror: dict | None = None  # lowering id -> raising id
     pairings: dict = field(default_factory=dict)  # (degree, tie_break) -> (basis, rows)
     components: dict = field(default_factory=dict)  # (degree, tie_break) -> (basis, nums, det)
-    series: dict = field(default_factory=dict)  # (degree, tie_break) -> (order, {(x, y): ħ-coefficients})
+    series: dict = field(default_factory=dict)  # degree -> (order, {(x, y): ħ-coefficients})
 
 
 class GradedLieAlgebra:

@@ -210,21 +210,21 @@ def _eliminate(rows, nonzero, k, prev, first):
     return p, piv != k
 
 
-def _cleared(matrix):
-    """(d, d·A) with d the lcm of every coefficient's denominator, so d·A is
-    in ℤ[λ]; the rows are fresh lists."""
+def clear_denominators(matrix):
+    """(d, d·A), d the lcm of every coefficient's denominator: d·A is in ℤ[λ],
+    in fresh rows that share each entry d leaves as it is (d = 1, or zero)."""
     d = lcm(*(c.denominator for row in matrix for e in row for c in e.coeffs))
-    return d, [[e.scale(d) for e in row] for row in matrix]
+    return d, [[e.scale(d) if d > 1 and e else e for e in row] for row in matrix]
 
 
 def _bareiss(matrix, gauss_jordan):
-    """Fraction-free elimination on d·A (`_cleared`), so each intermediate is
-    a minor in ℤ[λ] and each division by the previous pivot is exact.  As
-    Gauss–Jordan, [d·A | I] is cleared above and below each pivot; otherwise
-    d·A alone, below it only.  Returns (rows, prev, sign, d), prev = det(P·dA)
+    """Fraction-free elimination on d·A (`clear_denominators`), so each
+    intermediate is a minor in ℤ[λ] and each division by the previous pivot is
+    exact.  As Gauss–Jordan, [d·A | I] is cleared above and below each pivot;
+    otherwise d·A alone, below it only.  Returns (rows, prev, sign, d), prev = det(P·dA)
     = sign·d^n·det(A) for the row permutation P, or None if A is singular."""
     n = len(matrix)
-    d, rows = _cleared(matrix)
+    d, rows = clear_denominators(matrix)
     if gauss_jordan:
         rows = [row + [ONE_POLY if i == j else ZERO_POLY for j in range(n)]
                 for i, row in enumerate(rows)]

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import CertificateError, CutoffExceededError, SingularCharacterError
 from .scalars import (
@@ -46,6 +46,7 @@ from .scalars import (
     Polynomial,
     RationalFunction,
     adjugate,
+    clear_denominators,
     determinant,
     expand_at_infinity,
 )
@@ -73,20 +74,13 @@ def _neg_generators(algebra):
 
 def _monomials(gens, total):
     """Sorted words in `gens` (all of negative degree) with |degree| = total."""
-    out = []
-
-    def rec(i, remaining, word):
-        if remaining == 0:
-            out.append(tuple(word))
-            return
-        if i == len(gens):
-            return
-        step = -gens[i].degree
-        for count in range(remaining // step, -1, -1):
-            rec(i + 1, remaining - count * step, word + [gens[i].id] * count)
-
-    rec(0, total, [])
-    return out
+    if not gens:
+        return [] if total else [()]
+    g, step = gens[0].id, -gens[0].degree
+    if len(gens) == 1:  # the last generator takes up the rest
+        return [] if total % step else [(g,) * (total // step)]
+    return [(g,) * count + w for count in range(total // step, -1, -1)
+            for w in _monomials(gens[1:], total - count * step)]
 
 
 def mirror_map(algebra):
@@ -123,13 +117,11 @@ def build_basis(algebra, degree, tie_break="desc"):
             v[pos[g]] += 1
         return tuple(v)
 
-    if tie_break == "desc":
-        key = lambda w: (-len(w), tuple(-e for e in expvec(w)))
-    else:
-        key = lambda w: (-len(w), expvec(w))
+    sign = -1 if tie_break == "desc" else 1
+    key = lambda w: (-len(w), tuple(sign * e for e in expvec(w)))
     minus = sorted(_monomials(gens, degree), key=key)
     mirror = mirror_map(algebra)
-    modkey = lambda gid: (algebra.degree(gid), gid)
+    modkey = {g: (algebra.degree(g), g) for g in mirror.values()}.__getitem__
     plus = tuple(tuple(sorted((mirror[g] for g in w), key=modkey)) for w in minus)
     return GradedBasis(degree, tuple(minus), plus)
 
@@ -205,8 +197,17 @@ def pairing_matrix(algebra, degree, tie_break="desc"):
             f"{algebra.name}: the pairing at degree {degree} needs a window of at "
             f"least ±{degree}, but the window is ±{algebra.cutoff}"
         )
+    pairings = algebra.memo.pairings
     key = (degree, tie_break)
-    if key not in algebra.memo.pairings:
+    if key not in pairings:
+        # lower degrees first, so that each recursion of `_vacuum` and
+        # `letter_action` finds its shorter suffix memoized: no deep stack
+        for n in range(1, degree):
+            if (n, tie_break) not in pairings:
+                lower = build_basis(algebra, n, tie_break)
+                for x in lower.minus:
+                    for y in lower.plus:
+                        _vacuum(algebra, x, y)
         basis = build_basis(algebra, degree, tie_break)
         rows = []
         for x in basis.minus:
@@ -220,8 +221,8 @@ def pairing_matrix(algebra, degree, tie_break="desc"):
                     )
                 row.append(entry)
             rows.append(tuple(row))
-        algebra.memo.pairings[key] = (basis, tuple(rows))
-    return algebra.memo.pairings[key]
+        pairings[key] = (basis, tuple(rows))
+    return pairings[key]
 
 
 # -- exact inversion ---------------------------------------------------------
@@ -274,11 +275,10 @@ def pairing_determinant(algebra, n, tie_break="desc"):
             f"{algebra.name}: degree {n}: det has λ-degree {det.degree}, above the "
             f"bound Σ len = {bound}"
         )
-    d = lcm(*(c.denominator for row in matrix for e in row for c in e.coeffs))
-    cleared = [[[int(d * c) for c in e.coeffs] for e in row] for row in matrix]
+    d, cleared = clear_denominators(matrix)
     scale = d ** len(matrix)
     for x in range(bound + 1):
-        at_x = [[_horner(cs, x) for cs in row] for row in cleared]
+        at_x = [[_horner(e.coeffs, x) for e in row] for row in cleared]
         if _horner(det.coeffs, x) * scale != _integer_det(at_x):
             raise CertificateError(
                 f"{algebra.name}: degree {n}: det certificate det(λ) = det A(λ) "
@@ -373,11 +373,11 @@ def exact_component(algebra, n, tie_break="desc"):
     return components[key]
 
 
-def expanded_component(algebra, n, order, tie_break="desc"):
+def expanded_component(algebra, n, order):
     """{(x, y): coefficients of ħ^0 … ħ^order} of the exact degree-n
     component, expanded at λ = ∞: the exact route to what `series_component`
     computes."""
-    _, coeffs, det = exact_component(algebra, n, tie_break)
+    _, coeffs, det = exact_component(algebra, n)
     return {pair: expand_at_infinity(num, det, order) for pair, num in coeffs.items()}
 
 
@@ -412,17 +412,15 @@ def inverse_series(matrix, lengths, order):
     CertificateError unless N·Σ_t Q_t·ħ^t ≡ I mod ħ^(K+1) holds exactly for
     every column and its K; the truncated inverse is unique, so a pass is a
     proof."""
-    d = lcm(*(c.denominator for row in matrix for e in row for c in e.coeffs))
+    d, cleared = clear_denominators(matrix)
     hrows = []  # per row: (k, [ħ^0, ħ^1, … coefficients of d·A[i][k] / λ^len])
-    for row, ell in zip(matrix, lengths):
+    for row, ell in zip(cleared, lengths):
         entries = []
         for k, e in enumerate(row):
             if e.degree > ell:
                 return None
             if e:
-                cs = e.coeffs
-                entries.append((k, [int(d * cs[ell - j]) if ell - j < len(cs) else 0
-                                    for j in range(ell + 1)]))
+                entries.append((k, (e.coeffs + (0,) * (ell - e.degree))[::-1]))
         hrows.append(entries)
     n0 = [[ZERO_POLY] * len(matrix) for _ in matrix]
     for i, entries in enumerate(hrows):
@@ -490,10 +488,11 @@ def _certify(hrows, vectors, den, c):
             )
 
 
-def series_component(algebra, n, order, tie_break="desc"):
+def series_component(algebra, n, order):
     """{(x, y): coefficients of ħ^0 … ħ^order} of the degree-n component of
-    the canonical element, memoized in `memo.series` at the highest order
-    asked so far (a lower order reads a prefix).
+    the canonical element, memoized in `memo.series` by n alone (it does not
+    depend on the basis order, `check_canonicity`) at the highest order asked
+    so far (a lower order reads a prefix).
 
     The coefficients come from `inverse_series` of the pairing matrix, with
     row bounds the word lengths.  Where that route does not apply (a singular
@@ -504,18 +503,17 @@ def series_component(algebra, n, order, tie_break="desc"):
     n (`check_nonsingular`) takes that fallback.
     Raises CertificateError, naming the algebra and the degree, when the
     certificate of the ħ-adic inverse fails."""
-    key = (n, tie_break)
-    hit = algebra.memo.series.get(key)
+    hit = algebra.memo.series.get(n)
     if hit is not None and hit[0] >= order:
         return hit[1]
-    basis, matrix = pairing_matrix(algebra, n, tie_break)
+    basis, matrix = pairing_matrix(algebra, n)
     try:
         inv = inverse_series(matrix, [len(x) for x in basis.minus], order)
     except CertificateError as exc:
         raise CertificateError(f"{algebra.name}: degree {n}: {exc}") from None
     if inv is None:
-        terms = expanded_component(algebra, n, order, tie_break)
+        terms = expanded_component(algebra, n, order)
     else:
         terms = {(basis.minus[c], basis.plus[l]): cs for (l, c), cs in inv.items()}
-    algebra.memo.series[key] = (order, terms)
+    algebra.memo.series[n] = (order, terms)
     return terms

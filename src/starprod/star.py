@@ -62,22 +62,22 @@ def _require_window(algebra, needed):
         )
 
 
-def _collect(component, algebra, max_order, slot_degree_limit, tie_break):
-    """StarProduct from `component(algebra, n, max_order, tie_break)`, the
+def _collect(component, algebra, max_order, slot_degree_limit):
+    """StarProduct from `component(algebra, n, max_order)`, the
     {(x, y): ħ-coefficients} of each degree n within the slot degree limit."""
     limit = max_order if slot_degree_limit is None else slot_degree_limit
     _require_window(algebra, limit)
     orders = {m: {} for m in range(max_order + 1)}
     orders[0][((), ())] = Fraction(1)
     for n in range(1, limit + 1):
-        for pair, coeffs in component(algebra, n, max_order, tie_break).items():
+        for pair, coeffs in component(algebra, n, max_order).items():
             for m, c in enumerate(coeffs[: max_order + 1]):
                 if c:
                     orders[m][pair] = c
     return StarProduct(algebra, max_order, limit, orders)
 
 
-def star_series(algebra, max_order, slot_degree_limit=None, tie_break="desc"):
+def star_series(algebra, max_order, slot_degree_limit=None):
     """Collect the ħ-expansion of the canonical element into a StarProduct.
 
     Slot degrees are limited to max_order unless a wider (or narrower) limit is
@@ -85,22 +85,22 @@ def star_series(algebra, max_order, slot_degree_limit=None, tie_break="desc"):
     ħ-adic inverse of its pairing matrix, or the exact route where that does
     not apply.
     """
-    return _collect(series_component, algebra, max_order, slot_degree_limit, tie_break)
+    return _collect(series_component, algebra, max_order, slot_degree_limit)
 
 
-def exact_series(algebra, max_order, slot_degree_limit=None, tie_break="desc"):
+def exact_series(algebra, max_order, slot_degree_limit=None):
     """The same StarProduct through the exact route: each component of the
     canonical element over ℚ(λ), expanded at λ = ∞.  The oracle for
     `star_series`."""
-    return _collect(expanded_component, algebra, max_order, slot_degree_limit, tie_break)
+    return _collect(expanded_component, algebra, max_order, slot_degree_limit)
 
 
-def residue(algebra, max_degree=None, tie_break="desc"):
+def residue(algebra, max_degree=None):
     """First-order coefficients of the series: the ħ¹ term of the expansion at
     infinity, collected over slot degrees up to max_degree (default: the
     algebra's window)."""
     limit = algebra.cutoff if max_degree is None else max_degree
-    return star_series(algebra, 1, slot_degree_limit=limit, tie_break=tie_break).orders[1]
+    return star_series(algebra, 1, slot_degree_limit=limit).orders[1]
 
 
 def expected_residue(algebra, max_degree=None):
@@ -125,9 +125,9 @@ class FirstOrder:
     skew: dict  # (x, y) -> Fraction, antisymmetrized
 
 
-def first_order(algebra, max_degree=None, tie_break="desc"):
+def first_order(algebra, max_degree=None):
     """The ħ¹ term together with its antisymmetrization Σ u_i ∧ v_i."""
-    b1 = residue(algebra, max_degree, tie_break)
+    b1 = residue(algebra, max_degree)
     skew = {}
     for (x, y), c in b1.items():
         skew[(x, y)] = skew.get((x, y), Fraction(0)) + c

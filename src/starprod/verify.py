@@ -141,7 +141,7 @@ def _add(acc, key, v, cs, k=1):
 # -- global identities --------------------------------------------------------
 
 
-def check_associativity(algebra, window, tie_break="desc"):
+def check_associativity(algebra, window):
     """The product-series identity, exactly over ℚ(λ):
 
         (Δ ⊗ id)(F) · (F ⊗ 1)  =  (id ⊗ Δ)(F) · (1 ⊗ F)
@@ -149,7 +149,7 @@ def check_associativity(algebra, window, tie_break="desc"):
     after projecting zero-degree letters out of the middle slot, on every
     three-slot component whose degrees all sit inside the window."""
     order = pi_order(algebra)
-    terms = _cleared(canonical_element(algebra, window, tie_break), window)
+    terms = _cleared(canonical_element(algebra, window), window)
     wdeg = {}  # word degrees, each worked out once
 
     def deg(w):
@@ -201,10 +201,10 @@ def check_associativity(algebra, window, tie_break="desc"):
     )
 
 
-def check_invariance(algebra, window, tie_break="desc"):
+def check_invariance(algebra, window):
     """Every generator, acting on both tensor slots of the canonical element
     through the module and its mirror, gives zero on all in-window components."""
-    terms = _cleared(canonical_element(algebra, window, tie_break), window)
+    terms = _cleared(canonical_element(algebra, window), window)
     deg = lambda w: mono_degree(algebra, w)
     for gen in algebra.generators:
         acc = {}
@@ -237,28 +237,28 @@ def check_invariance(algebra, window, tie_break="desc"):
 # -- structural checks ---------------------------------------------------------
 
 
-def check_residue(algebra, max_degree=None, tie_break="desc"):
-    got = residue(algebra, max_degree, tie_break)
+def check_residue(algebra, max_degree=None):
+    got = residue(algebra, max_degree)
     want = expected_residue(algebra, max_degree)
     if got != want:
         return CheckResult("residue", False, "first-order term differs from Σ uᵢ⊗vᵢ")
     return CheckResult("residue", True, f"{len(got)} first-order terms match Σ uᵢ⊗vᵢ")
 
 
-def check_first_order(algebra, max_degree=None, tie_break="desc"):
+def check_first_order(algebra, max_degree=None):
     """Holds exactly when `check_residue` does: equal order-1 terms have equal
     antisymmetrizations."""
-    if not check_residue(algebra, max_degree, tie_break).passed:
+    if not check_residue(algebra, max_degree).passed:
         return CheckResult("first-order", False, "order-1 coefficients differ from the residue")
     return CheckResult("first-order", True, "order-1 term and its antisymmetrization match")
 
 
-def check_order_bounds(algebra, max_degree, tie_break="desc"):
+def check_order_bounds(algebra, max_degree):
     """Coefficient of x ⊗ y vanishes at infinity to order ≥ max(len x, len y),
     so order-m series terms never carry slots longer than m.  The series that
     `star_series` builds through the ħ-adic inverse must also equal the exact
     components expanded at λ = ∞ (`exact_series`) term by term, slots included."""
-    canon = canonical_element(algebra, max_degree, tie_break)
+    canon = canonical_element(algebra, max_degree)
     for n in range(1, max_degree + 1):
         det = canon.dets[n]
         for (x, y), num in canon.nums[n].items():
@@ -268,8 +268,8 @@ def check_order_bounds(algebra, max_degree, tie_break="desc"):
                 return CheckResult(
                     "order-bounds", False, f"coefficient at [{where}] decays too slowly"
                 )
-    sp = star_series(algebra, max_degree, tie_break=tie_break)
-    exact = exact_series(algebra, max_degree, tie_break=tie_break)
+    sp = star_series(algebra, max_degree)
+    exact = exact_series(algebra, max_degree)
     for m, bucket in sp.orders.items():
         want = exact.orders[m]
         for x, y in sorted(bucket.keys() | want.keys()):
@@ -282,9 +282,9 @@ def check_order_bounds(algebra, max_degree, tie_break="desc"):
     )
 
 
-def check_determinant_structure(algebra, max_degree, tie_break="desc"):
+def check_determinant_structure(algebra, max_degree):
     """Each determinant has degree exactly Σ (monomial lengths) in λ."""
-    canon = canonical_element(algebra, max_degree, tie_break)
+    canon = canonical_element(algebra, max_degree)
     for n in range(1, max_degree + 1):
         basis = canon.bases[n]
         want = sum(len(w) for w in basis.minus)
@@ -300,7 +300,7 @@ def check_determinant_structure(algebra, max_degree, tie_break="desc"):
     )
 
 
-def check_oracle_agreement(algebra, max_degree, tie_break="desc"):
+def check_oracle_agreement(algebra, max_degree):
     """The pairing matrices the engine computed with, through the module
     action, and the independent PBW-projection route (`pairing_entry`), used
     only here, agree on every basis pair (and the two routes vanish together
@@ -308,7 +308,7 @@ def check_oracle_agreement(algebra, max_degree, tie_break="desc"):
     checked = 0
     bases = {}
     for n in range(1, max_degree + 1):
-        bases[n], matrix = pairing_matrix(algebra, n, tie_break)
+        bases[n], matrix = pairing_matrix(algebra, n)
         for x, row in zip(bases[n].minus, matrix):
             for y, entry in zip(bases[n].plus, row):
                 if pairing_entry(algebra, x, y) != entry:
@@ -611,7 +611,7 @@ def property_suite(algebra, seed, samples=100):
 # -- aggregate -------------------------------------------------------------------
 
 
-def run_all(algebra, window=3, seed=0, tie_break="desc"):
+def run_all(algebra, window=3, seed=0):
     if algebra.truncated:
         # Degrees beyond the bracket window are not defined for a truncated
         # algebra; rebuild it with a wider cutoff to verify further out.
@@ -619,17 +619,17 @@ def run_all(algebra, window=3, seed=0, tie_break="desc"):
     residue_window = min(window, algebra.cutoff)
     # refuse a singular pairing or character first (the canonical element is
     # memoized), also at degree 2, which the Virasoro closed form reads
-    canonical_element(algebra, window, tie_break)
+    canonical_element(algebra, window)
     closed_window = min(2, algebra.cutoff) if algebra.name == "virasoro" else 0
     expected_residue(algebra, max(residue_window, closed_window))
     report = VerificationReport(algebra.name)
-    report.add(check_associativity(algebra, window, tie_break))
-    report.add(check_invariance(algebra, window, tie_break))
-    report.add(check_residue(algebra, residue_window, tie_break))
-    report.add(check_first_order(algebra, residue_window, tie_break))
-    report.add(check_order_bounds(algebra, window, tie_break))
-    report.add(check_determinant_structure(algebra, window, tie_break))
-    report.add(check_oracle_agreement(algebra, window, tie_break))
+    report.add(check_associativity(algebra, window))
+    report.add(check_invariance(algebra, window))
+    report.add(check_residue(algebra, residue_window))
+    report.add(check_first_order(algebra, residue_window))
+    report.add(check_order_bounds(algebra, window))
+    report.add(check_determinant_structure(algebra, window))
+    report.add(check_oracle_agreement(algebra, window))
     report.add(check_canonicity(algebra, window))
     closed = check_closed_forms(algebra)
     if closed is not None:

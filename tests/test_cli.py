@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from decimal import Decimal
+from fractions import Fraction
 from math import factorial
 from pathlib import Path
 
@@ -166,6 +167,21 @@ def test_pairing_prints_every_digit():
     assert det.endswith(f"+{factorial(900)}*λ^900")
 
 
+def test_pairing_stack_depth_does_not_grow_with_the_degree():
+    # 100 frames, far fewer than the 400 letters of each word: the module route
+    # fills the lower degrees first, so every recursion of `_vacuum` and
+    # `letter_action` finds its shorter suffix memoized
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    code = "import sys; sys.setrecursionlimit(100); from starprod.cli import main; sys.exit(main())"
+    done = subprocess.run(
+        [sys.executable, "-c", code, "pairing", "--builtin", "sl2", "--param", "z=1",
+         "--degree", "400", "--format", "json"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["det"].endswith(f"+{factorial(400)}*λ^400")
+
+
 def test_pairing_builds_no_inverse(capsys, monkeypatch):
     # `pairing` prints det only, so it neither inverts nor stores a component
     calls, loaded = [], []
@@ -221,6 +237,43 @@ def test_star_json_deterministic(capsys):
     data = json.loads(first)
     assert data["orders"]["0"] == [{"coeff": "1", "left": [], "right": []}]
     assert data["orders"]["1"] == [{"coeff": "-1", "left": ["f"], "right": ["e"]}]
+
+
+def test_star_prints_every_digit(capsys):
+    # at z = 10^-600 the ħ^8 coefficient of f^8 ⊗ e^8, 1/(8!·z^8), has a
+    # 4798-digit numerator, above the 4300 digits str() allows an int by default
+    argv = ("star", "--builtin", "sl2", "--param", "z=1/1" + "0" * 600, "--max-degree", "8")
+    code, text, err = _run(capsys, *argv)
+    assert (code, err) == (0, "")
+    code, out, err = _run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    want = Fraction(10**4800, factorial(8))
+    (coeff,) = [t["coeff"] for t in json.loads(out)["orders"]["8"] if t["left"] == ["f"] * 8]
+    assert coeff == f"{Decimal(want.numerator)}/{Decimal(want.denominator)}"
+    assert f" {coeff} · f^8 ⊗ e^8" in text.splitlines()[-1]
+
+
+def test_star_and_verify_bytes_do_not_depend_on_the_order(tmp_path, capsys):
+    # the canonical element does not depend on the basis, so --order reaches
+    # only the matrix that `pairing` prints
+    spec = tmp_path / "nilpotent.json"
+    spec.write_text(json.dumps(random_two_step(17).to_json()), encoding="utf-8")
+    algebras = [
+        ("--builtin", "sl2", "--param", "z=1"),
+        ("--builtin", "heisenberg", "--param", "n=2", "--param", "w=1"),
+        ("--builtin", "virasoro", "--param", "delta=1", "--param", "c=-8"),
+        ("--spec", str(spec)),
+    ]
+    codes = []
+    for algebra in algebras:
+        for command in ("star", "verify"):
+            for fmt in ("text", "json"):
+                argv = (command, *algebra, "--max-degree", "3", "--format", fmt)
+                desc = _run(capsys, *argv)
+                assert _run(capsys, *argv, "--order", "asc") == desc, argv
+                codes.append(desc[0])
+    # Virasoro Δ = 1, c = −8 is singular at degree 2: `verify` exits 3
+    assert codes == [0] * 8 + [0, 0, 3, 3] + [0] * 4
 
 
 def test_verify_command(capsys):

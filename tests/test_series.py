@@ -152,7 +152,7 @@ def test_corrupted_series_memo_fails_the_route_comparison():
     alg = sl2(1)
     f, e = alg.by_name("f").id, alg.by_name("e").id
     star_series(alg, 2)
-    order, terms = alg.memo.series[(1, "desc")]
+    order, terms = alg.memo.series[1]
     cs = terms[((f,), (e,))]
     terms[((f,), (e,))] = cs[:1] + (2 * cs[1],) + cs[2:]
     result = check_order_bounds(alg, 2)

@@ -120,6 +120,20 @@ def test_pairing_bytes_match_the_benchmark_digests(capsys):
         assert hashlib.sha256(out).hexdigest() == digests[key], key
 
 
+def test_star_bytes_match_the_benchmark_digests(capsys):
+    # every `star` request of the benchmark prints the seed commit's bytes, and
+    # the same bytes under --order asc: the series does not depend on the basis
+    path = SRC.parent.parent / "perfbench" / "expected.json"
+    digests = json.loads(path.read_text(encoding="utf-8"))["digests"]
+    keys = sorted(k for k in digests if k.startswith("star "))
+    assert len(keys) == 32  # sl2 and heisenberg(3), eight characters each, two degrees
+    for key in keys:
+        for argv in (key.split(" "), key.split(" ") + ["--order", "asc"]):
+            assert cli.main(argv) == 0, argv
+            out = capsys.readouterr().out.encode()
+            assert hashlib.sha256(out).hexdigest() == digests[key], argv
+
+
 def test_verify_bytes_match_the_benchmark_digests(tmp_path, capsys):
     # the `verify` requests of the benchmark print the seed commit's bytes; the
     # specs are written from expected.json, as perfbench/workloads.py writes them

@@ -124,7 +124,7 @@ def _tampered_series(alg, window, degree):
     """The algebra with the first ħ-coefficient list that `star_series` keeps
     for degree `degree` (computed through `window`) doubled."""
     star_series(alg, window)
-    _, terms = alg.memo.series[(degree, "desc")]
+    _, terms = alg.memo.series[degree]
     key = next(iter(terms))
     terms[key] = tuple(2 * c for c in terms[key])
     return alg
@@ -157,7 +157,7 @@ def test_long_slot_in_the_series_breaks_order_bounds():
     alg = sl2(1)
     star_series(alg, 2)
     f, e = alg.by_name("f").id, alg.by_name("e").id
-    _, terms = alg.memo.series[(2, "desc")]
+    _, terms = alg.memo.series[2]
     cs = terms[((f, f), (e, e))]
     assert cs[:2] == (0, 0)
     terms[((f, f), (e, e))] = (cs[0], 1, *cs[2:])
