@@ -82,10 +82,12 @@ def _load_algebra(args, needed_window=None):
 
 
 def _emit(args, payload, text):
+    """Print payload as JSON, or text() as text: the text is rendered only
+    when it is printed."""
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(text)
+        print(text())
 
 
 def cmd_validate(args):
@@ -94,11 +96,15 @@ def cmd_validate(args):
     nonsingular = algebra.check_nonsingular(algebra.cutoff)
     payload = report.to_json()
     payload["nonsingular"] = {str(d): ok for d, ok in nonsingular.items()}
-    lines = [report.to_text()]
-    for d in sorted(nonsingular):
-        state = "nonsingular" if nonsingular[d] else "SINGULAR"
-        lines.append(f"  character pairing at degree {d}: {state}")
-    _emit(args, payload, "\n".join(lines))
+
+    def text():
+        lines = [report.to_text()]
+        for d in sorted(nonsingular):
+            state = "nonsingular" if nonsingular[d] else "SINGULAR"
+            lines.append(f"  character pairing at degree {d}: {state}")
+        return "\n".join(lines)
+
+    _emit(args, payload, text)
     if not report.passed:
         return 2
     if not all(nonsingular.values()):
@@ -119,12 +125,16 @@ def cmd_pairing(args):
         "matrix": [[entry.render() for entry in row] for row in matrix],
         "det": det.render(),
     }
-    lines = [f"{algebra.name}, degree {args.degree}"]
-    lines.append("basis: " + ", ".join(word_name(algebra, w) for w in basis.minus))
-    for row in matrix:
-        lines.append("  [" + ", ".join(entry.render() for entry in row) + "]")
-    lines.append(f"det = {det.render()}")
-    _emit(args, payload, "\n".join(lines))
+
+    def text():
+        lines = [f"{algebra.name}, degree {args.degree}"]
+        lines.append("basis: " + ", ".join(word_name(algebra, w) for w in basis.minus))
+        for row in matrix:
+            lines.append("  [" + ", ".join(entry.render() for entry in row) + "]")
+        lines.append(f"det = {det.render()}")
+        return "\n".join(lines)
+
+    _emit(args, payload, text)
     return 0
 
 
@@ -132,25 +142,31 @@ def cmd_star(args):
     algebra = _load_algebra(args, needed_window=args.max_degree)
     limit = min(args.max_degree, algebra.cutoff) if algebra.truncated else args.max_degree
     product = star_series(algebra, args.max_degree, slot_degree_limit=limit)
-    lines = [f"{algebra.name}: product series through ħ^{args.max_degree} (slots within ±{limit})"]
-    for m in range(args.max_degree + 1):
-        terms = product.orders.get(m, {})
-        if not terms:
-            lines.append(f"  ħ^{m}: 0")
-            continue
-        rendered = [
-            f"{frac_to_str(c)} · {word_name(algebra, x)} ⊗ {word_name(algebra, y)}"
-            for (x, y), c in sorted(terms.items())
+
+    def text():
+        lines = [
+            f"{algebra.name}: product series through ħ^{args.max_degree} (slots within ±{limit})"
         ]
-        lines.append(f"  ħ^{m}: " + "  +  ".join(rendered))
-    _emit(args, product.to_json(), "\n".join(lines))
+        for m in range(args.max_degree + 1):
+            terms = product.orders.get(m, {})
+            if not terms:
+                lines.append(f"  ħ^{m}: 0")
+                continue
+            rendered = [
+                f"{frac_to_str(c)} · {word_name(algebra, x)} ⊗ {word_name(algebra, y)}"
+                for (x, y), c in sorted(terms.items())
+            ]
+            lines.append(f"  ħ^{m}: " + "  +  ".join(rendered))
+        return "\n".join(lines)
+
+    _emit(args, product.to_json(), text)
     return 0
 
 
 def cmd_verify(args):
     algebra = _load_algebra(args, needed_window=args.max_degree)
     report = run_all(algebra, window=args.max_degree, seed=args.seed)
-    _emit(args, report.to_json(), report.to_text())
+    _emit(args, report.to_json(), report.to_text)
     return 0 if report.passed else 2
 
 

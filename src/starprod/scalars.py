@@ -1,8 +1,9 @@
 """Exact scalar arithmetic: arbitrary-precision rationals, dense polynomials in
 the formal parameter λ and fraction-free elimination over them (one driver
 and one step kernel, run as Gauss–Jordan for the adjugate and forward only
-for the determinant), ratios of polynomials compared by cross-multiplication, and
-truncated power series in ħ obtained by expanding at λ = ∞ (ħ = 1/λ), as
+for the determinant, each on one block at a time of the matrix's nonzero
+pattern, `blocks`), ratios of polynomials compared by cross-multiplication,
+and truncated power series in ħ obtained by expanding at λ = ∞ (ħ = 1/λ), as
 tuples of Fractions."""
 
 from __future__ import annotations
@@ -240,12 +241,55 @@ def _bareiss(matrix, gauss_jordan):
     return rows, prev, sign, d
 
 
-def adjugate(matrix):
-    """(adj, det) with A·adj = det·I over ℚ[λ], both polynomial, by
-    Gauss–Jordan `_bareiss`.  A singular matrix gives (None, ZERO_POLY);
-    whether that is an error is the caller's choice."""
+def _perm_sign(perm):
+    """The sign of a permutation: −1 to the number of its inversions."""
+    return -1 if sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:]) % 2 else 1
+
+
+def blocks(matrix):
+    """The blocks of a square matrix A: the connected components of the
+    bipartite graph joining row i to column j wherever A[i][j] ≠ 0, by
+    union-find.  Returns (sign, parts), each part (rows, cols, block) with
+    ascending index lists and block = A[rows][cols], ordered by first row (a
+    zero column, a part with no row, comes last); a matrix of one part is its
+    own block.  Listing the rows and the columns part by part makes A
+    block-diagonal, so det A = sign·Π det(block), sign the product of the two
+    permutations' signs; a part with unequal row and column counts makes A
+    singular, and sign is then 0."""
     n = len(matrix)
-    run = _bareiss(matrix, True)
+    parent = list(range(2 * n))  # rows 0 … n−1, then columns n … 2n−1
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
+
+    for i, row in enumerate(matrix):
+        for j, e in enumerate(row):
+            if e.coeffs:
+                a, b = find(i), find(n + j)
+                if a != b:
+                    parent[b] = a
+    groups = {}
+    for a in range(2 * n):
+        groups.setdefault(find(a), ([], []))[a >= n].append(a % n)
+    parts = list(groups.values())
+    if len(parts) == 1:
+        return 1, [(*parts[0], matrix)]
+    if any(len(rows) != len(cols) for rows, cols in parts):
+        sign = 0
+    else:
+        sign = (_perm_sign([i for rows, _ in parts for i in rows])
+                * _perm_sign([j for _, cols in parts for j in cols]))
+    return sign, [(rows, cols, [[matrix[i][j] for j in cols] for i in rows])
+                  for rows, cols in parts]
+
+
+def _adjugate(block):
+    """(adj, det) of one block by Gauss–Jordan `_bareiss`, (None, ZERO_POLY)
+    if it is singular."""
+    n = len(block)
+    run = _bareiss(block, True)
     if run is None:
         return None, ZERO_POLY
     rows, prev, sign, d = run
@@ -256,15 +300,47 @@ def adjugate(matrix):
     return [[e.scale(k) for e in row[n:]] for row in rows], prev.scale(k / d)
 
 
+def adjugate(matrix):
+    """(adj, det) with A·adj = det·I over ℚ[λ], both polynomial, by
+    Gauss–Jordan `_bareiss` on each of the `blocks`.  A⁻¹ is block-diagonal on
+    the transposed blocks, so adj is sign·(Π of the other blocks' dets)·adj_b
+    on block b and zero off the blocks.  A singular matrix gives
+    (None, ZERO_POLY); whether that is an error is the caller's choice."""
+    sign, parts = blocks(matrix)
+    if not sign:
+        return None, ZERO_POLY
+    solved = [_adjugate(block) for _, _, block in parts]
+    if any(adj_b is None for adj_b, _ in solved):
+        return None, ZERO_POLY
+    if len(parts) == 1:
+        return solved[0]
+    det = Polynomial([sign])
+    for _, det_b in solved:
+        det = det * det_b
+    adj = [[ZERO_POLY] * len(matrix) for _ in matrix]
+    for (rows, cols, _), (adj_b, det_b) in zip(parts, solved):
+        cof = det.exact_div(det_b)
+        for c, row in zip(cols, adj_b):
+            for r, e in zip(rows, row):
+                if e.coeffs:
+                    adj[c][r] = e * cof
+    return adj, det
+
+
 def determinant(matrix):
-    """det A over ℚ[λ] by forward `_bareiss`; ZERO_POLY if A is singular."""
-    run = _bareiss(matrix, False)
-    if run is None:
-        return ZERO_POLY
-    _, prev, sign, d = run
-    if sign > 0 and d == 1:
-        return prev
-    return prev.scale(Fraction(sign, d ** len(matrix)))
+    """det A over ℚ[λ], sign·Π det(block) over the `blocks`, each by forward
+    `_bareiss`; ZERO_POLY if A is singular."""
+    sign, parts = blocks(matrix)
+    det = Polynomial([sign])
+    for _, _, block in parts:
+        if not det:
+            break
+        run = _bareiss(block, False)
+        if run is None:
+            return ZERO_POLY
+        _, prev, s, d = run
+        det = det * prev.scale(Fraction(s, d ** len(block)))
+    return det
 
 
 class RationalFunction:

@@ -8,20 +8,24 @@ pairings of shorter words, memoized per algebra in `memo.vacua`, so an entry
 costs one letter action.  The PBW projection of S(y)·x (`pairing_entry`)
 computes the same scalar by another route and serves as its oracle.
 
-All scalars are polynomials in the character scale λ, handled exactly.  Each
-pairing matrix A is inverted by fraction-free Gauss–Jordan elimination on
-[A | I], which yields det A and the adjugate as polynomials; the result is
-accepted only after A·adj = det·I is checked in ℚ[λ].  An inverse entry stays
-a numerator over det A; no arithmetic in ℚ(λ) is ever done.  Where det A alone
-is wanted (`pairing_determinant`), the elimination runs forward only, and det
-is accepted only after it matches the integer determinants of A at D + 1
-points, D = Σ len x the bound on its λ-degree.
+All scalars are polynomials in the character scale λ, handled exactly.  The
+pairing is graded by the g₀-weight, so a matrix A splits into blocks after
+permuting its rows and columns (`blocks`, read off the nonzero pattern), and
+every elimination runs per block.  A is inverted by fraction-free
+Gauss–Jordan elimination on each [A_b | I], which yields the dets and the
+adjugate as polynomials; the result is accepted only after A·adj = det·I is
+checked in ℚ[λ], block by block.  An inverse entry stays a numerator over
+the whole det A; no arithmetic in ℚ(λ) is ever done.  Where det A alone is
+wanted (`pairing_determinant`), the elimination runs forward only, and each
+block's det is accepted only after it matches the integer determinants of
+the block at D_b + 1 points, D_b = Σ len x over its rows the bound on its
+λ-degree.
 
 `star_series` needs only the first ħ-coefficients of each inverse entry at
 λ = 1/ħ, so it takes a second route (`series_component`): the pairing matrix
 is inverted as a series in ħ by ħ-adic lifting (`inverse_series`), and the
 truncated inverse is accepted only after N·Σ Q_t ħ^t ≡ I mod ħ^(K+1) is
-checked exactly.  `pairing_matrix` holds every entry (x, y) to λ-degree
+checked exactly, block by block.  `pairing_matrix` holds every entry (x, y) to λ-degree
 min(len x, len y), so each row meets its word-length bound, and only a degree
 whose leading matrix N_0 is singular falls back to the exact inverse,
 expanded at λ = ∞.
@@ -46,6 +50,7 @@ from .scalars import (
     Polynomial,
     RationalFunction,
     adjugate,
+    blocks,
     clear_denominators,
     determinant,
     expand_at_infinity,
@@ -234,20 +239,27 @@ def invert_pairing(matrix):
     Returns (adjugate, det), with inverse[i][j] = adjugate[i][j] / det.
     Raises SingularCharacterError when the determinant vanishes, and
     CertificateError unless matrix·adjugate = det·I holds exactly in ℚ[λ].
+    The certificate runs on each of the `blocks`: there A·adj = det·I, and
+    adj vanishes off the transposed blocks, where A·adj is then zero by the
+    pattern alone.
     """
     adj, det = adjugate(matrix)
     if det.is_zero:
         raise SingularCharacterError("pairing matrix is singular")
-    n = len(matrix)
-    for i, row in enumerate(matrix):
-        nonzero = [(k, a) for k, a in enumerate(row) if a]
-        for j in range(n):
-            s = ZERO_POLY
-            for k, a in nonzero:
-                if adj[k][j]:
-                    s = s + a * adj[k][j]
-            if s != (det if i == j else ZERO_POLY):
-                raise CertificateError("adjugate certificate A·adj = det·I failed")
+    inside = 0
+    for rows, cols, block in blocks(matrix)[1]:
+        for i, row in zip(rows, block):
+            nonzero = [(k, a) for k, a in zip(cols, row) if a]
+            for j in rows:
+                s = ZERO_POLY
+                for k, a in nonzero:
+                    if adj[k][j]:
+                        s = s + a * adj[k][j]
+                if s != (det if i == j else ZERO_POLY):
+                    raise CertificateError("adjugate certificate A·adj = det·I failed")
+        inside += sum(1 for k in cols for j in rows if adj[k][j])
+    if inside != sum(1 for row in adj for e in row if e):
+        raise CertificateError("adjugate certificate A·adj = det·I failed off the blocks")
     return adj, det
 
 
@@ -256,37 +268,54 @@ def invert_pairing(matrix):
 
 def pairing_determinant(algebra, n, tie_break="desc"):
     """(basis, matrix, det) at degree n: the memoized pairing matrix and its
-    determinant alone, by forward fraction-free elimination, with no inverse.
-    Raises SingularCharacterError when det = 0.
+    determinant alone, det = sign·Π det(block) over its `blocks`, each by
+    forward fraction-free elimination, with no inverse.  Raises
+    SingularCharacterError when det = 0.
 
-    det is certified first.  Row k of the matrix has λ-degree at most
-    len x_k (`pairing_matrix` enforces it), so deg det ≤ D = Σ_k len x_k.  A
-    computed det above D fails, and so does one whose value at any of
-    λ = 0, 1, …, D differs from the determinant of the matrix evaluated there,
-    taken by a separate elimination in plain integers (`_integer_det`).  Two
-    polynomials of degree ≤ D that agree at D + 1 points are equal, so a pass
-    is a proof.  A failure raises CertificateError naming the algebra and the
-    degree."""
+    Each block's det is certified first; a 1×1 block is its own det.  Row k of
+    the matrix has λ-degree at most len x_k (`pairing_matrix` enforces it), so
+    a block's det has degree ≤ D = Σ len x_k over its rows.  A computed det
+    above D fails, and so does one whose value at any of λ = 0, 1, …, D
+    differs from the determinant of the block evaluated there, taken by a
+    separate elimination in plain integers (`_integer_det`).  Two polynomials
+    of degree ≤ D that agree at D + 1 points are equal, so a pass is a proof.
+    A failure raises CertificateError naming the algebra, the degree and, when
+    there are several, the block's rows."""
     basis, matrix = pairing_matrix(algebra, n, tie_break)
-    det = determinant(matrix)
-    bound = sum(len(x) for x in basis.minus)
+    sign, parts = blocks(matrix)
+    det = Polynomial([sign])
+    for rows, _, block in parts:
+        if not det:
+            break
+        if len(block) == 1:
+            det = det * block[0][0]
+            continue
+        det_b = determinant(block)
+        where = f"{algebra.name}: degree {n}: "
+        if len(parts) > 1:
+            where += f"block at rows {rows}: "
+        _certify_det(block, det_b, sum(len(basis.minus[i]) for i in rows), where)
+        det = det * det_b
+    if det.is_zero:
+        raise SingularCharacterError(f"{algebra.name}: pairing matrix at degree {n} is singular")
+    return basis, matrix, det
+
+
+def _certify_det(block, det, bound, where):
+    """Raise CertificateError, its message led by `where`, unless det has
+    λ-degree ≤ bound and equals det(block) at λ = 0, 1, …, bound."""
     if det.degree > bound:
         raise CertificateError(
-            f"{algebra.name}: degree {n}: det has λ-degree {det.degree}, above the "
-            f"bound Σ len = {bound}"
+            f"{where}det has λ-degree {det.degree}, above the bound Σ len = {bound}"
         )
-    d, cleared = clear_denominators(matrix)
-    scale = d ** len(matrix)
+    d, cleared = clear_denominators(block)
+    scale = d ** len(block)
     for x in range(bound + 1):
         at_x = [[_horner(e.coeffs, x) for e in row] for row in cleared]
         if _horner(det.coeffs, x) * scale != _integer_det(at_x):
             raise CertificateError(
-                f"{algebra.name}: degree {n}: det certificate det(λ) = det A(λ) "
-                f"fails at λ = {x}"
+                f"{where}det certificate det(λ) = det A(λ) fails at λ = {x}"
             )
-    if det.is_zero:
-        raise SingularCharacterError(f"{algebra.name}: pairing matrix at degree {n} is singular")
-    return basis, matrix, det
 
 
 def _horner(coeffs, x):
@@ -402,16 +431,33 @@ def inverse_series(matrix, lengths, order):
     A⁻¹ = N⁻¹·L⁻¹ and column c of A⁻¹ starts at ħ^lengths[c].  N⁻¹ = Σ_t Q_t·ħ^t
     lifts ħ-adically from Q_0 = N_0⁻¹ by Q_t = −Q_0·Σ_{j≥1} N_j·Q_{t−j}
     (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 9), and column c
-    needs only t ≤ order − lengths[c].  Denominators are cleared once, N_0 is
+    needs only t ≤ order − lengths[c].  Every N_j vanishes off A's `blocks`,
+    so N⁻¹ is block-diagonal on the transposed blocks, and each block runs
+    alone (`_block_series`): its denominators are cleared once, its N_0 is
     inverted by `adjugate`, and each column lifts in integers over one common
     denominator.
 
     Returns {(l, c): (coefficients of ħ^0 … ħ^order of A⁻¹[l][c])} for the
     entries with a nonzero coefficient, or None when the route does not apply:
     an entry exceeds its row's bound, or N_0 is singular.  Raises
-    CertificateError unless N·Σ_t Q_t·ħ^t ≡ I mod ħ^(K+1) holds exactly for
-    every column and its K; the truncated inverse is unique, so a pass is a
-    proof."""
+    CertificateError unless N_b·Σ_t Q_t·ħ^t ≡ I mod ħ^(K+1) holds exactly for
+    every block b, column and its K; an off-block product is zero by the
+    pattern, and the truncated inverse is unique, so a pass is a proof."""
+    sign, parts = blocks(matrix)
+    if not sign:
+        return None
+    out = {}
+    for rows, cols, block in parts:
+        inv = _block_series(block, [lengths[i] for i in rows], order, rows)
+        if inv is None:
+            return None
+        out.update(((cols[l], rows[c]), cs) for (l, c), cs in inv.items())
+    return out
+
+
+def _block_series(matrix, lengths, order, names):
+    """`inverse_series` of one block, in its own indices; names[c] is the
+    column c of the whole inverse, for a failing certificate's message."""
     d, cleared = clear_denominators(matrix)
     hrows = []  # per row: (k, [ħ^0, ħ^1, … coefficients of d·A[i][k] / λ^len])
     for row, ell in zip(cleared, lengths):
@@ -436,7 +482,7 @@ def inverse_series(matrix, lengths, order):
         if ell > order:
             continue
         lifted, den = _lift(hrows, q0, sign * det.lc, c, order - ell)
-        _certify(hrows, lifted, den, c)
+        _certify(hrows, lifted, den, c, names[c])
         for l in range(len(matrix)):
             cs = [Fraction(d * v[l], den) for v in lifted]
             if any(cs):
@@ -470,9 +516,10 @@ def _lift(hrows, q0, det, c, steps):
     return vectors, den
 
 
-def _certify(hrows, vectors, den, c):
-    """Raise CertificateError unless N·Σ_t Q_t·ħ^t ≡ e_c mod ħ^(K+1) in column
-    c, each product N[i][k](ħ)·q_k(ħ) formed afresh as a truncated product."""
+def _certify(hrows, vectors, den, c, name):
+    """Raise CertificateError, naming column `name`, unless
+    N·Σ_t Q_t·ħ^t ≡ e_c mod ħ^(K+1) in column c, each product N[i][k](ħ)·q_k(ħ)
+    formed afresh as a truncated product."""
     top = len(vectors)
     for i, entries in enumerate(hrows):
         acc = [0] * top
@@ -484,7 +531,7 @@ def _certify(hrows, vectors, den, c):
                         acc[j + t] += a * q[t]
         if acc != [den if i == c else 0] + [0] * (top - 1):
             raise CertificateError(
-                f"ħ-adic inverse certificate N·Q ≡ I mod ħ^{top} fails in column {c}"
+                f"ħ-adic inverse certificate N·Q ≡ I mod ħ^{top} fails in column {name}"
             )
 
 

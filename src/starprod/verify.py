@@ -9,18 +9,23 @@ of the canonical element) are verified inside a degree window: components
 whose slot degrees all lie within the window are exactly determined by the
 per-degree data up to that window, so the windowed check is a genuine proof
 for those components rather than an approximation.  Both checks clear
-denominators once, through `_cleared`: each component is decided over the one
-common denominator Π det_n (squared for the products in associativity) by
-whether its numerator is the zero polynomial.  `_cleared` hands each cleared
-numerator over as (v, tail), the power λ^v stripped off and the rest a raw
-coefficient tuple, and each component accumulates as a [valuation, coefficient
-list] pair; a numerator that is a single power of λ, as on the two-step
-nilpotent algebras, then costs one multiplication rather than a walk over a
-dense polynomial (of λ-degree 45 at window 3 there).  Associativity reads word
-products off the memoized normal forms (`BasisOrder.nf_word`), and invariance
-the memoized action of one letter (`uea.letter_action`).  `run_all` forms the
-canonical element and the residue's dual basis before any check, so a
-singular pairing or character is refused before the battery starts.
+denominators once, through `_cleared`: each component is decided over one
+common denominator L (squared for the products in associativity) by whether
+its numerator is the zero polynomial.  L is a common multiple of the
+per-degree dets det_n, built by walking n upward: det_n replaces L when L
+divides it, L stays when det_n divides L, and L·det_n is taken otherwise.
+Wherever each det divides the next, as on every builtin, sl3 and the
+two-step nilpotent algebras at the characters checked, L = det_w.
+`_cleared` hands each cleared numerator over as (v, tail), the power λ^v
+stripped off and the rest a raw coefficient tuple, and each component
+accumulates as a [valuation, coefficient list] pair; a numerator that is a
+single power of λ, as on the two-step nilpotent algebras, then costs one
+multiplication rather than a walk over a dense polynomial.  Associativity
+reads word products off the memoized normal forms (`BasisOrder.nf_word`), and
+invariance the memoized action of one letter (`uea.letter_action`).
+`run_all` forms the canonical element and the residue's dual basis before
+any check, so a singular pairing or character is refused before the battery
+starts.
 """
 
 from __future__ import annotations
@@ -91,22 +96,35 @@ class VerificationReport:
 
 def _cleared(canon, window):
     """(degree, (x, y), (v, tail)) for every canonical-element term through the
-    window, by degree and pair.  Each numerator is multiplied by the other
-    degrees' determinants, so that all terms sit over one denominator Π det_n,
-    and is then split as λ^v · tail: v is its λ-adic valuation and tail the
-    coefficient tuple from λ^v up, so tail[0] is nonzero (a zero numerator is
-    (0, ()))."""
+    window, by degree and pair.  Each numerator is multiplied by L / det_n, so
+    that all terms sit over one denominator L, a common multiple of the dets
+    (det_w itself wherever each det divides the next), and is then split as
+    λ^v · tail: v is its λ-adic valuation and tail the coefficient tuple from
+    λ^v up, so tail[0] is nonzero (a zero numerator is (0, ()))."""
+    common = ONE_POLY
+    for n in range(window + 1):
+        det = canon.dets[n]
+        if _divides(common, det):
+            common = det
+        elif not _divides(det, common):
+            common = common * det
     terms = []
     for n in range(window + 1):
-        cof = ONE_POLY
-        for m in range(window + 1):
-            if m != n:
-                cof = cof * canon.dets[m]
+        cof = common.exact_div(canon.dets[n])
         for pair, num in sorted(canon.nums[n].items()):
             cs = (num * cof).coeffs
             v = next((i for i, c in enumerate(cs) if c), 0)
             terms.append((n, pair, (v, cs[v:])))
     return terms
+
+
+def _divides(a, b):
+    """Whether the polynomial a divides b exactly."""
+    try:
+        b.exact_div(a)
+    except ArithmeticError:
+        return False
+    return True
 
 
 def _mul(a, b):

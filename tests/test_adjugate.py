@@ -1,17 +1,24 @@
 """The fraction-free elimination kernel, Gauss–Jordan (`adjugate`) and
-forward-only (`determinant`), against sympy's det and adjugate."""
+forward-only (`determinant`), run block by block, against sympy's det and
+adjugate; and the per-block certificates against a tampered kernel."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from starprod.scalars import ZERO_POLY, Polynomial, adjugate, determinant
-from starprod.shapovalov import invert_pairing
+from starprod import scalars
+from starprod.errors import CertificateError, SingularCharacterError
+from starprod.lie import GradedLieAlgebra
+from starprod.scalars import ZERO_POLY, Polynomial, adjugate, blocks, determinant
+from starprod.shapovalov import inverse_series, invert_pairing, pairing_determinant, pairing_matrix
 
 sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 LAM = sympy.Symbol("lam")
 
@@ -83,3 +90,101 @@ def test_adjugate_matches_sympy(rows):
         for j, entry in enumerate(row):
             assert sympy.expand(_sympy(entry) - ref_adj[i, j]) == 0
     assert invert_pairing(rows) == (adj, det)
+
+
+@st.composite
+def block_matrices(draw):
+    """Block-diagonal matrices of polynomials in λ, at most 6 rows in blocks
+    of 1–3, with the rows and the columns shuffled.  Some give the blocks'
+    columns in another order of sizes, so a component has unequal row and
+    column counts and the matrix is singular by its pattern alone."""
+    coeff = draw(st.sampled_from([INTEGERS, RATIONALS]))
+    poly = st.lists(coeff, min_size=1, max_size=3).map(Polynomial)
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(lambda s: sum(s) <= 6))
+    widths = draw(st.permutations(sizes)) if draw(st.booleans()) else sizes
+    n = sum(sizes)
+    base = [[ZERO_POLY] * n for _ in range(n)]
+    top = left = 0
+    for height, width in zip(sizes, widths):
+        for i in range(top, top + height):
+            for j in range(left, left + width):
+                base[i][j] = draw(poly)
+        top, left = top + height, left + width
+    rperm = draw(st.permutations(range(n)))
+    cperm = draw(st.permutations(range(n)))
+    return [[base[i][j] for j in cperm] for i in rperm]
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_matrices())
+@example([[ZERO_POLY, _p(2)], [_p(0, 1), ZERO_POLY]])  # two 1×1 blocks, odd column order
+@example([[_p(1), _p(1), ZERO_POLY], [ZERO_POLY, ZERO_POLY, _p(0, 1)], [_p(1), _p(1), ZERO_POLY]])
+@example([[_p(1), _p(2), ZERO_POLY], [ZERO_POLY, ZERO_POLY, _p(3)], [ZERO_POLY, ZERO_POLY, _p(1)]])
+def test_blocks_match_sympy(rows):
+    sign, parts = blocks(rows)
+    n = len(rows)
+    assert sorted(i for r, _, _ in parts for i in r) == list(range(n))
+    assert sorted(j for _, c, _ in parts for j in c) == list(range(n))
+    part = {}  # ("row", i) or ("col", j) -> the index of its part
+    for k, (r, c, block) in enumerate(parts):
+        assert block == [[rows[i][j] for j in c] for i in r]
+        part.update({("row", i): k for i in r} | {("col", j): k for j in c})
+    # every nonzero entry joins its row and its column in one part
+    assert all(part["row", i] == part["col", j]
+               for i, row in enumerate(rows) for j, e in enumerate(row) if e)
+    assert (sign == 0) == any(len(r) != len(c) for r, c, _ in parts)
+    # sympy's det over ℚ[λ], and its adjugate as the signed minors, compared
+    # as exact ring elements
+    ring = sympy.QQ[LAM]
+    elem = lambda p: ring.from_sympy(_sympy(p))
+    ref = DomainMatrix([[elem(e) for e in row] for row in rows], (n, n), ring)
+    ref_det = ref.det()
+    others = lambda k: [m for m in range(n) if m != k]
+    ref_adj = [[(-1) ** (i + j) * ref.extract(others(j), others(i)).det() if n > 1 else ring.one
+                for j in range(n)] for i in range(n)]
+    adj, det = adjugate(rows)
+    assert elem(det) == ref_det
+    assert determinant(rows) == det
+    if det.is_zero:
+        assert adj is None
+        with pytest.raises(SingularCharacterError):
+            invert_pairing(rows)
+        return
+    assert [[elem(e) for e in row] for row in adj] == ref_adj
+    assert invert_pairing(rows) == (adj, det)
+
+
+def _tamper(monkeypatch, wrong):
+    """Apply wrong() to the det of every block of two rows or more that the
+    kernel eliminates, and leave the rest of each elimination as it is."""
+    real = scalars._bareiss
+
+    def tampered(matrix, gauss_jordan):
+        run = real(matrix, gauss_jordan)
+        if run is None or len(matrix) < 2:
+            return run
+        rows, prev, sign, d = run
+        return rows, wrong(prev), sign, d
+
+    monkeypatch.setattr(scalars, "_bareiss", tampered)
+
+
+SL3 = Path(__file__).resolve().parent / "fixtures" / "sl3_principal.json"
+
+
+@pytest.mark.parametrize(
+    "wrong", [lambda det: -det, lambda det: det + Polynomial([1])], ids=["sign", "det"]
+)
+def test_a_wrong_block_fails_its_certificate(monkeypatch, wrong):
+    # sl3 at degree 4 has blocks of 1, 2 and 3 rows next to each other
+    algebra = GradedLieAlgebra.from_json(json.loads(SL3.read_text(encoding="utf-8")))
+    basis, matrix = pairing_matrix(algebra, 4)
+    assert sorted(len(r) for r, _, _ in blocks(matrix)[1]) == [1, 1, 2, 2, 3]
+    lengths = [len(x) for x in basis.minus]
+    _tamper(monkeypatch, wrong)
+    with pytest.raises(CertificateError, match="^adjugate certificate"):
+        invert_pairing(matrix)
+    with pytest.raises(CertificateError, match=r"^sl3: degree 4: block at rows \[\d"):
+        pairing_determinant(algebra, 4)
+    with pytest.raises(CertificateError, match="^ħ-adic inverse certificate"):
+        inverse_series(matrix, lengths, 4)

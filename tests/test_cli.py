@@ -1,5 +1,6 @@
 """Command-line behavior: output formats, exit codes, spec loading."""
 
+import hashlib
 import json
 import os
 import re
@@ -148,6 +149,23 @@ def test_pairing_det_certificate_catches_a_wrong_kernel(capsys, monkeypatch):
         code, out, err = _run(capsys, *vir, "--degree", "3")
         assert (code, out) == (2, "")
         assert err == f"error: virasoro: degree 3: {message}\n"
+
+
+def test_sl3_blocks_print_the_recorded_bytes(capsys):
+    # sl3 in the principal grading, χ(h1) = χ(h2) = 1: each pairing matrix
+    # splits into blocks of several sizes (1, 1, 2, 2, …, 5 at degree 8); the
+    # digests are those the whole-matrix elimination printed
+    spec = str(Path(__file__).resolve().parent / "fixtures" / "sl3_principal.json")
+    digests = {
+        ("pairing", "--degree", "8"):
+            "20a4bcb1134afdcd34bfc26fdeebdf039f1fd7afba213fa716a622ee4b5bdbd2",
+        ("star", "--max-degree", "6"):
+            "3beefcc9b2aa3102a2ddad1a879453c0cef1a4795bb65db1a318b117e50d1165",
+    }
+    for (command, *rest), digest in digests.items():
+        code, out, err = _run(capsys, command, "--spec", spec, *rest, "--format", "json")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
 
 
 def test_pairing_prints_every_digit():

@@ -1,6 +1,7 @@
 """The verification suite itself: green on the built-ins, red when sabotaged."""
 
 import json
+from types import SimpleNamespace
 
 from starprod.lie import heisenberg, random_two_step, sl2, virasoro
 from starprod.scalars import Polynomial
@@ -9,6 +10,7 @@ from starprod.star import star_series
 from starprod.verify import (
     CheckResult,
     VerificationReport,
+    _cleared,
     check_associativity,
     check_canonicity,
     check_closed_forms,
@@ -218,3 +220,23 @@ def test_report_rendering():
     assert data["algebra"] == "demo"
     assert data["passed"] is False
     assert data["checks"][0] == {"name": "alpha", "passed": True, "detail": "fine"}
+
+
+def test_cleared_terms_share_a_common_multiple_of_the_dets():
+    # every numerator is carried over L / det_n: L = det_w when each det divides
+    # the next, and the product of the two when neither divides the other
+    from types import SimpleNamespace
+
+    from starprod.verify import _cleared
+
+    lam = Polynomial((0, 1))
+    nums = {n: {((n,), (n,)): Polynomial((n + 1,))} for n in range(3)}
+    for dets, common in (
+        ([Polynomial((1,)), lam, lam * lam], lam * lam),
+        ([Polynomial((1,)), lam, Polynomial((1, 1))], lam * Polynomial((1, 1))),
+        ([Polynomial((1,)), lam * Polynomial((1, 1)), lam], lam * Polynomial((1, 1))),
+    ):
+        canon = SimpleNamespace(dets=dict(enumerate(dets)), nums=nums)
+        for n, pair, (v, tail) in _cleared(canon, 2):
+            want = (nums[n][pair] * common.exact_div(dets[n])).coeffs
+            assert (v, tail) == (next(i for i, c in enumerate(want) if c), want[v:]), n
