@@ -31,6 +31,14 @@ def _digits(n: int) -> str:
         return str(Decimal(n))
 
 
+def horner(coeffs, x):
+    """The polynomial with these ascending coefficients, evaluated at x."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def frac_from_str(s) -> Fraction:
     try:
         return Fraction(str(s))

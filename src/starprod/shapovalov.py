@@ -54,6 +54,7 @@ from .scalars import (
     clear_denominators,
     determinant,
     expand_at_infinity,
+    horner,
 )
 from .uea import antipode, char_eval, letter_action, mono_degree, multiply, phi, phi_order
 
@@ -311,18 +312,11 @@ def _certify_det(block, det, bound, where):
     d, cleared = clear_denominators(block)
     scale = d ** len(block)
     for x in range(bound + 1):
-        at_x = [[_horner(e.coeffs, x) for e in row] for row in cleared]
-        if _horner(det.coeffs, x) * scale != _integer_det(at_x):
+        at_x = [[horner(e.coeffs, x) for e in row] for row in cleared]
+        if horner(det.coeffs, x) * scale != _integer_det(at_x):
             raise CertificateError(
                 f"{where}det certificate det(λ) = det A(λ) fails at λ = {x}"
             )
-
-
-def _horner(coeffs, x):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def _integer_det(rows):

@@ -8,19 +8,18 @@ The two global identities (associativity of the product series and invariance
 of the canonical element) are verified inside a degree window: components
 whose slot degrees all lie within the window are exactly determined by the
 per-degree data up to that window, so the windowed check is a genuine proof
-for those components rather than an approximation.  Both checks clear
-denominators once, through `_cleared`: each component is decided over one
-common denominator L (squared for the products in associativity) by whether
-its numerator is the zero polynomial.  L is a common multiple of the
-per-degree dets det_n, built by walking n upward: det_n replaces L when L
-divides it, L stays when det_n divides L, and L·det_n is taken otherwise.
-Wherever each det divides the next, as on every builtin, sl3 and the
-two-step nilpotent algebras at the characters checked, L = det_w.
-`_cleared` hands each cleared numerator over as (v, tail), the power λ^v
-stripped off and the rest a raw coefficient tuple, and each component
-accumulates as a [valuation, coefficient list] pair; a numerator that is a
-single power of λ, as on the two-step nilpotent algebras, then costs one
-multiplication rather than a walk over a dense polynomial.  Associativity
+for those components rather than an approximation.  `_cleared` puts every
+term over one denominator L, a common multiple of the dets det_n built by
+walking n upward: det_n replaces L when L divides it, L stays when det_n
+divides L, and L·det_n is taken otherwise (so L = det_w wherever each det
+divides the next, as on every builtin, sl3 and the two-step nilpotent algebras
+at the characters checked).  `_decide` clears the numerators to integers and
+packs each into one integer, its value at λ = B = 2^b, so a component
+accumulates as one integer: per term pair, one product of packed numerators
+times exact structure constants.  A value of 0 at B decides the zero
+polynomial only once the pass's own tally proves 2·den·s·H² < B (H the largest
+ℓ1 norm of a numerator, s the summed size of the constants, den their common
+denominator); a pass that misses the bound is run again wider.  Associativity
 reads word products off the memoized normal forms (`BasisOrder.nf_word`), and
 invariance the memoized action of one letter (`uea.letter_action`).
 `run_all` forms the canonical element and the residue's dual basis before
@@ -31,12 +30,13 @@ starts.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm, prod
 
 from .errors import CutoffExceededError
-from .scalars import ONE_POLY, Polynomial, RationalFunction, series_ratio
+from .scalars import ONE_POLY, Polynomial, RationalFunction, horner, series_ratio
 from .shapovalov import canonical_element, oracle_pairing, pairing_entry, pairing_matrix
 from .star import exact_series, expected_residue, residue, star_series
 from .uea import (
@@ -127,33 +127,38 @@ def _divides(a, b):
     return True
 
 
-def _mul(a, b):
-    """Product of two coefficient sequences, as a list."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b, i):
-                out[j] += ca * cb
-    return out
+# Bits beyond power·bits(H) that the first pass gives each power of λ.
+_SLACK_BITS = 64
 
 
-def _add(acc, key, v, cs, k=1):
-    """Add k·λ^v·cs into acc[key], a [valuation, coefficient list] pair whose
-    valuation drops to v when a contribution starts lower."""
-    cur = acc.get(key)
-    if cur is None:
-        acc[key] = [v, [c * k for c in cs]]
-        return
-    cv, cl = cur
-    if v < cv:
-        cl[:0] = [0] * (cv - v)
-        cur[0] = cv = v
-    off = v - cv
-    short = off + len(cs) - len(cl)
-    if short > 0:
-        cl.extend([0] * short)
-    for i, c in enumerate(cs, off):
-        cl[i] += c * k
+def _decide(terms, power, run):
+    """Return acc from run(packed, point) → (acc, s, den), once its tally
+    proves that its values decide zero exactly.
+
+    The tails are cleared by one integer factor and packed as
+    N = λ^(v − v_min)·tail at λ = B = 2^b.  A component is P(B), P a sum of
+    k·(product of `power` cleared tails) over exact constants k (for
+    invariance, action polynomials, counted by their ℓ1 norms), s = Σ|k| and
+    den·k integral.  Then den·P is in ℤ[λ] with coefficients of size at most
+    den·s·H^power, H the largest ℓ1 norm of a tail, and once 2·den·s·H^power
+    < B, P(B) = 0 only if P = 0: the lowest nonzero coefficient c of den·P
+    would need B | c with 0 < |c| < B.  A pass that misses the bound is run
+    again wider."""
+    scale = lcm(*(c.denominator for *_, (_, tail) in terms for c in tail))
+    tails = [(v, [(c * scale).numerator for c in tail]) for *_, (v, tail) in terms]
+    vmin = min((v for v, tail in tails if tail), default=0)
+    h = max((sum(map(abs, tail)) for _, tail in tails), default=0)
+    b = power * h.bit_length() + _SLACK_BITS
+    while True:
+        packed = [
+            (n, pair, horner(tail, 1 << b) << b * (v - vmin))
+            for (n, pair, _), (v, tail) in zip(terms, tails)
+        ]
+        acc, s, den = run(packed, 1 << b)
+        bound = int(2 * den * s * h**power)  # den·s is an integer, as den·k is
+        if bound < 1 << b:
+            return acc
+        b = bound.bit_length()
 
 
 # -- global identities --------------------------------------------------------
@@ -166,57 +171,62 @@ def check_associativity(algebra, window):
 
     after projecting zero-degree letters out of the middle slot, on every
     three-slot component whose degrees all sit inside the window."""
-    order = pi_order(algebra)
+    nf = pi_order(algebra).nf_word
     terms = _cleared(canonical_element(algebra, window), window)
-    wdeg = {}  # word degrees, each worked out once
-
-    def deg(w):
-        d = wdeg.get(w)
-        if d is None:
-            d = wdeg[w] = mono_degree(algebra, w)
-        return d
-
-    acc = {}
+    deg = lambda w: mono_degree(algebra, w)
+    # terms are sorted by degree: a split of x meets those of degree
+    # ≤ window + deg(x1), a split of y those of degree ≤ window − deg(y2)
+    top = lambda d: bisect_right(terms, window + d, key=lambda t: t[0])
+    slots = [pair for _, pair, _ in terms]
+    splits = [
+        (
+            [(x1, x2, mult, top(deg(x1))) for x1, x2, mult in mono_splits(x)],
+            [(y1, y2, mult, top(-deg(y2))) for y1, y2, mult in mono_splits(y)],
+        )
+        for x, y in slots
+    ]
     zfree = {}  # mid-slot products with zero-degree letters projected away
-    for _, (x, y), (vp, tp) in terms:
-        xsplits = [(x1, x2, mult, deg(x1)) for x1, x2, mult in mono_splits(x)]
-        ysplits = [(y1, y2, mult, deg(y2)) for y1, y2, mult in mono_splits(y)]
-        for q, (xq, yq), (vq, tq) in terms:
-            v = vp + vq
-            base = _mul(tp, tq)
-            for x1, x2, mult, d1 in xsplits:
-                if q - d1 > window:
-                    continue
-                mid = x2 + yq  # already normal: negatives then positives
-                for w1, c1 in order.nf_word(x1 + xq).items():
-                    _add(acc, (w1, mid, y), v, base, mult * c1)
-            for y1, y2, mult, d2 in ysplits:
-                if d2 + q > window:
-                    continue
-                mid = zfree.get((y1, xq))
-                if mid is None:
-                    mid = zfree[(y1, xq)] = {
-                        w: c
-                        for w, c in order.nf_word(y1 + xq).items()
-                        if all(algebra.degree(g) != 0 for g in w)
-                    }
-                if not mid:
-                    continue
-                right = order.nf_word(y2 + yq)
-                for w2, c2 in mid.items():
-                    mc2 = mult * c2
-                    for w3, c3 in right.items():
-                        _add(acc, (x, w2, w3), v, base, -mc2 * c3)
 
+    def run(packed, _):
+        acc = {}
+        s, den = 0, 1
+        for (_, (x, y), value), (xsplits, ysplits) in zip(packed, splits):
+            bases = [value * other for *_, other in packed]
+            for x1, x2, mult, n in xsplits:
+                for (xq, yq), base in zip(slots[:n], bases):
+                    mid = x2 + yq  # already normal: negatives then positives
+                    for w1, c1 in nf(x1 + xq).items():
+                        k = mult * c1
+                        key = (w1, mid, y)
+                        acc[key] = acc.get(key, 0) + k * base
+                        s += abs(k)
+                        if type(k) is not int:
+                            den = lcm(den, k.denominator)
+            for y1, y2, mult, n in ysplits:
+                for (xq, yq), base in zip(slots[:n], bases):
+                    mid = zfree.get((y1, xq))
+                    if mid is None:
+                        mid = zfree[(y1, xq)] = [
+                            (w, c) for w, c in nf(y1 + xq).items()
+                            if 0 not in map(algebra.degree, w)
+                        ]
+                    right = nf(y2 + yq).items() if mid else ()
+                    for w2, c2 in mid:
+                        for w3, c3 in right:
+                            k = mult * c2 * c3
+                            key = (x, w2, w3)
+                            acc[key] = acc.get(key, 0) - k * base
+                            s += abs(k)
+                            if type(k) is not int:
+                                den = lcm(den, k.denominator)
+        return acc, s, den
+
+    acc = _decide(terms, 2, run)
     for comp in sorted(acc):
-        if any(acc[comp][1]):
+        if acc[comp]:
             where = " | ".join(word_name(algebra, w) for w in comp)
-            return CheckResult(
-                "associativity", False, f"window {window}: residual at [{where}]"
-            )
-    return CheckResult(
-        "associativity", True, f"window {window}: {len(acc)} components vanish"
-    )
+            return CheckResult("associativity", False, f"window {window}: residual at [{where}]")
+    return CheckResult("associativity", True, f"window {window}: {len(acc)} components vanish")
 
 
 def check_invariance(algebra, window):
@@ -224,32 +234,34 @@ def check_invariance(algebra, window):
     through the module and its mirror, gives zero on all in-window components."""
     terms = _cleared(canonical_element(algebra, window), window)
     deg = lambda w: mono_degree(algebra, w)
-    for gen in algebra.generators:
-        acc = {}
-        d = gen.degree
-        for n, (x, y), (v, tail) in terms:
-            # Contributions landing outside the window belong to components
-            # that are incomplete at this window anyway; skipping them before
-            # acting keeps every bracket inside the window.
-            if n - d <= window:
-                for w, p in letter_action(algebra, gen.id, x, 1):
-                    if -deg(w) <= window:
-                        _add(acc, (w, y), v, _mul(p.coeffs, tail))
-            if n + d <= window:
-                for w, p in letter_action(algebra, gen.id, y, -1):
-                    if deg(w) <= window:
-                        _add(acc, (x, w), v, _mul(p.coeffs, tail))
-        for xw, yw in sorted(acc):
-            if any(acc[(xw, yw)][1]):
-                where = f"{word_name(algebra, xw)} | {word_name(algebra, yw)}"
-                return CheckResult(
-                    "invariance",
-                    False,
-                    f"generator {gen.name} leaves a residual at [{where}]",
-                )
-    return CheckResult(
-        "invariance", True, f"window {window}: all generators annihilate the element"
-    )
+
+    def run(packed, point):
+        accs, s, den = [], 0, 1
+        for gen in algebra.generators:
+            accs.append(acc := {})
+            for n, (x, y), tail in packed:
+                # Contributions landing outside the window belong to components
+                # that are incomplete at this window anyway; skipping them before
+                # acting keeps every bracket inside the window.
+                for side, word in ((1, x), (-1, y)):
+                    if n - side * gen.degree > window:
+                        continue
+                    for w, p in letter_action(algebra, gen.id, word, side):
+                        if -side * deg(w) <= window:
+                            key = (w, y) if side > 0 else (x, w)
+                            acc[key] = acc.get(key, 0) + horner(p.coeffs, point) * tail
+                            s += sum(map(abs, p.coeffs))
+                            den = lcm(den, *(c.denominator for c in p.coeffs))
+        return accs, s, den
+
+    for gen, acc in zip(algebra.generators, _decide(terms, 1, run)):
+        for key in sorted(acc):
+            if acc[key]:
+                where = " | ".join(word_name(algebra, w) for w in key)
+                why = f"generator {gen.name} leaves a residual at [{where}]"
+                return CheckResult("invariance", False, why)
+    why = f"window {window}: all generators annihilate the element"
+    return CheckResult("invariance", True, why)
 
 
 # -- structural checks ---------------------------------------------------------
@@ -418,9 +430,7 @@ def _closed_form_heisenberg(algebra, max_m=5):
     for n in range(1, max_m + 1):
         comp = canon.component(n)
         for K in it.combinations_with_replacement(qs, n):
-            kfact = 1
-            for g in set(K):
-                kfact *= factorial(K.count(g))
+            kfact = prod(factorial(K.count(g)) for g in set(K))
             den_coeffs = [Fraction(0)] * n + [Fraction(kfact) * (-w) ** n]
             want = RationalFunction(ONE_POLY, Polynomial(den_coeffs))
             pk = tuple(sorted(mirror[g] for g in K))
@@ -433,9 +443,7 @@ def _closed_form_heisenberg(algebra, max_m=5):
     expected[0][((), ())] = Fraction(1)
     for m in range(1, max_m + 1):
         for K in it.combinations_with_replacement(qs, m):
-            kfact = 1
-            for g in set(K):
-                kfact *= factorial(K.count(g))
+            kfact = prod(factorial(K.count(g)) for g in set(K))
             pk = tuple(sorted(mirror[g] for g in K))
             expected[m][(K, pk)] = Fraction((-1) ** m) / (Fraction(kfact) * w**m)
     if sp.orders != expected:
@@ -566,60 +574,47 @@ def property_suite(algebra, seed, samples=100):
         CheckResult("confluence", ok, f"{samples} rewrite schedules agree" if ok else "schedules diverge")
     )
 
-    triples = _random_groups(algebra, rng, 3, samples, 3)
-    ok = True
-    for u, v, t in triples:
-        uv_t = multiply(order, multiply(order, u, v), {t: 1})
-        u_vt = multiply(order, {u: 1}, multiply(order, v, t))
-        if uv_t != u_vt:
-            ok = False
-            break
+    ok = all(
+        multiply(order, multiply(order, u, v), {t: 1})
+        == multiply(order, {u: 1}, multiply(order, v, t))
+        for u, v, t in _random_groups(algebra, rng, 3, samples, 3)
+    )
     results.append(
         CheckResult("product-associativity", ok, f"{samples} triples associate" if ok else "association fails")
     )
 
-    pairs = _random_groups(algebra, rng, 2, samples, 3)
-    ok = True
-    for u, v in pairs:
+    def antipode_holds(u, v):
         left = antipode(order, multiply(order, u, v))
-        right = multiply(order, antipode(order, {v: 1}), antipode(order, {u: 1}))
-        if left != right:
-            ok = False
-            break
+        if left != multiply(order, antipode(order, {v: 1}), antipode(order, {u: 1})):
+            return False
         nf = normal_form(order, u)
         folded = {}
         for (w1, w2), cc in coproduct(nf).items():
             for w3, c3 in multiply(order, antipode(order, {w1: 1}), {w2: 1}).items():
                 folded[w3] = folded.get(w3, 0) + cc * c3
-        folded = {w: cf for w, cf in folded.items() if cf}
         eps = counit(nf)
-        if folded != ({(): eps} if eps else {}):
-            ok = False
-            break
-    results.append(
-        CheckResult("antipode", ok, f"{samples} antihomomorphism and fold checks" if ok else "antipode identity fails")
-    )
+        return {w: cf for w, cf in folded.items() if cf} == ({(): eps} if eps else {})
 
-    ok = True
-    for u, v in pairs:
+    def coproduct_holds(u, v):
         unf = normal_form(order, u)
         vnf = normal_form(order, v)
         lhs = coproduct(normal_form(order, multiply(order, unf, vnf)))
-        rhs = tensor_mul2(order, coproduct(unf), coproduct(vnf))
-        if lhs != rhs:
-            ok = False
-            break
+        if lhs != tensor_mul2(order, coproduct(unf), coproduct(vnf)):
+            return False
         left3, right3 = {}, {}
         for (w1, w2), cc in coproduct(unf).items():
             for (a, b), dd in coproduct({w1: 1}).items():
-                key = (a, b, w2)
-                left3[key] = left3.get(key, 0) + cc * dd
+                left3[(a, b, w2)] = left3.get((a, b, w2), 0) + cc * dd
             for (a, b), dd in coproduct({w2: 1}).items():
-                key = (w1, a, b)
-                right3[key] = right3.get(key, 0) + cc * dd
-        if {k: v2 for k, v2 in left3.items() if v2} != {k: v2 for k, v2 in right3.items() if v2}:
-            ok = False
-            break
+                right3[(w1, a, b)] = right3.get((w1, a, b), 0) + cc * dd
+        return {k: c for k, c in left3.items() if c} == {k: c for k, c in right3.items() if c}
+
+    pairs = _random_groups(algebra, rng, 2, samples, 3)
+    ok = all(antipode_holds(u, v) for u, v in pairs)
+    results.append(
+        CheckResult("antipode", ok, f"{samples} antihomomorphism and fold checks" if ok else "antipode identity fails")
+    )
+    ok = all(coproduct_holds(u, v) for u, v in pairs)
     results.append(
         CheckResult("coproduct", ok, f"{samples} multiplicativity and coassociativity checks" if ok else "coproduct identity fails")
     )

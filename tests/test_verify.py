@@ -1,9 +1,15 @@
 """The verification suite itself: green on the built-ins, red when sabotaged."""
 
+import hashlib
 import json
+from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
-from starprod.lie import heisenberg, random_two_step, sl2, virasoro
+import pytest
+
+from starprod import cli, verify
+from starprod.lie import GradedLieAlgebra, heisenberg, random_two_step, sl2, virasoro
 from starprod.scalars import Polynomial
 from starprod.shapovalov import canonical_element
 from starprod.star import star_series
@@ -240,3 +246,64 @@ def test_cleared_terms_share_a_common_multiple_of_the_dets():
         for n, pair, (v, tail) in _cleared(canon, 2):
             want = (nums[n][pair] * common.exact_div(dets[n])).coeffs
             assert (v, tail) == (next(i for i, c in enumerate(want) if c), want[v:]), n
+
+
+RATIONAL = Path(__file__).resolve().parent / "fixtures" / "sl3_rational.json"
+
+
+def _rational():
+    return GradedLieAlgebra.from_json(json.loads(RATIONAL.read_text(encoding="utf-8")))
+
+
+def test_rational_brackets_and_character(capsys):
+    # sl3 in the principal grading with f12 scaled by 3 and e12 by 1/2, so the
+    # brackets carry 1/3, 1/2 and 3/2, and χ(h1) = 2/5: the constants of both
+    # global checks are fractions.  Details and bytes as the list accumulators
+    # printed them before each component became one packed integer.
+    report = run_all(_rational(), window=3)
+    assert report.passed, report.to_text()
+    assert report.results[0].detail == "window 3: 681 components vanish"
+    for degree, assoc, inv in (
+        (1, "[f1 | f1 | e1^2]", "[f1 | 1]"),
+        (3, "[f1 | f1^2 | e1^3]", "[f1^3 | e1^2]"),
+    ):
+        result = check_associativity(_tampered(_rational(), 3, degree), 3)
+        assert (result.passed, result.detail) == (False, f"window 3: residual at {assoc}")
+        result = check_invariance(_tampered(_rational(), 3, degree), 3)
+        assert (result.passed, result.detail) == (False, f"generator f1 leaves a residual at {inv}")
+    assert cli.main(["verify", "--spec", str(RATIONAL), "--max-degree", "3", "--format", "json"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "0d7b33ff2a082278117349e822ddf15624988b383114766b9896f891c141762c"
+    result = check_associativity(sl2(Fraction(1, 2), cutoff=4), 4)
+    assert (result.passed, result.detail) == (True, "window 4: 55 components vanish")
+
+
+@pytest.mark.parametrize("check", [check_associativity, check_invariance])
+def test_a_narrow_first_width_is_widened_to_the_same_result(check, monkeypatch):
+    # with no slack the first pass misses 2·den·s·H^power < B on every input
+    # here; the second pass, at the width the tally asks for, decides
+    algebras = [
+        lambda: virasoro(1, 1, cutoff=3),
+        lambda: random_two_step(17),
+        _rational,
+        lambda: _tampered(virasoro(1, 1, cutoff=3), 3, 2),
+        lambda: _tampered(_rational(), 3, 3),
+    ]
+    want = [check(make(), 3) for make in algebras]
+    passes = []
+    real = verify._decide
+
+    def counted(terms, power, run):
+        def counted_run(packed, point):
+            passes.append(point)
+            return run(packed, point)
+
+        return real(terms, power, counted_run)
+
+    monkeypatch.setattr(verify, "_decide", counted)
+    monkeypatch.setattr(verify, "_SLACK_BITS", 0)
+    for make, result in zip(algebras, want):
+        del passes[:]
+        assert check(make(), 3) == result
+        assert len(passes) == 2 and passes[0] < passes[1]
+    assert [r.passed for r in want] == [True, True, True, False, False]
