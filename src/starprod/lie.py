@@ -60,21 +60,16 @@ class Memo:
     """What is computed once per algebra and reused by later calls.  It cannot
     go stale: `_FIXED` forbids reassigning anything it derives from.
 
-    `vacua` holds, per pair of words (x, y), the coefficient of v in
-    y[-1]···y[0]·x·v: each pairing entry the module route computed, and every
-    suffix pairing (w, y[1:]) it recursed through, keyed on words alone, since
-    the value derives only from the bracket table and the character.
-    `pairings` holds each degree's pairing matrix, rows as tuples, and
-    `components` the exact components over ℚ(λ), both per basis tie-break;
+    `pairings` holds the pairing matrix of each degree asked for, rows as
+    tuples in the "desc" basis order, which the other order permutes;
+    `components` holds the exact components over ℚ(λ) per basis tie-break;
     `series` holds the certified ħ-adic series of `star_series` per degree
     alone, each at the highest ħ-order asked so far, so a lower order reads a
     prefix and a higher one rebuilds the entry."""
 
     orders: dict = field(default_factory=dict)  # segments -> uea.BasisOrder
     actions: dict = field(default_factory=dict)  # (side, letter, module word) -> terms
-    vacua: dict = field(default_factory=dict)  # (x, y) -> unsigned module-route pairing
-    mirror: dict | None = None  # lowering id -> raising id
-    pairings: dict = field(default_factory=dict)  # (degree, tie_break) -> (basis, rows)
+    pairings: dict = field(default_factory=dict)  # degree -> (basis, rows)
     components: dict = field(default_factory=dict)  # (degree, tie_break) -> (basis, nums, det)
     series: dict = field(default_factory=dict)  # degree -> (order, {(x, y): ħ-coefficients})
 

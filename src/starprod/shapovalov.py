@@ -4,9 +4,10 @@ element assembled from them.
 
 Each pairing entry is read off the Verma module, as the coefficient of v in
 S(y)·x·v, by recursion on the first letter of y: one letter action leaves
-pairings of shorter words, memoized per algebra in `memo.vacua`, so an entry
-costs one letter action.  The PBW projection of S(y)·x (`pairing_entry`)
-computes the same scalar by another route and serves as its oracle.
+pairings of lower degree, read from the matrices below, which are built
+first, so an entry costs one letter action.  The PBW projection of S(y)·x
+(`pairing_entry`) computes the same scalar by another route and serves as
+its oracle.
 
 All scalars are polynomials in the character scale λ, handled exactly.  The
 pairing is graded by the g₀-weight, so a matrix A splits into blocks after
@@ -30,11 +31,12 @@ min(len x, len y), so each row meets its word-length bound, and only a degree
 whose leading matrix N_0 is singular falls back to the exact inverse,
 expanded at λ = ∞.
 
-Each (degree, tie_break) pairing matrix is built once per algebra, in its
-`memo.pairings`, and read by every route and check; each component of
-the canonical element is built once, in `memo.components`.  The series of
-`star_series` are kept apart, in `memo.series`, so the verify check that
-compares the two routes never compares a route with itself.
+Each degree's pairing matrix is built once per algebra, in its
+`memo.pairings`, and read by every route and check (the "asc" basis order
+permutes it); each component of the canonical element is built once, in
+`memo.components`.  The series of `star_series` are kept apart, in
+`memo.series`, so the verify check that compares the two routes never
+compares a route with itself.
 """
 
 from __future__ import annotations
@@ -69,6 +71,13 @@ class GradedBasis:
     plus: tuple
 
 
+_DEGREE_ZERO = (GradedBasis(0, ((),), ((),)), ((ONE_POLY,),))  # (basis, rows) at degree 0
+
+
+def _index(words):
+    return {w: i for i, w in enumerate(words)}
+
+
 # -- basis construction ------------------------------------------------------
 
 
@@ -92,11 +101,8 @@ def _monomials(gens, total):
 def mirror_map(algebra):
     """Pair each lowering generator with the raising generator in the same
     position at the opposite degree.  Fails when the dimensions differ."""
-    if algebra.memo.mirror is not None:
-        return algebra.memo.mirror
     mapping = {}
-    degrees = sorted({abs(g.degree) for g in algebra.generators if g.degree != 0})
-    for d in degrees:
+    for d in sorted({abs(g.degree) for g in algebra.generators if g.degree != 0}):
         minus = sorted(g.id for g in algebra.generators if g.degree == -d)
         plus = sorted(g.id for g in algebra.generators if g.degree == d)
         if len(minus) != len(plus):
@@ -105,7 +111,6 @@ def mirror_map(algebra):
                 f"but {len(plus)} at degree +{d}"
             )
         mapping.update(zip(minus, plus))
-    algebra.memo.mirror = mapping
     return mapping
 
 
@@ -116,15 +121,10 @@ def build_basis(algebra, degree, tie_break="desc"):
         raise ValueError(f"unknown tie_break {tie_break!r}")
     gens = _neg_generators(algebra)
     pos = {g.id: i for i, g in enumerate(gens)}
-
-    def expvec(word):
-        v = [0] * len(gens)
-        for g in word:
-            v[pos[g]] += 1
-        return tuple(v)
-
-    sign = -1 if tie_break == "desc" else 1
-    key = lambda w: (-len(w), tuple(sign * e for e in expvec(w)))
+    # words are sorted by position: at one length, the exponent vectors
+    # descend exactly as the words' position tuples ascend
+    sign = 1 if tie_break == "desc" else -1
+    key = lambda w: (-len(w), tuple(sign * pos[g] for g in w))
     minus = sorted(_monomials(gens, degree), key=key)
     mirror = mirror_map(algebra)
     modkey = {g: (algebra.degree(g), g) for g in mirror.values()}.__getitem__
@@ -158,41 +158,35 @@ def pairing_entry(algebra, x, y):
     """(x, y) = scaled character of the zero-degree projection of S(y)·x,
     normal-ordered in the enveloping algebra.  The oracle route."""
     order = phi_order(algebra)
-    if not isinstance(y, dict):
-        y = {y: Fraction(1)}
-    if not isinstance(x, dict):
-        x = {x: Fraction(1)}
     return char_eval(algebra, phi(algebra, multiply(order, antipode(order, y), x)))
 
 
 def oracle_pairing(algebra, x, y):
     """The same scalar read off the module: the coefficient of v in S(y)·x·v,
     the route `pairing_matrix` computes with.  S(y) = (−1)^len y·reversed(y)
-    acts with y[0] first: if y[0]·x·v = Σ p_w·w·v (`letter_action`), what is
-    left is Σ p_w·(w, y[1:]), a pairing with a shorter y.  That recursion runs
-    in `_vacuum`, memoized per (x, y) in `memo.vacua` without the sign."""
-    value = _vacuum(algebra, x, y)
-    return -value if len(y) % 2 else value
-
-
-def _vacuum(algebra, x, y):
-    """The coefficient of v in y[-1]···y[0]·x·v."""
+    acts with y[0] first: if y[0]·x·v = Σ p_w·w·v (`letter_action`), then
+    (x, y) = −Σ p_w·(w, y[1:]), a pairing with a shorter y, here by recursion.
+    `pairing_matrix` reads each (w, y[1:]) off the matrix below instead, and
+    recurses only for a pair no matrix holds: one that a bracket table
+    breaking the grading leaves off its degree."""
     if not y:
         return ZERO_POLY if x else ONE_POLY
-    key = (x, y)
-    value = algebra.memo.vacua.get(key)
-    if value is None:
-        value = ZERO_POLY
-        for w, p in letter_action(algebra, y[0], x, 1):
-            value = value + p * _vacuum(algebra, w, y[1:])
-        algebra.memo.vacua[key] = value
-    return value
+    value = ZERO_POLY
+    for w, p in letter_action(algebra, y[0], x, 1):
+        value = value + p * oracle_pairing(algebra, w, y[1:])
+    return -value
 
 
 def pairing_matrix(algebra, degree, tie_break="desc"):
     """Matrix of the pairing at one degree, through the module action: rows
     over lowering monomials x_k, columns over mirrored raising monomials y_l.
-    Returns (basis, rows), memoized in `memo.pairings` as tuples of tuples.
+    Returns (basis, rows), rows as tuples of tuples.  The "desc" matrix is
+    memoized in `memo.pairings` by degree; "asc" permutes its rows and columns.
+
+    The degrees are built lowest first, each entry one `oracle_pairing` step
+    from the matrix one raising letter down.  A lower degree that was not
+    asked for is dropped once no higher degree can read it, and the rest once
+    `degree` is built.
 
     An entry (x, y) above λ-degree min(len x, len y) raises CertificateError:
     each power of λ comes from a disjoint bracket cluster holding a letter of
@@ -204,31 +198,51 @@ def pairing_matrix(algebra, degree, tie_break="desc"):
             f"least ±{degree}, but the window is ±{algebra.cutoff}"
         )
     pairings = algebra.memo.pairings
-    key = (degree, tie_break)
-    if key not in pairings:
-        # lower degrees first, so that each recursion of `_vacuum` and
-        # `letter_action` finds its shorter suffix memoized: no deep stack
-        for n in range(1, degree):
-            if (n, tie_break) not in pairings:
-                lower = build_basis(algebra, n, tie_break)
-                for x in lower.minus:
-                    for y in lower.plus:
-                        _vacuum(algebra, x, y)
-        basis = build_basis(algebra, degree, tie_break)
-        rows = []
-        for x in basis.minus:
-            row = []
-            for y in basis.plus:
-                entry = oracle_pairing(algebra, x, y)
-                if entry.degree > min(len(x), len(y)):
-                    raise CertificateError(
-                        f"{algebra.name}: pairing entry of λ-degree {entry.degree} "
-                        f"exceeds its bound at degree {degree}"
-                    )
-                row.append(entry)
-            rows.append(tuple(row))
-        pairings[key] = (basis, tuple(rows))
-    return pairings[key]
+    if degree not in pairings:
+        # degree n reads the degrees n − d, d up to the largest raising degree
+        reach = max((g.degree for g in algebra.generators if g.degree > 0), default=0)
+        window = {0: _DEGREE_ZERO}
+        for n in range(1, degree + 1):
+            window.pop(n - reach - 1, None)
+            window[n] = pairings.get(n) or _next_degree(algebra, n, window)
+        pairings[degree] = window[degree]
+    if tie_break == "desc":
+        return pairings[degree]
+    basis, rows = pairings[degree]
+    asked = build_basis(algebra, degree, tie_break)
+    row_at, col_at = _index(basis.minus), _index(basis.plus)
+    return asked, tuple(tuple(rows[row_at[x]][col_at[y]] for y in asked.plus) for x in asked.minus)
+
+
+def _next_degree(algebra, n, window):
+    """(basis, rows) at degree n, from the matrices of `window` at n − deg g
+    for each raising letter g.  Each column's first letter, suffix, lower
+    matrix column and row index are resolved once."""
+    basis = build_basis(algebra, n)
+    indexed = {m: (_index(b.minus), _index(b.plus), rows) for m, (b, rows) in window.items()}
+    columns = []
+    for y in basis.plus:
+        row_at, col_at, rows = indexed[n - algebra.degree(y[0])]
+        j = col_at[y[1:]]
+        columns.append((y[0], y[1:], len(y), row_at, [row[j] for row in rows]))
+    out = []
+    for x in basis.minus:
+        row = []
+        for g, rest, size, row_at, col in columns:
+            value = ZERO_POLY
+            for w, p in letter_action(algebra, g, x, 1):
+                i = row_at.get(w)
+                v = col[i] if i is not None else oracle_pairing(algebra, w, rest)
+                if v:
+                    value = value + p * v
+            if value.degree > min(len(x), size):
+                raise CertificateError(
+                    f"{algebra.name}: pairing entry of λ-degree {value.degree} "
+                    f"exceeds its bound at degree {n}"
+                )
+            row.append(-value)
+        out.append(tuple(row))
+    return basis, tuple(out)
 
 
 # -- exact inversion ---------------------------------------------------------
@@ -405,10 +419,7 @@ def expanded_component(algebra, n, order):
 
 
 def canonical_element(algebra, max_degree, tie_break="desc"):
-    bases, nums, dets = {}, {}, {}
-    bases[0] = GradedBasis(0, ((),), ((),))
-    nums[0] = {((), ()): ONE_POLY}
-    dets[0] = ONE_POLY
+    bases, nums, dets = {0: _DEGREE_ZERO[0]}, {0: {((), ()): ONE_POLY}}, {0: ONE_POLY}
     for n in range(1, max_degree + 1):
         bases[n], nums[n], dets[n] = exact_component(algebra, n, tie_break)
     return CanonicalElement(algebra, max_degree, bases, nums, dets)

@@ -11,11 +11,12 @@ The algebra's `memo.orders` keeps one order per segment sequence.
 
 The action of one letter on one Verma-module word (`letter_action`, at the
 bottom of the file, memoized in the algebra's `memo.actions`) is the step the
-pairing matrices are built from: `shapovalov.oracle_pairing` recurses on it one
-letter of y at a time.  It deliberately does not go through BasisOrder: it
-straightens words with its own recursion and applies the module relations at
-the right boundary, so the PBW projection (normal ordering through
-BasisOrder, then `phi`) stays an independent route that checks it.
+pairing matrices are built from: `shapovalov.pairing_matrix` takes each entry
+one letter of y down from the matrix below.  It deliberately does not go
+through BasisOrder: it straightens words with its own recursion and applies
+the module relations at the right boundary, so the PBW projection (normal
+ordering through BasisOrder, then `phi`) stays an independent route that
+checks it.
 """
 
 from __future__ import annotations
@@ -275,11 +276,6 @@ def char_eval(algebra, x):
 # are kept sorted ascending by (degree, id).
 
 
-def _modkey(algebra, g):
-    d = algebra.degree(g)
-    return (d, g)
-
-
 def letter_action(algebra, g, word, side):
     """g · (word · v) as a tuple of (module word, Polynomial in λ) pairs."""
     key = (side, g, word)
@@ -296,7 +292,7 @@ def letter_action(algebra, g, word, side):
             out = (((), Polynomial((0, cval))),) if cval else ()
         else:
             out = ()
-    elif inserts and _modkey(algebra, g) <= _modkey(algebra, word[0]):
+    elif inserts and (dg, g) <= (algebra.degree(word[0]), word[0]):
         out = (((g,) + word, ONE_POLY),)
     else:
         w0, rest = word[0], word[1:]

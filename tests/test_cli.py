@@ -168,10 +168,67 @@ def test_sl3_blocks_print_the_recorded_bytes(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, command
 
 
+def test_degree_zero_and_no_raising_generator_print_the_recorded_bytes(tmp_path, capsys):
+    # degree 0 is the 1×1 matrix [1]; with no raising generator no degree
+    # reads another, and each keeps the one it has just built
+    abelian = tmp_path / "abelian.json"
+    abelian.write_text(json.dumps({
+        "name": "abelian", "generators": [{"name": "h", "degree": 0}], "brackets": [],
+        "character": [{"gen": "h", "value": "1"}],
+    }))
+    digests = {
+        ("pairing", "--builtin", "sl2", "--param", "z=1", "--degree", "0"):
+            "7a202e2baf4a05c133610770feb1e4934f8cd7d9255f43b530ccb2bf6f07ad33",
+        ("pairing", "--spec", str(abelian), "--degree", "2"):
+            "c3ad68fb1ed28bf529ec72b8243911b88e140685b7d50c3215fb07551ff24667",
+        ("star", "--spec", str(abelian), "--max-degree", "2"):
+            "bb0f857106b7006fc9dc08ba37e74b31d915b0384b7ecd9a4d7d5d65b2e074e1",
+    }
+    for argv, digest in digests.items():
+        code, out, err = _run(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+        if argv[-1] == "0":
+            data = json.loads(out)
+            assert (data["matrix"], data["det"]) == ([["1"]], "1")
+
+
+def test_a_table_that_breaks_the_grading_keeps_its_pairing(tmp_path, capsys):
+    # [e, g] and [k, f] land in h, off the degrees -1 and +1: a letter action
+    # leaves words that the matrix one letter down does not hold, and the
+    # module route recurses for them; the digests are the bytes of the
+    # route that recursed for every entry
+    gens = [("f", -1), ("g", -2), ("h", 0), ("e", 1), ("k", 2)]
+    spec = tmp_path / "ungraded.json"
+    spec.write_text(json.dumps({
+        "name": "ungraded",
+        "generators": [{"name": n, "degree": d} for n, d in gens],
+        "brackets": [
+            {"a": a, "b": b, "terms": [{"gen": "h", "coeff": "1"}]}
+            for a, b in (("e", "f"), ("k", "g"), ("e", "g"), ("k", "f"))
+        ],
+        "character": [{"gen": "h", "value": "1"}],
+    }))
+    code, out, _ = _run(capsys, "validate", "--spec", str(spec), "--format", "json")
+    assert code == 2
+    assert [f["check"] for f in json.loads(out)["failures"]] == ["grading", "grading"]
+    digests = {
+        "3": "367c9dead81df38fcff8b97b5eeb0ae3e382bea68a8a03c6012c4c85216dc67b",
+        "4": "481d9e42fbbd38d1f9a28f636b5d508d30da50c078f38be161558487bb385321",
+    }
+    for degree, digest in digests.items():
+        code, out, err = _run(
+            capsys, "pairing", "--spec", str(spec), "--degree", degree, "--format", "json"
+        )
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, degree
+    assert json.loads(out)["det"] == "-288*λ^9"
+
+
 def test_pairing_prints_every_digit():
     # the λ coefficient of det at sl2 degree 900, -(900!·899!), has 4540 digits,
-    # above the 4300 that str() allows an int by default; a child process, since
-    # the suffix memo of this one request holds ~0.5 GiB
+    # above the 4300 that str() allows an int by default; a child process, so
+    # that its memory is not held by the test process
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     done = subprocess.run(
         [sys.executable, "-m", "starprod.cli", "pairing", "--builtin", "sl2", "--param", "z=1",
@@ -187,8 +244,8 @@ def test_pairing_prints_every_digit():
 
 def test_pairing_stack_depth_does_not_grow_with_the_degree():
     # 100 frames, far fewer than the 400 letters of each word: the module route
-    # fills the lower degrees first, so every recursion of `_vacuum` and
-    # `letter_action` finds its shorter suffix memoized
+    # builds the lower degrees first, so each entry reads the matrix below, and
+    # every recursion of `letter_action` finds its shorter suffix memoized
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     code = "import sys; sys.setrecursionlimit(100); from starprod.cli import main; sys.exit(main())"
     done = subprocess.run(
@@ -221,7 +278,7 @@ def test_pairing_builds_no_inverse(capsys, monkeypatch):
     )
     assert code == 0
     assert calls == []
-    assert list(loaded[0].memo.pairings) == [(6, "desc")]
+    assert list(loaded[0].memo.pairings) == [6]
     assert loaded[0].memo.components == {}
 
 

@@ -166,10 +166,10 @@ def test_oracle_check_catches_a_corrupted_entry(monkeypatch):
     alg = sl2(1)
     f, e = alg.by_name("f").id, alg.by_name("e").id
     assert verify.check_oracle_agreement(alg, 3).passed
-    basis, rows = alg.memo.pairings[(2, "desc")]
+    basis, rows = alg.memo.pairings[2]
     assert (basis.minus[0], basis.plus[0]) == ((f, f), (e, e))
     rows = ((rows[0][0] + Polynomial((0, 1)),),)
-    alg.memo.pairings[(2, "desc")] = (basis, rows)
+    alg.memo.pairings[2] = (basis, rows)
     result = verify.check_oracle_agreement(alg, 3)
     assert (result.passed, result.detail) == (False, "routes disagree at [f^2 | e^2]")
 
@@ -436,19 +436,21 @@ def test_pairing_matrices_are_built_once_per_degree(monkeypatch):
 
 
 def test_module_route_keeps_one_suffix_pairing_per_degree():
-    # e·f^n·v = p·f^(n-1)·v, so the degree-n entry recurses into the degree
-    # n − 1 entry, already memoized: sl2 through order N leaves N values
+    # the series asks every degree in turn and keeps each; a lone degree
+    # builds those below it on the way up and keeps none of them
     alg = sl2(1)
-    f, e = alg.by_name("f").id, alg.by_name("e").id
     star_series(alg, 8)
-    assert set(alg.memo.vacua) == {((f,) * n, (e,) * n) for n in range(1, 9)}
+    assert sorted(alg.memo.pairings) == list(range(1, 9))
+    alg = sl2(1)
+    pairing_matrix(alg, 40)
+    assert list(alg.memo.pairings) == [40]
 
 
 def test_pairing_matrix_memo_is_shared_and_frozen():
     alg = virasoro(1, 1)
     first = pairing_matrix(alg, 2)
     assert pairing_matrix(alg, 2) is first
-    assert alg.memo.pairings[(2, "desc")] is first
+    assert alg.memo.pairings[2] is first
     _, rows = first
     with pytest.raises(TypeError):
         rows[0][0] = ZERO_POLY
@@ -459,15 +461,17 @@ def test_pairing_matrix_memo_is_shared_and_frozen():
 def test_entry_above_its_length_bound_raises(monkeypatch):
     # λ² on the (L-2, L2) entry stays within the degree but not within
     # min(len x, len y) = 1
-    real = shapovalov.oracle_pairing
+    real = shapovalov.letter_action
     alg = virasoro(1, 1)
     lm2, lp2 = alg.by_name("L-2").id, alg.by_name("L2").id
 
-    def raised(algebra, x, y):
-        entry = real(algebra, x, y)
-        return entry + Polynomial((0, 0, 1)) if (x, y) == ((lm2,), (lp2,)) else entry
+    def raised(algebra, g, word, side):
+        terms = real(algebra, g, word, side)
+        if (g, word) != (lp2, (lm2,)):
+            return terms
+        return tuple((w, p + Polynomial((0, 0, 1))) for w, p in terms)
 
-    monkeypatch.setattr(shapovalov, "oracle_pairing", raised)
+    monkeypatch.setattr(shapovalov, "letter_action", raised)
     with pytest.raises(ArithmeticError, match=r"^virasoro: pairing entry of λ-degree 2 exceeds its bound at degree 2$"):
         pairing_matrix(alg, 2)
 

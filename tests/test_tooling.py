@@ -60,7 +60,7 @@ def test_no_module_imports_another_modules_private_name():
 
 
 def test_exit_codes_survive_python_O(tmp_path):
-    # the checks behind exit codes 2, 3 and 4 must still fire with asserts stripped
+    # the checks behind exit codes 2, 3, 4 and 5 must still fire with asserts stripped
     spec = tmp_path / "alg.json"
     spec.write_text(json.dumps(dict(random_two_step(3).to_json(), name="sl2")))
     vir = ["pairing", "--builtin", "virasoro", "--param", "c=1"]
@@ -68,6 +68,7 @@ def test_exit_codes_survive_python_O(tmp_path):
         (vir + ["--param", "delta=1", "--cutoff", "1", "--degree", "2"], 4),
         (vir + ["--param", "delta=0", "--degree", "1"], 3),
         (["verify", "--spec", str(spec), "--max-degree", "2"], 2),
+        (["pairing", "--builtin", "sl2", "--param", "z=x", "--degree", "1"], 5),
     )
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     for argv, code in cases:
