@@ -13,15 +13,16 @@ term over one denominator L, a common multiple of the dets det_n built by
 walking n upward: det_n replaces L when L divides it, L stays when det_n
 divides L, and L·det_n is taken otherwise (so L = det_w wherever each det
 divides the next, as on every builtin, sl3 and the two-step nilpotent algebras
-at the characters checked).  `_decide` clears the numerators to integers and
-packs each into one integer, its value at λ = B = 2^b, so a component
-accumulates as one integer: per term pair, one product of packed numerators
-times exact structure constants.  A value of 0 at B decides the zero
-polynomial only once the pass's own tally proves 2·den·s·H² < B (H the largest
-ℓ1 norm of a numerator, s the summed size of the constants, den their common
-denominator); a pass that misses the bound is run again wider.  Associativity
-reads word products off the memoized normal forms (`BasisOrder.nf_word`), and
-invariance the memoized action of one letter (`uea.letter_action`).
+at the characters checked).  Each check first plans its contributions and
+tallies their exact constants: s their summed size and den their common
+denominator.  `_decide` then clears the numerators to integers and packs each
+into one integer, its value at λ = B = 2^b, once, at the width
+b = bits(2·den·s·H²) (H the largest ℓ1 norm of a numerator) at which a value
+of 0 decides the zero polynomial; nothing is rerun.  A component accumulates
+as one integer: per term pair, one product of packed numerators times exact
+structure constants.  Associativity reads word products off the memoized
+normal forms (`BasisOrder.nf_word`), and invariance the memoized action of one
+letter (`uea.letter_action`).
 `run_all` forms the canonical element and the residue's dual basis before
 any check, so a singular pairing or character is refused before the battery
 starts.
@@ -33,6 +34,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import factorial, lcm, prod
 
 from .errors import CutoffExceededError
@@ -127,38 +129,29 @@ def _divides(a, b):
     return True
 
 
-# Bits beyond power·bits(H) that the first pass gives each power of λ.
-_SLACK_BITS = 64
-
-
-def _decide(terms, power, run):
-    """Return acc from run(packed, point) → (acc, s, den), once its tally
-    proves that its values decide zero exactly.
+def _decide(terms, power, s, den, run):
+    """Return run(packed, B), packed[i] the value of term i at λ = B = 2^b,
+    with b = bits(2·den·s·H^power) from the check's tally.
 
     The tails are cleared by one integer factor and packed as
-    N = λ^(v − v_min)·tail at λ = B = 2^b.  A component is P(B), P a sum of
+    N = λ^(v − v_min)·tail at λ = B.  A component is P(B), P a sum of
     k·(product of `power` cleared tails) over exact constants k (for
     invariance, action polynomials, counted by their ℓ1 norms), s = Σ|k| and
     den·k integral.  Then den·P is in ℤ[λ] with coefficients of size at most
-    den·s·H^power, H the largest ℓ1 norm of a tail, and once 2·den·s·H^power
-    < B, P(B) = 0 only if P = 0: the lowest nonzero coefficient c of den·P
-    would need B | c with 0 < |c| < B.  A pass that misses the bound is run
-    again wider."""
+    den·s·H^power, H the largest ℓ1 norm of a tail, which is below B/2, so
+    P(B) = 0 only if P = 0: the lowest nonzero coefficient c of den·P would
+    need B | c with 0 < |c| < B.  The tally comes first: nothing is rerun."""
     scale = lcm(*(c.denominator for *_, (_, tail) in terms for c in tail))
     tails = [(v, [(c * scale).numerator for c in tail]) for *_, (v, tail) in terms]
     vmin = min((v for v, tail in tails if tail), default=0)
     h = max((sum(map(abs, tail)) for _, tail in tails), default=0)
-    b = power * h.bit_length() + _SLACK_BITS
-    while True:
-        packed = [
-            (n, pair, horner(tail, 1 << b) << b * (v - vmin))
-            for (n, pair, _), (v, tail) in zip(terms, tails)
-        ]
-        acc, s, den = run(packed, 1 << b)
-        bound = int(2 * den * s * h**power)  # den·s is an integer, as den·k is
-        if bound < 1 << b:
-            return acc
-        b = bound.bit_length()
+    b = int(2 * den * s * h**power).bit_length()  # den·s is an integer, as den·k is
+    return run([horner(tail, 1 << b) << b * (v - vmin) for v, tail in tails], 1 << b)
+
+
+def _tallied(plan, ks):
+    """(plan, Σ|k|, lcm of the denominators of k) over the constants ks."""
+    return plan, sum(map(abs, ks)), lcm(*(k.denominator for k in ks))
 
 
 # -- global identities --------------------------------------------------------
@@ -170,7 +163,13 @@ def check_associativity(algebra, window):
         (Δ ⊗ id)(F) · (F ⊗ 1)  =  (id ⊗ Δ)(F) · (1 ⊗ F)
 
     after projecting zero-degree letters out of the middle slot, on every
-    three-slot component whose degrees all sit inside the window."""
+    three-slot component whose degrees all sit inside the window.
+
+    The plan comes first.  Words are interned to small ids, a component is
+    the int (a·W + b)·W + c, and for each distinct slot word the
+    contributions of its coproduct splits against every slot q are listed
+    once, as (q, key part, k), with their tally.  The pass is then one
+    product per pair of terms and one dict update per contribution."""
     nf = pi_order(algebra).nf_word
     terms = _cleared(canonical_element(algebra, window), window)
     deg = lambda w: mono_degree(algebra, w)
@@ -178,83 +177,99 @@ def check_associativity(algebra, window):
     # ≤ window + deg(x1), a split of y those of degree ≤ window − deg(y2)
     top = lambda d: bisect_right(terms, window + d, key=lambda t: t[0])
     slots = [pair for _, pair, _ in terms]
-    splits = [
-        (
-            [(x1, x2, mult, top(deg(x1))) for x1, x2, mult in mono_splits(x)],
-            [(y1, y2, mult, top(-deg(y2))) for y1, y2, mult in mono_splits(y)],
-        )
-        for x, y in slots
-    ]
-    zfree = {}  # mid-slot products with zero-degree letters projected away
+    ids = {w: i for i, w in enumerate(dict.fromkeys(w for pair in slots for w in pair))}
+    iid = lambda w: ids.setdefault(w, len(ids))
+    zero_free = cache(lambda w: 0 not in map(algebra.degree, w))
+    cell = cache(lambda u, mid: [(iid(w), c) for w, c in nf(u).items() if not mid or zero_free(w)])
+    rows, mids = {}, cache(lambda x2: [iid(x2 + yq) for _, yq in slots])  # x2 + yq is normal
+
+    def row(f, side, n, mid=False):
+        """Per slot q < n, or more (a row only grows): the (id, c) terms of
+        f·u, u = slots[q][side]; only the zero-free ones in the middle slot."""
+        r = rows.setdefault((f, side, mid), [])
+        r += [cell(f + pair[side], mid) for pair in slots[len(r) : n]]
+        return r
+
+    left = {x: [(mult, row(x1, 0, top(deg(x1))), mids(x2)) for x1, x2, mult in mono_splits(x)]
+            for x in dict.fromkeys(x for x, _ in slots)}  # (w1, x2·yq, y)
+    right = {y: [(mult, row(y1, 0, n, True), row(y2, 1, n)) for y1, y2, mult in mono_splits(y)
+                 for n in [top(-deg(y2))]] for y in dict.fromkeys(y for _, y in slots)}  # (x, w2, w3)
+    wb = len(ids).bit_length()  # W = 2^wb
+    keys = [(ids[x] << 2 * wb, ids[y]) for x, y in slots]
+    for x, splits in left.items():
+        left[x] = _tallied(plan := [
+            (q, (a << wb | b) << wb, mult * c1)
+            for mult, cells, ms in splits for q, (cl, b) in enumerate(zip(cells, ms)) for a, c1 in cl
+        ], [k for *_, k in plan])
+    for y, splits in right.items():
+        right[y] = _tallied(plan := [
+            (q, b << wb | c, mult * c2 * c3)
+            for mult, ms, rs in splits for q, (m, r) in enumerate(zip(ms, rs))
+            for b, c2 in m for c, c3 in r
+        ], [k for *_, k in plan])
+    s = sum(left[x][1] + right[y][1] for x, y in slots)
+    den = lcm(*(d for *_, d in (*left.values(), *right.values())))
 
     def run(packed, _):
         acc = {}
-        s, den = 0, 1
-        for (_, (x, y), value), (xsplits, ysplits) in zip(packed, splits):
-            bases = [value * other for *_, other in packed]
-            for x1, x2, mult, n in xsplits:
-                for (xq, yq), base in zip(slots[:n], bases):
-                    mid = x2 + yq  # already normal: negatives then positives
-                    for w1, c1 in nf(x1 + xq).items():
-                        k = mult * c1
-                        key = (w1, mid, y)
-                        acc[key] = acc.get(key, 0) + k * base
-                        s += abs(k)
-                        if type(k) is not int:
-                            den = lcm(den, k.denominator)
-            for y1, y2, mult, n in ysplits:
-                for (xq, yq), base in zip(slots[:n], bases):
-                    mid = zfree.get((y1, xq))
-                    if mid is None:
-                        mid = zfree[(y1, xq)] = [
-                            (w, c) for w, c in nf(y1 + xq).items()
-                            if 0 not in map(algebra.degree, w)
-                        ]
-                    right = nf(y2 + yq).items() if mid else ()
-                    for w2, c2 in mid:
-                        for w3, c3 in right:
-                            k = mult * c2 * c3
-                            key = (x, w2, w3)
-                            acc[key] = acc.get(key, 0) - k * base
-                            s += abs(k)
-                            if type(k) is not int:
-                                den = lcm(den, k.denominator)
-        return acc, s, den
+        get = acc.get
+        for (x, y), (xk, yk), value in zip(slots, keys, packed):
+            bases = [value * other for other in packed]
+            for q, part, k in left[x][0]:
+                key = part | yk
+                acc[key] = get(key, 0) + k * bases[q]
+            for q, part, k in right[y][0]:
+                key = part | xk
+                acc[key] = get(key, 0) - k * bases[q]
+        return acc
 
-    acc = _decide(terms, 2, run)
-    for comp in sorted(acc):
-        if acc[comp]:
-            where = " | ".join(word_name(algebra, w) for w in comp)
-            return CheckResult("associativity", False, f"window {window}: residual at [{where}]")
+    acc = _decide(terms, 2, s, den, run)
+    words, mask = list(ids), (1 << wb) - 1
+    residual = [tuple(words[key >> i & mask] for i in (2 * wb, wb, 0)) for key, v in acc.items() if v]
+    if residual:
+        where = " | ".join(word_name(algebra, w) for w in min(residual))
+        return CheckResult("associativity", False, f"window {window}: residual at [{where}]")
     return CheckResult("associativity", True, f"window {window}: {len(acc)} components vanish")
 
 
 def check_invariance(algebra, window):
     """Every generator, acting on both tensor slots of the canonical element
-    through the module and its mirror, gives zero on all in-window components."""
+    through the module and its mirror, gives zero on all in-window components.
+    The contributions and their tally (per distinct action) come first."""
     terms = _cleared(canonical_element(algebra, window), window)
     deg = lambda w: mono_degree(algebra, w)
+    actions, plans = {}, []
+    for gen in algebra.generators:
+        plans.append(plan := [])
+        for i, (n, (x, y), _) in enumerate(terms):
+            # Contributions landing outside the window belong to components
+            # that are incomplete at this window anyway; skipping them before
+            # acting keeps every bracket inside the window.
+            for side, word, other in ((1, x, y), (-1, y, x)):
+                if n - side * gen.degree > window:
+                    continue
+                act = (gen.id, word, side)
+                if act not in actions:
+                    actions[act] = _tallied(acts := [
+                        (w, p.coeffs) for w, p in letter_action(algebra, *act)
+                        if -side * deg(w) <= window
+                    ], [c for _, cs in acts for c in cs])
+                plan.append((i, side, other, act))
+    s = sum(actions[act][1] for plan in plans for *_, act in plan)
+    den = lcm(*(d for *_, d in actions.values()))
 
     def run(packed, point):
-        accs, s, den = [], 0, 1
-        for gen in algebra.generators:
+        values = {act: [(w, horner(p, point)) for w, p in a] for act, (a, *_) in actions.items()}
+        accs = []
+        for plan in plans:
             accs.append(acc := {})
-            for n, (x, y), tail in packed:
-                # Contributions landing outside the window belong to components
-                # that are incomplete at this window anyway; skipping them before
-                # acting keeps every bracket inside the window.
-                for side, word in ((1, x), (-1, y)):
-                    if n - side * gen.degree > window:
-                        continue
-                    for w, p in letter_action(algebra, gen.id, word, side):
-                        if -side * deg(w) <= window:
-                            key = (w, y) if side > 0 else (x, w)
-                            acc[key] = acc.get(key, 0) + horner(p.coeffs, point) * tail
-                            s += sum(map(abs, p.coeffs))
-                            den = lcm(den, *(c.denominator for c in p.coeffs))
-        return accs, s, den
+            for i, side, other, act in plan:
+                for w, value in values[act]:
+                    key = (w, other) if side > 0 else (other, w)
+                    acc[key] = acc.get(key, 0) + value * packed[i]
+        return accs
 
-    for gen, acc in zip(algebra.generators, _decide(terms, 1, run)):
+    for gen, acc in zip(algebra.generators, _decide(terms, 1, s, den, run)):
         for key in sorted(acc):
             if acc[key]:
                 where = " | ".join(word_name(algebra, w) for w in key)

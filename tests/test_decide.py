@@ -1,6 +1,6 @@
 """The exact zero test behind the global identities: every component is one
-integer, the value of its residual at λ = B = 2^b, and `verify._decide` only
-lets it decide zero once 2·den·s·H^power < B."""
+integer, the value of its residual at λ = B = 2^b, and `verify._decide` packs
+at the width b = bits(2·den·s·H^power) that the check's tally proves."""
 
 from fractions import Fraction
 from math import lcm
@@ -56,22 +56,29 @@ def sums(draw, power):
     return terms, contributions
 
 
+def _tally(power, contributions):
+    """s = Σ|k| and den, the lcm of k's denominators (for power 1, over the
+    coefficients of each k)."""
+    ks = [c for _, k, *_ in contributions for c in ((k,) if power == 2 else k)]
+    return sum(map(abs, ks)), lcm(*(Fraction(c).denominator for c in ks))
+
+
 def _run(power, contributions):
     def run(packed, point):
-        acc, s, den = {}, 0, 1
+        acc = {}
         for key, k, i, j in contributions:
             if power == 2:
-                value = k * packed[i][2] * packed[j][2]
-                size, kden = abs(k), Fraction(k).denominator
+                value = k * packed[i] * packed[j]
             else:
-                value = horner(k, point) * packed[i][2]
-                size, kden = sum(map(abs, k)), lcm(*(Fraction(c).denominator for c in k))
+                value = horner(k, point) * packed[i]
             acc[key] = acc.get(key, 0) + value
-            s += size
-            den = lcm(den, kden)
-        return acc, s, den
+        return acc
 
     return run
+
+
+def _decide(terms, power, contributions):
+    return verify._decide(terms, power, *_tally(power, contributions), _run(power, contributions))
 
 
 def _polynomial_sums(terms, power, contributions):
@@ -89,17 +96,10 @@ def _polynomial_sums(terms, power, contributions):
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_packed_decision_agrees_with_polynomial_sums(data):
-    # with no slack the first pass mostly misses the bound and is run again
     power = data.draw(st.sampled_from([1, 2]))
-    slack = data.draw(st.sampled_from([0, verify._SLACK_BITS]))
     terms, contributions = data.draw(sums(power))
     want = _polynomial_sums(terms, power, contributions)
-    saved = verify._SLACK_BITS
-    verify._SLACK_BITS = slack
-    try:
-        acc = verify._decide(terms, power, _run(power, contributions))
-    finally:
-        verify._SLACK_BITS = saved
+    acc = _decide(terms, power, contributions)
     assert acc.keys() == want.keys()
     assert {key: bool(v) for key, v in acc.items()} == {key: bool(p) for key, p in want.items()}
 
@@ -115,20 +115,19 @@ def test_twins_cancel_exactly():
         1: [("a", (0, 1), 0, 0), ("a", (-1,), 2, 0), ("b", (0, 1), 0, 0), ("b", (-1, 1), 2, 0)],
     }
     for power, contributions in cases.items():
-        acc = verify._decide(terms, power, _run(power, contributions))
+        acc = _decide(terms, power, contributions)
         want = _polynomial_sums(terms, power, contributions)
         assert {key: bool(v) for key, v in acc.items()} == {key: bool(p) for key, p in want.items()}
         assert [key for key, v in sorted(acc.items()) if v] == (["c"] if power == 2 else ["b"])
 
 
-def test_a_zero_at_too_narrow_a_width_is_not_trusted(monkeypatch):
-    # with no slack the first width is b = power·bits(H) = power here (H = 1):
-    # 2 − λ vanishes at B = 2 and 4 − λ at B = 4, but the tallies
-    # 2·s·H^power = 6 and 10 miss the bound, and the rerun wider finds both
-    monkeypatch.setattr(verify, "_SLACK_BITS", 0)
+def test_a_zero_at_too_narrow_a_width_is_not_trusted():
+    # 2 − λ vanishes at B = 2 and 4 − λ at B = 4 (H = 1), the widths that
+    # power·bits(H) alone would give; the tallies 2·s·H^power = 6 and 10 pack
+    # at B = 8 and B = 16 instead, where both are nonzero
     terms = [(0, (0,), (0, (1,))), (1, (1,), (1, (1,)))]
     for power, contributions, value in (
         (1, [("p", (2, -1), 0, 0)], 2 - 8),
         (2, [("p", 4, 0, 0), ("p", -1, 0, 1)], 4 - 16),
     ):
-        assert verify._decide(terms, power, _run(power, contributions)) == {"p": value}
+        assert _decide(terms, power, contributions) == {"p": value}

@@ -3,6 +3,7 @@
 import hashlib
 import json
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,6 +12,7 @@ import pytest
 from starprod import cli, verify
 from starprod.lie import GradedLieAlgebra, heisenberg, random_two_step, sl2, virasoro
 from starprod.scalars import Polynomial
+from starprod.uea import mono_degree, mono_splits, pi_order
 from starprod.shapovalov import canonical_element
 from starprod.star import star_series
 from starprod.verify import (
@@ -88,6 +90,12 @@ def test_tampering_breaks_associativity():
     ):
         result = check_associativity(_tampered(alg, 2, 2), 2)
         assert (result.passed, result.detail) == (False, detail)
+    # the smallest residual word triple, not the smallest interned key
+    result = check_associativity(_tampered(virasoro(1, 1, cutoff=3), 3, 2), 3)
+    assert (result.passed, result.detail) == (
+        False,
+        "window 3: residual at [L-3 | L-1^2 L1^2 | L1^3]",
+    )
 
 
 def test_tampering_breaks_invariance():
@@ -278,10 +286,25 @@ def test_rational_brackets_and_character(capsys):
     assert (result.passed, result.detail) == (True, "window 4: 55 components vanish")
 
 
+def _packings(monkeypatch):
+    """Record (terms, power, s, den, B) of every packing `_decide` makes."""
+    seen = []
+    real = verify._decide
+
+    def spy(terms, power, s, den, run):
+        def spied(packed, point):
+            seen.append((terms, power, s, den, point))
+            return run(packed, point)
+
+        return real(terms, power, s, den, spied)
+
+    monkeypatch.setattr(verify, "_decide", spy)
+    return seen
+
+
 @pytest.mark.parametrize("check", [check_associativity, check_invariance])
-def test_a_narrow_first_width_is_widened_to_the_same_result(check, monkeypatch):
-    # with no slack the first pass misses 2·den·s·H^power < B on every input
-    # here; the second pass, at the width the tally asks for, decides
+def test_one_packing_at_the_tally_width(check, monkeypatch):
+    # pinned results, each from one packing at b = bits(2·den·s·H^power)
     algebras = [
         lambda: virasoro(1, 1, cutoff=3),
         lambda: random_two_step(17),
@@ -289,21 +312,76 @@ def test_a_narrow_first_width_is_widened_to_the_same_result(check, monkeypatch):
         lambda: _tampered(virasoro(1, 1, cutoff=3), 3, 2),
         lambda: _tampered(_rational(), 3, 3),
     ]
-    want = [check(make(), 3) for make in algebras]
-    passes = []
-    real = verify._decide
+    want = {
+        check_associativity: [
+            "window 3: 340 components vanish",
+            "window 3: 29273 components vanish",
+            "window 3: 681 components vanish",
+            "window 3: residual at [L-3 | L-1^2 L1^2 | L1^3]",
+            "window 3: residual at [f1 | f1^2 | e1^3]",
+        ],
+        check_invariance: ["window 3: all generators annihilate the element"] * 3 + [
+            "generator L-2 leaves a residual at [L-1^2 | 1]",
+            "generator f1 leaves a residual at [f1^3 | e1^2]",
+        ],
+    }[check]
+    seen = _packings(monkeypatch)
+    for make, detail, passed in zip(algebras, want, [True] * 3 + [False] * 2):
+        del seen[:]
+        result = check(make(), 3)
+        assert (result.passed, result.detail) == (passed, detail)
+        [(terms, power, s, den, point)] = seen
+        scale = lcm(*(c.denominator for *_, (_, tail) in terms for c in tail))
+        h = max(sum(abs(c * scale) for c in tail) for *_, (_, tail) in terms)
+        assert (power, point) == (2 if check is check_associativity else 1, 1 << int(2 * den * s * h**power).bit_length())
 
-    def counted(terms, power, run):
-        def counted_run(packed, point):
-            passes.append(point)
-            return run(packed, point)
 
-        return real(terms, power, counted_run)
+def _brute_tally(alg, window):
+    """Σ|k| and the lcm of k's denominators over every contribution of the
+    associativity pass, enumerated term pair by term pair."""
+    nf = pi_order(alg).nf_word
+    terms = _cleared(canonical_element(alg, window), window)
+    deg = lambda w: mono_degree(alg, w)
+    ks = []
+    for _, (x, y), _ in terms:
+        for n, (xq, yq), _ in terms:
+            for x1, _, mult in mono_splits(x):
+                if n <= window + deg(x1):
+                    ks += [mult * c1 for c1 in nf(x1 + xq).values()]
+            for y1, y2, mult in mono_splits(y):
+                if n <= window - deg(y2):
+                    ks += [
+                        mult * c2 * c3
+                        for w2, c2 in nf(y1 + xq).items() if all(map(alg.degree, w2))
+                        for c3 in nf(y2 + yq).values()
+                    ]
+    return sum(map(abs, ks)), lcm(*(Fraction(k).denominator for k in ks))
 
-    monkeypatch.setattr(verify, "_decide", counted)
-    monkeypatch.setattr(verify, "_SLACK_BITS", 0)
-    for make, result in zip(algebras, want):
-        del passes[:]
-        assert check(make(), 3) == result
-        assert len(passes) == 2 and passes[0] < passes[1]
-    assert [r.passed for r in want] == [True, True, True, False, False]
+
+def _sl3_halves():
+    """sl3 in the principal grading with e12 and f2 doubled, so that
+    [e1, e2] = e12/2 and [f12, e1] = f2/2."""
+    spec = json.loads((RATIONAL.parent / "sl3_principal.json").read_text(encoding="utf-8"))
+    scale = {"e12": 2, "f2": 2}
+    for bracket in spec["brackets"]:
+        for term in bracket["terms"]:
+            c = Fraction(term["coeff"]) * scale.get(bracket["a"], 1) * scale.get(bracket["b"], 1)
+            term["coeff"] = str(c / scale.get(term["gen"], 1))
+    return GradedLieAlgebra.from_json(spec)
+
+
+def test_the_plan_tally_is_the_brute_force_tally(monkeypatch):
+    seen = _packings(monkeypatch)
+    for make, window in (
+        (lambda: random_two_step(17), 3),
+        (_rational, 3),
+        (lambda: virasoro(1, 1, cutoff=4), 4),
+        (_sl3_halves, 3),
+    ):
+        del seen[:]
+        assert check_associativity(make(), window).passed
+        [(*_, s, den, _)] = seen
+        assert (s, den) == _brute_tally(make(), window)
+    # on the halved sl3, c2 = c3 = -1/2 meet in one constant k = 1/4: den is
+    # the denominator of the product, 4, where the factors' lcm would give 2
+    assert den == 4
