@@ -17,10 +17,8 @@ Gauss–Jordan elimination on each [A_b | I], which yields the dets and the
 adjugate as polynomials; the result is accepted only after A·adj = det·I is
 checked in ℚ[λ], block by block.  An inverse entry stays a numerator over
 the whole det A; no arithmetic in ℚ(λ) is ever done.  Where det A alone is
-wanted (`pairing_determinant`), the elimination runs forward only, and each
-block's det is accepted only after it matches the integer determinants of
-the block at D_b + 1 points, D_b = Σ len x over its rows the bound on its
-λ-degree.
+wanted (`pairing_determinant`), each block's det, of λ-degree ≤ D_b = Σ len x
+over its rows, is interpolated exactly from its integer dets at λ = 0…D_b.
 
 `star_series` needs only the first ħ-coefficients of each inverse entry at
 λ = 1/ħ, so it takes a second route (`series_component`): the pairing matrix
@@ -43,7 +41,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import count
+from math import factorial, gcd
 
 from .errors import CertificateError, CutoffExceededError, SingularCharacterError
 from .scalars import (
@@ -282,22 +281,25 @@ def invert_pairing(matrix):
 
 
 def pairing_determinant(algebra, n, tie_break="desc"):
-    """(basis, matrix, det) at degree n: the memoized pairing matrix and its
-    determinant alone, det = sign·Π det(block) over its `blocks`, each by
-    forward fraction-free elimination, with no inverse.  Raises
-    SingularCharacterError when det = 0.
-
-    Each block's det is certified first; a 1×1 block is its own det.  Row k of
-    the matrix has λ-degree at most len x_k (`pairing_matrix` enforces it), so
-    a block's det has degree ≤ D = Σ len x_k over its rows.  A computed det
-    above D fails, and so does one whose value at any of λ = 0, 1, …, D
-    differs from the determinant of the block evaluated there, taken by a
-    separate elimination in plain integers (`_integer_det`).  Two polynomials
-    of degree ≤ D that agree at D + 1 points are equal, so a pass is a proof.
-    A failure raises CertificateError naming the algebra, the degree and, when
-    there are several, the block's rows."""
+    """(basis, matrix, det) at degree n: the memoized pairing matrix and its det
+    alone (`_interpolated_det`).  Raises SingularCharacterError when det = 0."""
     basis, matrix = pairing_matrix(algebra, n, tie_break)
-    sign, parts = blocks(matrix)
+    det = _interpolated_det(matrix, [len(x) for x in basis.minus], f"{algebra.name}: degree {n}: ")
+    if det.is_zero:
+        raise SingularCharacterError(f"{algebra.name}: pairing matrix at degree {n} is singular")
+    return basis, matrix, det
+
+
+def _interpolated_det(matrix, lengths, where):
+    """sign·Π det(block) / d^n over the `blocks` of d·A (`clear_denominators`).
+    Row k has λ-degree ≤ lengths[k], so det A_b has degree ≤ D = Σ lengths over
+    its rows and is interpolated from its `_integer_det`s at λ = 0…D.  By
+    `determinant`, its λ^D coefficient must be det N₀ (the rows' λ^lengths[k]
+    coefficients) and its value at D + 1 det A_b(D + 1); sign·Π must match
+    `_integer_det` of d·A at the first nonzero x > Σ lengths.  CertificateError
+    otherwise, led by `where` and the block's rows."""
+    d, cleared = clear_denominators(matrix)
+    sign, parts = blocks(cleared)
     det = Polynomial([sign])
     for rows, _, block in parts:
         if not det:
@@ -305,53 +307,76 @@ def pairing_determinant(algebra, n, tie_break="desc"):
         if len(block) == 1:
             det = det * block[0][0]
             continue
-        det_b = determinant(block)
-        where = f"{algebra.name}: degree {n}: "
-        if len(parts) > 1:
-            where += f"block at rows {rows}: "
-        _certify_det(block, det_b, sum(len(basis.minus[i]) for i in rows), where)
-        det = det * det_b
-    if det.is_zero:
-        raise SingularCharacterError(f"{algebra.name}: pairing matrix at degree {n} is singular")
-    return basis, matrix, det
+        at = where + (f"block at rows {rows}: " if len(parts) > 1 else "")
+        ells = [lengths[i] for i in rows]
+        top = sum(ells)
+        coeffs = _interpolate([_integer_det(_at(block, x)) for x in range(top + 1)], at)
+        n0 = [[Polynomial(e.coeffs[ell:]) for e in row] for row, ell in zip(block, ells)]
+        if determinant(n0) != Polynomial(coeffs[top:]):
+            raise CertificateError(f"{at}det's λ^{top} coefficient differs from det N₀")
+        value = [[Polynomial([v]) for v in row] for row in _at(block, top + 1)]
+        if determinant(value) != Polynomial([horner(coeffs, top + 1)]):
+            raise CertificateError(f"{at}det differs from det A at λ = {top + 1}")
+        det = det * Polynomial(coeffs)
+    if len(parts) > 1 and det:
+        x = next(x for x in count(sum(lengths) + 1) if horner(det.coeffs, x))
+        if horner(det.coeffs, x) != _integer_det(_at(cleared, x)):
+            raise CertificateError(f"{where}sign·Π det(block) differs from det A at λ = {x}")
+    return det.scale(Fraction(1, d ** len(matrix))) if d > 1 else det
 
 
-def _certify_det(block, det, bound, where):
-    """Raise CertificateError, its message led by `where`, unless det has
-    λ-degree ≤ bound and equals det(block) at λ = 0, 1, …, bound."""
-    if det.degree > bound:
-        raise CertificateError(
-            f"{where}det has λ-degree {det.degree}, above the bound Σ len = {bound}"
-        )
-    d, cleared = clear_denominators(block)
-    scale = d ** len(block)
-    for x in range(bound + 1):
-        at_x = [[horner(e.coeffs, x) for e in row] for row in cleared]
-        if horner(det.coeffs, x) * scale != _integer_det(at_x):
-            raise CertificateError(
-                f"{where}det certificate det(λ) = det A(λ) fails at λ = {x}"
-            )
+def _at(matrix, x):
+    return [[horner(e.coeffs, x) for e in row] for row in matrix]
+
+
+def _interpolate(values, where):
+    """Ascending coefficients of the integer polynomial of degree ≤ D through
+    (x, values[x]), x = 0…D: Newton's c_k = Δ^k v(0) / k!, and
+    c_0 + λ(c_1 + (λ − 1)(c_2 + …)) multiplied out (von zur Gathen & Gerhard,
+    Modern Computer Algebra, ch. 5).  CertificateError if k! ∤ Δ^k v(0)."""
+    v, newton, top = list(values), [], len(values) - 1
+    for k in range(top + 1):
+        c, rem = divmod(v[0], factorial(k))
+        if rem:
+            raise CertificateError(f"{where}det values at λ = 0…{top} fit no integer polynomial")
+        newton.append(c)
+        v = [b - a for a, b in zip(v, v[1:])]
+    coeffs = []
+    for k in range(top, -1, -1):  # coeffs ← coeffs·(λ − k) + c_k
+        coeffs = [a - k * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        coeffs[0] += newton[k]
+    return coeffs
 
 
 def _integer_det(rows):
-    """det of a square integer matrix by Bareiss elimination in ℤ, kept apart
-    from the ℤ[λ] kernel it certifies."""
-    m = [list(row) for row in rows]
-    size, sign, prev = len(m), 1, 1
+    """det of a square integer matrix, apart from the ℤ[λ] kernel.  A row is
+    mul/div times a primitive vector; clearing column k takes row ← (p·row −
+    f·top)/g (g its gcd), mul ← mul·g, div ← div·p, and skips a row with f = 0,
+    so scattered blocks cost what the blocks do.  det = ±Π mul·p/div."""
+    m = [[1, 1, list(row)] for row in rows]  # [mul, div, row]
+    size, num, den = len(m), 1, 1
     for k in range(size):
-        piv = next((r for r in range(k, size) if m[r][k]), None)
+        piv = next((r for r in range(k, size) if m[r][2][k]), None)
         if piv is None:
             return 0
         if piv != k:
             m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        top, p = m[k], m[k][k]
-        for row in m[k + 1:]:
+            num = -num
+        mul, div, top = m[k]
+        p, top = top[k], top[k + 1:]
+        num, den = num * mul * p, den * div
+        g = gcd(num, den)
+        num, den = num // g, den // g
+        for entry in m[k + 1:]:
+            row = entry[2]
             f = row[k]
-            for j in range(k + 1, size):
-                row[j] = (row[j] * p - f * top[j]) // prev
-        prev = p
-    return sign * prev
+            if f:
+                new = [p * a - f * b for a, b in zip(row[k + 1:], top)]
+                g = gcd(*new)
+                row[k + 1:] = [a // g for a in new] if g > 1 else new
+                entry[0] *= g
+                entry[1] *= p
+    return num // den
 
 
 # -- the canonical element ---------------------------------------------------

@@ -1,6 +1,7 @@
 """The fraction-free elimination kernel, Gauss–Jordan (`adjugate`) and
-forward-only (`determinant`), run block by block, against sympy's det and
-adjugate; and the per-block certificates against a tampered kernel."""
+forward-only (`determinant`), run block by block, and the det interpolated
+from integer dets (`_interpolated_det`), against sympy's det and adjugate;
+and the per-block certificates against a tampered kernel or block sign."""
 
 import json
 from fractions import Fraction
@@ -8,11 +9,17 @@ from pathlib import Path
 
 import pytest
 
-from starprod import scalars
+from starprod import scalars, shapovalov
 from starprod.errors import CertificateError, SingularCharacterError
 from starprod.lie import GradedLieAlgebra
 from starprod.scalars import ZERO_POLY, Polynomial, adjugate, blocks, determinant
-from starprod.shapovalov import inverse_series, invert_pairing, pairing_determinant, pairing_matrix
+from starprod.shapovalov import (
+    _interpolated_det,
+    inverse_series,
+    invert_pairing,
+    pairing_determinant,
+    pairing_matrix,
+)
 
 sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
@@ -188,3 +195,72 @@ def test_a_wrong_block_fails_its_certificate(monkeypatch, wrong):
         pairing_determinant(algebra, 4)
     with pytest.raises(CertificateError, match="^ħ-adic inverse certificate"):
         inverse_series(matrix, lengths, 4)
+
+
+@st.composite
+def bounded_matrices(draw):
+    """(rows, lengths): block-diagonal matrices of at most 6 rows in blocks of
+    1–3, rows and columns shuffled, each entry of row k of λ-degree at most
+    lengths[k] ≤ 3.  Rational draws get a coefficient over 3, 4 or 12, so
+    d > 1; some blocks repeat a row (singular), and a row may stay below its
+    bound (a zero row of N₀)."""
+    rational = draw(st.booleans())
+    coeff = RATIONALS if rational else INTEGERS
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(lambda s: sum(s) <= 6))
+    n = sum(sizes)
+    lengths = [draw(st.integers(0, 3)) for _ in range(n)]
+    base = [[ZERO_POLY] * n for _ in range(n)]
+    top = 0
+    for size in sizes:
+        for i in range(top, top + size):
+            for j in range(top, top + size):
+                base[i][j] = Polynomial(draw(st.lists(coeff, max_size=lengths[i] + 1)))
+        if size > 1 and draw(st.booleans()):
+            last = top + size - 1  # a multiple of the block's first row
+            lengths[last] = max(lengths[last], lengths[top])
+            base[last] = [e.scale(draw(coeff)) for e in base[top]]
+        top += size
+    if rational:
+        i = draw(st.integers(0, n - 1))
+        extra = Fraction(draw(st.sampled_from([1, -5])), draw(st.sampled_from([3, 4, 12])))
+        base[i][i] = base[i][i] + Polynomial([extra])
+    rperm = draw(st.permutations(range(n)))
+    cperm = draw(st.permutations(range(n)))
+    return [[base[i][j] for j in cperm] for i in rperm], [lengths[i] for i in rperm]
+
+
+@settings(max_examples=100, deadline=None)
+@given(bounded_matrices())
+@example(([[_p(1, 2), _p(3)], [_p(Fraction(1, 3), 1), _p(0, 0, 5)]], [1, 2]))  # d = 3
+@example(([[_p(0, 1), _p(2)], [_p(1), _p(4)]], [1, 1]))  # row 1 below its bound: N₀ is singular
+@example(([[ZERO_POLY, _p(1, 1), ZERO_POLY], [_p(2), ZERO_POLY, ZERO_POLY],
+           [ZERO_POLY, _p(0, 3), _p(Fraction(1, 4))]], [1, 0, 1]))  # two blocks, an odd sign
+@example(([[_p(1, 1), _p(0, 1)], [_p(2, 2), _p(0, 2)]], [1, 1]))  # singular
+@example(([[_p(1), _p(2), ZERO_POLY], [ZERO_POLY, ZERO_POLY, _p(3)],
+           [ZERO_POLY, ZERO_POLY, _p(1)]], [0, 0, 0]))  # singular by its pattern
+def test_interpolated_det_matches_sympy(case):
+    rows, lengths = case
+    assert all(e.degree <= ell for row, ell in zip(rows, lengths) for e in row)
+    det = _interpolated_det(rows, lengths, "")
+    assert det == determinant(rows)
+    ring = sympy.QQ[LAM]
+    ref = DomainMatrix([[ring.from_sympy(_sympy(e)) for e in row] for row in rows],
+                       (len(rows), len(rows)), ring)
+    assert ring.from_sympy(_sympy(det)) == ref.det()
+
+
+def test_a_flipped_block_sign_fails_the_whole_matrix_check(monkeypatch):
+    # the blocks' dets are each certified, so only the whole matrix at a point
+    # sees the sign of the permutations: D = Σ len = 31 at degree 4, and the
+    # det is nonzero at λ = 32
+    algebra = GradedLieAlgebra.from_json(json.loads(SL3.read_text(encoding="utf-8")))
+    real = shapovalov.blocks
+
+    def flipped(matrix):
+        sign, parts = real(matrix)
+        return -sign, parts
+
+    monkeypatch.setattr(shapovalov, "blocks", flipped)
+    with pytest.raises(CertificateError) as failure:
+        pairing_determinant(algebra, 4)
+    assert str(failure.value) == "sl3: degree 4: sign·Π det(block) differs from det A at λ = 32"

@@ -14,7 +14,6 @@ from pathlib import Path
 from starprod import cli, shapovalov, verify
 from starprod.cli import main
 from starprod.lie import GradedLieAlgebra, Generator, random_two_step, sl2
-from starprod.scalars import Polynomial
 
 
 def _run(capsys, *argv):
@@ -135,20 +134,33 @@ def test_pairing_order_flag(capsys):
 
 
 def test_pairing_det_certificate_catches_a_wrong_kernel(capsys, monkeypatch):
-    # a det off by a factor, a sign or a term above deg ≤ Σ len = 6 exits 2;
-    # det vanishes at λ = 0 and 1, so the values first differ at λ = 2
-    real = shapovalov.determinant
+    # Virasoro at degree 3 is one 3×3 block with D = Σ len = 6: its det is
+    # interpolated from the integer dets at λ = 0…6 and checked by the
+    # independent kernel `determinant`, at N₀ and at λ = 7.  One wrong value
+    # fits no integer polynomial, values all off by one fit one that fails at
+    # λ = 7, and a scaled `determinant` fails at N₀; each exits 2, naming the
+    # algebra and the degree
+    integer_det, determinant = shapovalov._integer_det, shapovalov.determinant
     vir = ("pairing", "--builtin", "virasoro", "--param", "delta=1", "--param", "c=1")
-    failures = {
-        lambda det: det.scale(2): "det certificate det(λ) = det A(λ) fails at λ = 2",
-        lambda det: -det: "det certificate det(λ) = det A(λ) fails at λ = 2",
-        lambda det: det + Polynomial([0] * 7 + [1]): "det has λ-degree 7, above the bound Σ len = 6",
-    }
-    for wrong, message in failures.items():
-        monkeypatch.setattr(shapovalov, "determinant", lambda matrix, wrong=wrong: wrong(real(matrix)))
-        code, out, err = _run(capsys, *vir, "--degree", "3")
+
+    calls = []
+
+    def one_wrong_value(rows):  # the value at λ = 3 is off by one
+        calls.append(rows)
+        return integer_det(rows) + (len(calls) == 4)
+
+    failures = [
+        ("_integer_det", one_wrong_value, "det values at λ = 0…6 fit no integer polynomial"),
+        ("_integer_det", lambda rows: integer_det(rows) + 1, "det differs from det A at λ = 7"),
+        ("determinant", lambda m: determinant(m).scale(2), "det's λ^6 coefficient differs from det N₀"),
+    ]
+    for name, wrong, message in failures:
+        with monkeypatch.context() as patch:
+            patch.setattr(shapovalov, name, wrong)
+            code, out, err = _run(capsys, *vir, "--degree", "3")
         assert (code, out) == (2, "")
         assert err == f"error: virasoro: degree 3: {message}\n"
+    assert _run(capsys, *vir, "--degree", "3")[0] == 0
 
 
 def test_sl3_blocks_print_the_recorded_bytes(capsys):

@@ -336,14 +336,14 @@ def _kac_determinant(sympy, lam, n, delta, c):
 def test_virasoro_dets_match_kac_determinant():
     # a change of basis in U(n₋) does not involve λ, so det_n / Kac_n is one
     # nonzero rational constant per degree, whatever Δ and c are; the dets
-    # come from the det-only route through degree 7
+    # come from the det-only route through degree 8
     sympy = pytest.importorskip("sympy")
     lam = sympy.Symbol("lam")
     ratios = []
     for delta, c in ((1, 1), (2, 2), (1, 2)):
-        alg = virasoro(delta, c, cutoff=7)
+        alg = virasoro(delta, c, cutoff=8)
         row = []
-        for n in range(1, 8):
+        for n in range(1, 9):
             det = pairing_determinant(alg, n)[2]
             det = sympy.Poly([sympy.Rational(k) for k in reversed(det.coeffs)], lam, domain="QQ")
             kac = _kac_determinant(sympy, lam, n, delta, c)
