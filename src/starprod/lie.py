@@ -62,16 +62,12 @@ class Memo:
 
     `pairings` holds the pairing matrix of each degree asked for, rows as
     tuples in the "desc" basis order, which the other order permutes;
-    `components` holds the exact components over ℚ(λ) per basis tie-break;
-    `series` holds the certified ħ-adic series of `star_series` per degree
-    alone, each at the highest ħ-order asked so far, so a lower order reads a
-    prefix and a higher one rebuilds the entry."""
+    `components` holds the exact components over ℚ(λ) per basis tie-break."""
 
     orders: dict = field(default_factory=dict)  # segments -> uea.BasisOrder
     actions: dict = field(default_factory=dict)  # (side, letter, module word) -> terms
     pairings: dict = field(default_factory=dict)  # degree -> (basis, rows)
     components: dict = field(default_factory=dict)  # (degree, tie_break) -> (basis, nums, det)
-    series: dict = field(default_factory=dict)  # degree -> (order, {(x, y): ħ-coefficients})
 
 
 class GradedLieAlgebra:

@@ -227,11 +227,12 @@ def clear_denominators(matrix):
 
 
 def _bareiss(matrix, gauss_jordan):
-    """Fraction-free elimination on d·A (`clear_denominators`), so each
-    intermediate is a minor in ℤ[λ] and each division by the previous pivot is
-    exact.  As Gauss–Jordan, [d·A | I] is cleared above and below each pivot;
-    otherwise d·A alone, below it only.  Returns (rows, prev, sign, d), prev = det(P·dA)
-    = sign·d^n·det(A) for the row permutation P, or None if A is singular."""
+    """(adj, det) of A over ℚ[λ] by fraction-free elimination on d·A
+    (`clear_denominators`): each intermediate is a minor in ℤ[λ], and each
+    division by the previous pivot is exact.  Gauss–Jordan clears [d·A | I]
+    above and below each pivot; forward, d·A below it only, and adj is None.
+    The last pivot sign·d^n·det A and the right block sign·d^(n−1)·adj A, sign
+    that of the row swaps, are divided back here.  (None, ZERO_POLY) if singular."""
     n = len(matrix)
     d, rows = clear_denominators(matrix)
     if gauss_jordan:
@@ -242,11 +243,17 @@ def _bareiss(matrix, gauss_jordan):
     for k in range(n):
         step = _eliminate(rows, nonzero, k, prev, 0 if gauss_jordan else k + 1)
         if step is None:
-            return None
+            return None, ZERO_POLY
         prev, swapped = step
         if swapped:
             sign = -sign
-    return rows, prev, sign, d
+    adj = [row[n:] for row in rows] if gauss_jordan else None
+    if sign > 0 and d == 1:
+        return adj, prev
+    k = Fraction(sign, d ** (n - 1))
+    if adj is not None:
+        adj = [[e.scale(k) for e in row] for row in adj]
+    return adj, prev.scale(k / d)
 
 
 def _perm_sign(perm):
@@ -293,19 +300,15 @@ def blocks(matrix):
                   for rows, cols in parts]
 
 
-def _adjugate(block):
-    """(adj, det) of one block by Gauss–Jordan `_bareiss`, (None, ZERO_POLY)
-    if it is singular."""
-    n = len(block)
-    run = _bareiss(block, True)
-    if run is None:
-        return None, ZERO_POLY
-    rows, prev, sign, d = run
-    # the right block is det(P·dA)·(dA)⁻¹ = sign·adj(dA) = sign·d^(n-1)·adj(A)
-    if sign > 0 and d == 1:
-        return [row[n:] for row in rows], prev
-    k = Fraction(sign, d ** (n - 1))
-    return [[e.scale(k) for e in row[n:]] for row in rows], prev.scale(k / d)
+def product(factors):
+    """The product of one or more polynomials, multiplied in pairs up a
+    balanced tree, so many short factors never make one long product grow by
+    a short one at a time."""
+    level = list(factors)
+    while len(level) > 1:
+        paired = [a * b for a, b in zip(level[::2], level[1::2])]
+        level = paired + level[-1:] if len(level) % 2 else paired
+    return level[0]
 
 
 def adjugate(matrix):
@@ -317,14 +320,12 @@ def adjugate(matrix):
     sign, parts = blocks(matrix)
     if not sign:
         return None, ZERO_POLY
-    solved = [_adjugate(block) for _, _, block in parts]
+    solved = [_bareiss(block, True) for _, _, block in parts]
     if any(adj_b is None for adj_b, _ in solved):
         return None, ZERO_POLY
     if len(parts) == 1:
         return solved[0]
-    det = Polynomial([sign])
-    for _, det_b in solved:
-        det = det * det_b
+    det = product([Polynomial([sign])] + [det_b for _, det_b in solved])
     adj = [[ZERO_POLY] * len(matrix) for _ in matrix]
     for (rows, cols, _), (adj_b, det_b) in zip(parts, solved):
         cof = det.exact_div(det_b)
@@ -339,16 +340,9 @@ def determinant(matrix):
     """det A over ℚ[λ], sign·Π det(block) over the `blocks`, each by forward
     `_bareiss`; ZERO_POLY if A is singular."""
     sign, parts = blocks(matrix)
-    det = Polynomial([sign])
-    for _, _, block in parts:
-        if not det:
-            break
-        run = _bareiss(block, False)
-        if run is None:
-            return ZERO_POLY
-        _, prev, s, d = run
-        det = det * prev.scale(Fraction(s, d ** len(block)))
-    return det
+    if not sign:
+        return ZERO_POLY
+    return product([Polynomial([sign])] + [_bareiss(block, False)[1] for _, _, block in parts])
 
 
 class RationalFunction:

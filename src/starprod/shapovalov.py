@@ -31,10 +31,10 @@ expanded at λ = ∞.
 
 Each degree's pairing matrix is built once per algebra, in its
 `memo.pairings`, and read by every route and check (the "asc" basis order
-permutes it); each component of the canonical element is built once, in
-`memo.components`.  The series of `star_series` are kept apart, in
-`memo.series`, so the verify check that compares the two routes never
-compares a route with itself.
+permutes it); each exact component of the canonical element is built once, in
+`memo.components`.  The series of `star_series` are not kept: each is lifted
+afresh from the memoized matrix, so the verify check that compares the two
+routes never compares a route with a stored copy of either.
 """
 
 from __future__ import annotations
@@ -56,8 +56,9 @@ from .scalars import (
     determinant,
     expand_at_infinity,
     horner,
+    product,
 )
-from .uea import antipode, char_eval, letter_action, mono_degree, multiply, phi, phi_order
+from .uea import antipode, char_eval, letter_action, mono_degree, multiply, phi, phi_order, word_name
 
 
 @dataclass(frozen=True)
@@ -235,8 +236,9 @@ def _next_degree(algebra, n, window):
                 if v:
                     value = value + p * v
             if value.degree > min(len(x), size):
+                where = f"{word_name(algebra, x)} | {word_name(algebra, (g, *rest))}"
                 raise CertificateError(
-                    f"{algebra.name}: pairing entry of λ-degree {value.degree} "
+                    f"{algebra.name}: pairing entry [{where}] of λ-degree {value.degree} "
                     f"exceeds its bound at degree {n}"
                 )
             row.append(-value)
@@ -300,12 +302,12 @@ def _interpolated_det(matrix, lengths, where):
     otherwise, led by `where` and the block's rows."""
     d, cleared = clear_denominators(matrix)
     sign, parts = blocks(cleared)
-    det = Polynomial([sign])
+    dets = [Polynomial([sign])]
     for rows, _, block in parts:
-        if not det:
+        if not dets[-1]:
             break
         if len(block) == 1:
-            det = det * block[0][0]
+            dets.append(block[0][0])
             continue
         at = where + (f"block at rows {rows}: " if len(parts) > 1 else "")
         ells = [lengths[i] for i in rows]
@@ -317,7 +319,8 @@ def _interpolated_det(matrix, lengths, where):
         value = [[Polynomial([v]) for v in row] for row in _at(block, top + 1)]
         if determinant(value) != Polynomial([horner(coeffs, top + 1)]):
             raise CertificateError(f"{at}det differs from det A at λ = {top + 1}")
-        det = det * Polynomial(coeffs)
+        dets.append(Polynomial(coeffs))
+    det = product(dets)
     if len(parts) > 1 and det:
         x = next(x for x in count(sum(lengths) + 1) if horner(det.coeffs, x))
         if horner(det.coeffs, x) != _integer_det(_at(cleared, x)):
@@ -567,9 +570,8 @@ def _certify(hrows, vectors, den, c, name):
 
 def series_component(algebra, n, order):
     """{(x, y): coefficients of ħ^0 … ħ^order} of the degree-n component of
-    the canonical element, memoized in `memo.series` by n alone (it does not
-    depend on the basis order, `check_canonicity`) at the highest order asked
-    so far (a lower order reads a prefix).
+    the canonical element, a function of the memoized pairing matrix alone:
+    nothing of the series is kept, so each call lifts afresh.
 
     The coefficients come from `inverse_series` of the pairing matrix, with
     row bounds the word lengths.  Where that route does not apply (a singular
@@ -580,17 +582,11 @@ def series_component(algebra, n, order):
     n (`check_nonsingular`) takes that fallback.
     Raises CertificateError, naming the algebra and the degree, when the
     certificate of the ħ-adic inverse fails."""
-    hit = algebra.memo.series.get(n)
-    if hit is not None and hit[0] >= order:
-        return hit[1]
     basis, matrix = pairing_matrix(algebra, n)
     try:
         inv = inverse_series(matrix, [len(x) for x in basis.minus], order)
     except CertificateError as exc:
         raise CertificateError(f"{algebra.name}: degree {n}: {exc}") from None
     if inv is None:
-        terms = expanded_component(algebra, n, order)
-    else:
-        terms = {(basis.minus[c], basis.plus[l]): cs for (l, c), cs in inv.items()}
-    algebra.memo.series[n] = (order, terms)
-    return terms
+        return expanded_component(algebra, n, order)
+    return {(basis.minus[c], basis.plus[l]): cs for (l, c), cs in inv.items()}

@@ -71,7 +71,7 @@ def _collect(component, algebra, max_order, slot_degree_limit):
     orders[0][((), ())] = Fraction(1)
     for n in range(1, limit + 1):
         for pair, coeffs in component(algebra, n, max_order).items():
-            for m, c in enumerate(coeffs[: max_order + 1]):
+            for m, c in enumerate(coeffs):
                 if c:
                     orders[m][pair] = c
     return StarProduct(algebra, max_order, limit, orders)

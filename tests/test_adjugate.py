@@ -162,16 +162,15 @@ def test_blocks_match_sympy(rows):
 
 
 def _tamper(monkeypatch, wrong):
-    """Apply wrong() to the det of every block of two rows or more that the
-    kernel eliminates, and leave the rest of each elimination as it is."""
+    """Apply wrong() to the det of every nonsingular block of two rows or more
+    that the kernel eliminates, and leave its adjugate as it is."""
     real = scalars._bareiss
 
     def tampered(matrix, gauss_jordan):
-        run = real(matrix, gauss_jordan)
-        if run is None or len(matrix) < 2:
-            return run
-        rows, prev, sign, d = run
-        return rows, wrong(prev), sign, d
+        adj, det = real(matrix, gauss_jordan)
+        if not det or len(matrix) < 2:
+            return adj, det
+        return adj, wrong(det)
 
     monkeypatch.setattr(scalars, "_bareiss", tampered)
 

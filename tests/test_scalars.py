@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from starprod.errors import PoleAtInfinityError
@@ -16,6 +16,7 @@ from starprod.scalars import (
     expand_at_infinity,
     frac_from_str,
     frac_to_str,
+    product,
     series_ratio,
 )
 
@@ -152,6 +153,20 @@ def test_polynomial_ring_axioms(p, q, r):
         assert hash(a) == hash(b)
     as_fractions = Polynomial([Fraction(c) for c in p.coeffs])
     assert as_fractions == p and hash(as_fractions) == hash(p)
+
+
+FACTORS = st.one_of(st.just(ZERO_POLY), COEFFS.map(lambda c: Polynomial([c])), POLYS)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(FACTORS, min_size=1, max_size=40))
+@example([Polynomial([2]), Polynomial([3]), Polynomial([5])])  # an odd last factor
+def test_product_tree_equals_the_left_to_right_product(factors):
+    want = factors[0]
+    for f in factors[1:]:
+        want = want * f
+    got = product(factors)
+    assert got == want and hash(got) == hash(want)
 
 
 def test_polynomial_render():

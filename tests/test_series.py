@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from starprod import shapovalov
+from starprod import shapovalov, star
 from starprod.lie import heisenberg, random_two_step, sl2, virasoro
 from starprod.scalars import Polynomial, adjugate, expand_at_infinity
 from starprod.shapovalov import inverse_series, pairing_matrix
@@ -148,13 +148,19 @@ def test_corrupted_lift_fails_the_certificate(monkeypatch):
             star_series(sl2(1), 3)
 
 
-def test_corrupted_series_memo_fails_the_route_comparison():
+def test_corrupted_series_fails_the_route_comparison(monkeypatch):
     alg = sl2(1)
     f, e = alg.by_name("f").id, alg.by_name("e").id
-    star_series(alg, 2)
-    order, terms = alg.memo.series[1]
-    cs = terms[((f,), (e,))]
-    terms[((f,), (e,))] = cs[:1] + (2 * cs[1],) + cs[2:]
+    real = star.series_component
+
+    def corrupt(algebra, n, order):
+        terms = real(algebra, n, order)
+        if n == 1:
+            cs = terms[((f,), (e,))]
+            terms[((f,), (e,))] = cs[:1] + (2 * cs[1],) + cs[2:]
+        return terms
+
+    monkeypatch.setattr(star, "series_component", corrupt)
     result = check_order_bounds(alg, 2)
     assert (result.passed, result.detail) == (
         False,
@@ -162,22 +168,13 @@ def test_corrupted_series_memo_fails_the_route_comparison():
     )
 
 
-def test_series_memo_extends_to_a_higher_order(monkeypatch):
+def test_series_route_keeps_no_state():
+    # each call lifts afresh from the memoized matrices: orders agree across
+    # calls and with the exact route, and the memo holds no series
     w = Fraction(-3, 2)
-    want = {m: exact_series(heisenberg(2, w), m, slot_degree_limit=3).orders for m in (1, 5)}
-    calls = []
-    real = shapovalov.pairing_matrix
-
-    def counted(algebra, degree, tie_break="desc"):
-        calls.append(degree)
-        return real(algebra, degree, tie_break)
-
-    monkeypatch.setattr(shapovalov, "pairing_matrix", counted)
     alg = heisenberg(2, w)
-    star_series(alg, 2, slot_degree_limit=3)
-    assert calls == [1, 2, 3]
-    # a higher order rebuilds, a lower one reads the memo's prefix
-    assert star_series(alg, 5, slot_degree_limit=3).orders == want[5]
-    assert calls == [1, 2, 3, 1, 2, 3]
-    assert star_series(alg, 1, slot_degree_limit=3).orders == want[1]
-    assert calls == [1, 2, 3, 1, 2, 3]
+    want = {m: exact_series(heisenberg(2, w), m, slot_degree_limit=3).orders for m in (1, 5)}
+    for m in (5, 1, 5):  # a lower order after a higher one, then the higher again
+        assert star_series(alg, m, slot_degree_limit=3).orders == want[m]
+    assert sorted(vars(alg.memo)) == ["actions", "components", "orders", "pairings"]
+    assert alg.memo.components == {}  # a nonsingular character never falls back

@@ -405,12 +405,21 @@ def test_components_are_memoized_per_algebra_and_tie_break(monkeypatch):
     calls.clear()
     canonical_element(alg, 2)
     assert calls == []
-    # the series route keeps its own memo, and a repeat makes no calls
+    # the series route keeps no memo of its own: each call asks for the
+    # matrices again, and reads them off the memo, building no basis
+    builds = []
+    real_basis = shapovalov.build_basis
+
+    def counted_basis(algebra, degree, tie_break="desc"):
+        builds.append((degree, tie_break))
+        return real_basis(algebra, degree, tie_break)
+
+    monkeypatch.setattr(shapovalov, "build_basis", counted_basis)
     star_series(alg, 3)
-    assert calls == [(1, "desc"), (2, "desc"), (3, "desc")]
+    star_series(alg, 3)
+    assert calls == [(1, "desc"), (2, "desc"), (3, "desc")] * 2
+    assert builds == []
     calls.clear()
-    star_series(alg, 3)
-    assert calls == []
     canonical_element(alg, 3, "asc")
     assert calls == [(1, "asc"), (2, "asc"), (3, "asc")]
     calls.clear()
@@ -472,7 +481,7 @@ def test_entry_above_its_length_bound_raises(monkeypatch):
         return tuple((w, p + Polynomial((0, 0, 1))) for w, p in terms)
 
     monkeypatch.setattr(shapovalov, "letter_action", raised)
-    with pytest.raises(ArithmeticError, match=r"^virasoro: pairing entry of λ-degree 2 exceeds its bound at degree 2$"):
+    with pytest.raises(ArithmeticError, match=r"^virasoro: pairing entry \[L-2 \| L2\] of λ-degree 2 exceeds its bound at degree 2$"):
         pairing_matrix(alg, 2)
 
 

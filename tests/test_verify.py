@@ -9,12 +9,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from starprod import cli, verify
+from starprod import cli, star, verify
 from starprod.lie import GradedLieAlgebra, heisenberg, random_two_step, sl2, virasoro
 from starprod.scalars import Polynomial
 from starprod.uea import mono_degree, mono_splits, pi_order
 from starprod.shapovalov import canonical_element
-from starprod.star import star_series
 from starprod.verify import (
     CheckResult,
     VerificationReport,
@@ -136,25 +135,36 @@ def test_associativity_component_counts():
         assert (result.passed, result.detail) == (True, detail)
 
 
-def _tampered_series(alg, window, degree):
-    """The algebra with the first ħ-coefficient list that `star_series` keeps
-    for degree `degree` (computed through `window`) doubled."""
-    star_series(alg, window)
-    _, terms = alg.memo.series[degree]
-    key = next(iter(terms))
-    terms[key] = tuple(2 * c for c in terms[key])
-    return alg
+def _tampered_series(monkeypatch, degree):
+    """Make `star_series` read the degree-`degree` series with its first
+    ħ-coefficient list doubled."""
+    real = star.series_component
+
+    def tampered(algebra, n, order):
+        terms = real(algebra, n, order)
+        if n == degree:
+            key = next(iter(terms))
+            terms[key] = tuple(2 * c for c in terms[key])
+        return terms
+
+    monkeypatch.setattr(star, "series_component", tampered)
 
 
-def test_tampering_breaks_residue_and_closed_form():
+def test_tampering_breaks_residue_and_closed_form(monkeypatch):
     # the exact components: the closed form and the route comparison
     alg = _tampered(sl2(1), 2, 1)
     assert not check_closed_forms(alg).passed
     assert not check_order_bounds(alg, 2).passed
     # the series that star_series reads: residue and first order
-    alg = _tampered_series(sl2(1), 2, 1)
-    assert not check_residue(alg, 2).passed
-    assert not check_first_order(alg, 2).passed
+    _tampered_series(monkeypatch, 1)
+    alg = sl2(1)
+    result = check_residue(alg, 2)
+    assert (result.passed, result.detail) == (False, "first-order term differs from Σ uᵢ⊗vᵢ")
+    result = check_first_order(alg, 2)
+    assert (result.passed, result.detail) == (
+        False,
+        "order-1 coefficients differ from the residue",
+    )
 
 
 def test_tampering_breaks_canonicity():
@@ -167,16 +177,22 @@ def test_tampering_breaks_canonicity():
     assert (result.passed, result.detail) == (False, "components differ at degree 2")
 
 
-def test_long_slot_in_the_series_breaks_order_bounds():
+def test_long_slot_in_the_series_breaks_order_bounds(monkeypatch):
     # an order-1 coefficient on the length-2 slot f^2 ⊗ e^2, which the exact
     # route has starting at ħ^2
     alg = sl2(1)
-    star_series(alg, 2)
     f, e = alg.by_name("f").id, alg.by_name("e").id
-    _, terms = alg.memo.series[2]
-    cs = terms[((f, f), (e, e))]
-    assert cs[:2] == (0, 0)
-    terms[((f, f), (e, e))] = (cs[0], 1, *cs[2:])
+    real = star.series_component
+
+    def tampered(algebra, n, order):
+        terms = real(algebra, n, order)
+        if n == 2:
+            cs = terms[((f, f), (e, e))]
+            assert cs[:2] == (0, 0)
+            terms[((f, f), (e, e))] = (cs[0], 1, *cs[2:])
+        return terms
+
+    monkeypatch.setattr(star, "series_component", tampered)
     result = check_order_bounds(alg, 2)
     assert (result.passed, result.detail) == (
         False,
