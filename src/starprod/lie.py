@@ -14,7 +14,9 @@ from .scalars import Polynomial, determinant, frac_from_str, frac_to_str
 
 
 def _scalar(v):
-    """Exact scalar, as a plain int when integral (cheaper arithmetic)."""
+    """Exact scalar, a plain int when integral (cheaper arithmetic); no float."""
+    if isinstance(v, float):
+        raise TypeError(f"{v!r} is a float; give an int, a Fraction or a string such as '1/10'")
     f = Fraction(v)
     return f.numerator if f.denominator == 1 else f
 
@@ -90,7 +92,7 @@ class GradedLieAlgebra:
         for (a, b), terms in brackets.items():
             merged = {}
             for gid, coeff in terms:
-                merged[gid] = merged.get(gid, 0) + Fraction(coeff)
+                merged[gid] = merged.get(gid, 0) + _scalar(coeff)
             tidy = tuple(sorted((g, _scalar(c)) for g, c in merged.items() if c))
             if tidy or (b, a) in table or (a, b) in table:
                 table[(a, b)] = tidy
@@ -352,7 +354,6 @@ class GradedLieAlgebra:
 def heisenberg(n, w, cutoff=1):
     """Heisenberg algebra on q_i (degree -1), central c, p_i (degree +1) with
     [p_i, q_j] = δ_ij c and χ(c) = w."""
-    w = Fraction(w)
     gens = [Generator(i, f"q{i + 1}", -1) for i in range(n)]
     gens.append(Generator(n, "c", 0))
     gens += [Generator(n + 1 + i, f"p{i + 1}", +1) for i in range(n)]
@@ -362,7 +363,6 @@ def heisenberg(n, w, cutoff=1):
 
 def sl2(z, cutoff=1):
     """sl(2) with [e,f] = h, [h,e] = 2e, [h,f] = -2f and χ(h) = z."""
-    z = Fraction(z)
     gens = [Generator(0, "f", -1), Generator(1, "h", 0), Generator(2, "e", +1)]
     brackets = {
         (2, 0): [(1, Fraction(1))],
@@ -375,7 +375,6 @@ def sl2(z, cutoff=1):
 def virasoro(delta, c, cutoff=2):
     """Window [-cutoff, cutoff] of the Virasoro algebra:
     [L_a, L_b] = (a-b) L_{a+b} + δ_{a+b,0} (a³-a)/12 · c, with χ(L_0) = Δ, χ(c) = c."""
-    delta, c = Fraction(delta), Fraction(c)
     degrees = list(range(-cutoff, 0)) + [0] + list(range(1, cutoff + 1))
     gens = [Generator(i, f"L{d}", d) for i, d in enumerate(degrees)]
     central = Generator(len(gens), "c", 0)

@@ -1,10 +1,9 @@
 """Exact scalar arithmetic: arbitrary-precision rationals, dense polynomials in
-the formal parameter λ and fraction-free elimination over them (one driver
-and one step kernel, run as Gauss–Jordan for the adjugate and forward only
-for the determinant, each on one block at a time of the matrix's nonzero
-pattern, `blocks`), ratios of polynomials compared by cross-multiplication,
-and truncated power series in ħ obtained by expanding at λ = ∞ (ħ = 1/λ), as
-tuples of Fractions."""
+the formal parameter λ and fraction-free elimination over them (one loop, as
+Gauss–Jordan for the adjugate and forward for the determinant, on one block
+of the matrix's nonzero pattern at a time, `blocks`), ratios of polynomials
+compared by cross-multiplication, and truncated power series in ħ obtained
+by expanding at λ = ∞ (ħ = 1/λ), as tuples of Fractions."""
 
 from __future__ import annotations
 
@@ -66,6 +65,8 @@ class Polynomial:
                 if type(c) is Fraction:
                     if c.denominator == 1:
                         c = c.numerator
+                elif isinstance(c, float):
+                    raise TypeError(f"polynomial coefficient {c!r} is a float, not exact")
                 else:
                     c = Fraction(c)
             cs.append(c)
@@ -180,45 +181,6 @@ ZERO_POLY = Polynomial()
 ONE_POLY = Polynomial([1])
 
 
-def _eliminate(rows, nonzero, k, prev, first):
-    """One step of fraction-free elimination (Bareiss 1968) in ℤ[λ], at column k.
-
-    Brings the first row at or below k with a nonzero entry in column k up to
-    row k, then clears column k from every other row from index `first` on:
-    row ← (row·p − row[k]·top) / prev, with p the new pivot and the division by
-    the previous pivot exact.  `nonzero` holds each row's set of nonzero
-    columns right of the settled ones, and only those are visited, so sparse
-    and diagonal matrices stay cheap.  Returns (p, swapped), or None when
-    column k has no pivot."""
-    n = len(rows)
-    piv = next((r for r in range(k, n) if k in nonzero[r]), None)
-    if piv is None:
-        return None
-    if piv != k:
-        rows[k], rows[piv] = rows[piv], rows[k]
-        nonzero[k], nonzero[piv] = nonzero[piv], nonzero[k]
-    # columns through k are settled: only the implied diagonal is nonzero
-    for cols in nonzero:
-        cols.discard(k)
-    top, pcols = rows[k], nonzero[k]
-    p = top[k]
-    for i in range(first, n):
-        if i == k:
-            continue
-        row, cols = rows[i], nonzero[i]
-        f = row[k]
-        if not f.coeffs:
-            for j in cols:
-                row[j] = (row[j] * p).exact_div(prev)
-            continue
-        cols |= pcols
-        for j in list(cols):
-            row[j] = e = (row[j] * p - f * top[j]).exact_div(prev)
-            if not e.coeffs:
-                cols.discard(j)
-    return p, piv != k
-
-
 def clear_denominators(matrix):
     """(d, d·A), d the lcm of every coefficient's denominator: d·A is in ℤ[λ],
     in fresh rows that share each entry d leaves as it is (d = 1, or zero)."""
@@ -227,26 +189,45 @@ def clear_denominators(matrix):
 
 
 def _bareiss(matrix, gauss_jordan):
-    """(adj, det) of A over ℚ[λ] by fraction-free elimination on d·A
-    (`clear_denominators`): each intermediate is a minor in ℤ[λ], and each
-    division by the previous pivot is exact.  Gauss–Jordan clears [d·A | I]
-    above and below each pivot; forward, d·A below it only, and adj is None.
-    The last pivot sign·d^n·det A and the right block sign·d^(n−1)·adj A, sign
-    that of the row swaps, are divided back here.  (None, ZERO_POLY) if singular."""
+    """(adj, det) of A over ℚ[λ] by fraction-free elimination (Bareiss 1968) on
+    d·A (`clear_denominators`), each intermediate a minor in ℤ[λ].  At column
+    k the first row from k on that is nonzero there is swapped up, and each
+    other row right of k becomes (row·p − row[k]·top) / prev, p the new pivot
+    and prev the last, exactly; an entry sure to stay zero is skipped.
+    Gauss–Jordan clears [d·A | I] above and below each pivot; forward, d·A
+    below it, adj None.  The last pivot sign·d^n·det A and the right block
+    sign·d^(n−1)·adj A, sign that of the row swaps, are divided back here.
+    (None, ZERO_POLY) if singular."""
     n = len(matrix)
     d, rows = clear_denominators(matrix)
     if gauss_jordan:
         rows = [row + [ONE_POLY if i == j else ZERO_POLY for j in range(n)]
                 for i, row in enumerate(rows)]
-    nonzero = [{j for j, e in enumerate(row) if e.coeffs} for row in rows]
+    width = 2 * n if gauss_jordan else n
     sign, prev = 1, ONE_POLY
     for k in range(n):
-        step = _eliminate(rows, nonzero, k, prev, 0 if gauss_jordan else k + 1)
-        if step is None:
+        piv = next((r for r in range(k, n) if rows[r][k].coeffs), None)
+        if piv is None:
             return None, ZERO_POLY
-        prev, swapped = step
-        if swapped:
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
             sign = -sign
+        top = rows[k]
+        p = top[k]
+        for i in range(0 if gauss_jordan else k + 1, n):
+            if i == k:
+                continue
+            row = rows[i]
+            f = row[k]
+            if f.coeffs:
+                for j in range(k + 1, width):
+                    if row[j].coeffs or top[j].coeffs:
+                        row[j] = (row[j] * p - f * top[j]).exact_div(prev)
+            else:
+                for j in range(k + 1, width):
+                    if row[j].coeffs:
+                        row[j] = (row[j] * p).exact_div(prev)
+        prev = p
     adj = [row[n:] for row in rows] if gauss_jordan else None
     if sign > 0 and d == 1:
         return adj, prev

@@ -490,7 +490,8 @@ def inverse_series(matrix, lengths, order):
 
 def _block_series(matrix, lengths, order, names):
     """`inverse_series` of one block, in its own indices; names[c] is the
-    column c of the whole inverse, for a failing certificate's message."""
+    column c of the whole inverse, for a failing certificate's message; N₀ is
+    read off d·A as in `_interpolated_det`."""
     d, cleared = clear_denominators(matrix)
     hrows = []  # per row: (k, [ħ^0, ħ^1, … coefficients of d·A[i][k] / λ^len])
     for row, ell in zip(cleared, lengths):
@@ -501,10 +502,7 @@ def _block_series(matrix, lengths, order, names):
             if e:
                 entries.append((k, (e.coeffs + (0,) * (ell - e.degree))[::-1]))
         hrows.append(entries)
-    n0 = [[ZERO_POLY] * len(matrix) for _ in matrix]
-    for i, entries in enumerate(hrows):
-        for k, h in entries:
-            n0[i][k] = Polynomial([h[0]])
+    n0 = [[Polynomial(e.coeffs[ell:]) for e in row] for row, ell in zip(cleared, lengths)]
     adj, det = adjugate(n0)
     if det.is_zero:
         return None

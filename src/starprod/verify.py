@@ -282,7 +282,7 @@ def check_invariance(algebra, window):
 # -- structural checks ---------------------------------------------------------
 
 
-def check_residue(algebra, max_degree=None):
+def check_residue(algebra, max_degree):
     got = residue(algebra, max_degree)
     want = expected_residue(algebra, max_degree)
     if got != want:
@@ -290,10 +290,10 @@ def check_residue(algebra, max_degree=None):
     return CheckResult("residue", True, f"{len(got)} first-order terms match Σ uᵢ⊗vᵢ")
 
 
-def check_first_order(algebra, max_degree=None):
-    """Holds exactly when `check_residue` does: equal order-1 terms have equal
-    antisymmetrizations."""
-    if not check_residue(algebra, max_degree).passed:
+def check_first_order(residue_check):
+    """Holds exactly when the residue check `residue_check` did: equal order-1
+    terms have equal antisymmetrizations."""
+    if not residue_check.passed:
         return CheckResult("first-order", False, "order-1 coefficients differ from the residue")
     return CheckResult("first-order", True, "order-1 term and its antisymmetrization match")
 
@@ -648,8 +648,8 @@ def run_all(algebra, window=3, seed=0):
     report = VerificationReport(algebra.name)
     report.add(check_associativity(algebra, window))
     report.add(check_invariance(algebra, window))
-    report.add(check_residue(algebra, residue_window))
-    report.add(check_first_order(algebra, residue_window))
+    report.add(residue_check := check_residue(algebra, residue_window))
+    report.add(check_first_order(residue_check))
     report.add(check_order_bounds(algebra, window))
     report.add(check_determinant_structure(algebra, window))
     report.add(check_oracle_agreement(algebra, window))

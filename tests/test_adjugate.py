@@ -50,6 +50,24 @@ def matrices(draw):
 
 
 @st.composite
+def sparse_blocks(draw):
+    """Connected 4–6-row matrices, about half of the entries zero, that the
+    kernel eliminates as one block: A[0][0] = 0, so the first pivot is row 1's
+    and needs a swap, and the last row is nonzero in column 0 and zero in
+    column 1 where the pivot row is not, so the first step fills it in.  The
+    subdiagonal, the diagonal past 0 and A[0][n−1] keep the pattern connected."""
+    coeff = draw(st.sampled_from([INTEGERS, RATIONALS]))
+    nonzero = st.lists(coeff, min_size=1, max_size=3).map(Polynomial).filter(bool)
+    n = draw(st.integers(4, 6))
+    kept = {(i + 1, i) for i in range(n - 1)} | {(i, i) for i in range(1, n)}
+    kept |= {(0, n - 1), (n - 1, 0)}
+    rows = [[draw(nonzero) if (i, j) in kept or draw(st.booleans()) else ZERO_POLY
+             for j in range(n)] for i in range(n)]
+    rows[0][0] = rows[n - 1][1] = ZERO_POLY
+    return rows
+
+
+@st.composite
 def cleared_matrices(draw):
     """Integer matrices with one coefficient over 3, 4 or 12, so the clearing
     of denominators and the unscale at the end meet row swaps."""
@@ -78,24 +96,31 @@ def _p(*coeffs):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(matrices(), cleared_matrices()))
+@given(st.one_of(matrices(), cleared_matrices(), sparse_blocks()))
 @example([[ZERO_POLY, _p(1)], [_p(0, 1), ZERO_POLY]])  # row swap flips the sign
 @example([[ZERO_POLY, _p(Fraction(1, 3))], [_p(0, 1), _p(1, 0, Fraction(-5, 12))]])  # and d = 12
 @example([[ZERO_POLY, ZERO_POLY, _p(1)], [ZERO_POLY, _p(2), ZERO_POLY], [_p(0, 1), ZERO_POLY, ZERO_POLY]])
 @example([[_p(1, 1), _p(0, 1)], [_p(2, 2), _p(0, 2)]])  # singular
 @example([[ZERO_POLY, ZERO_POLY], [_p(1), _p(0, 1)]])  # singular, zero row
+@example([[ZERO_POLY, ZERO_POLY, _p(1), _p(0, 1)], [_p(1), _p(2), ZERO_POLY, ZERO_POLY],
+          [ZERO_POLY, _p(0, 1), _p(3), ZERO_POLY], [_p(1, 1), ZERO_POLY, _p(1), _p(2)]])  # fill-in
 def test_adjugate_matches_sympy(rows):
-    ref = sympy.Matrix([[_sympy(e) for e in row] for row in rows])
+    # sympy's det over ℚ[λ], and its adjugate as the signed minors, compared
+    # as exact ring elements
+    n = len(rows)
+    ring = sympy.QQ[LAM]
+    elem = lambda p: ring.from_sympy(_sympy(p))
+    ref = DomainMatrix([[elem(e) for e in row] for row in rows], (n, n), ring)
     adj, det = adjugate(rows)
-    assert sympy.expand(_sympy(det) - ref.det()) == 0
+    assert elem(det) == ref.det()
     assert determinant(rows) == det
     if det.is_zero:
         assert adj is None
         return
-    ref_adj = ref.adjugate()
-    for i, row in enumerate(adj):
-        for j, entry in enumerate(row):
-            assert sympy.expand(_sympy(entry) - ref_adj[i, j]) == 0
+    others = lambda k: [m for m in range(n) if m != k]
+    ref_adj = [[(-1) ** (i + j) * ref.extract(others(j), others(i)).det() if n > 1 else ring.one
+                for j in range(n)] for i in range(n)]
+    assert [[elem(e) for e in row] for row in adj] == ref_adj
     assert invert_pairing(rows) == (adj, det)
 
 

@@ -132,6 +132,30 @@ def test_attributes_cannot_be_reassigned():
     assert star_series(alg, 1).orders == before
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: sl2(0.1), lambda: heisenberg(2, 0.1), lambda: virasoro(0.1, 1), lambda: virasoro(1, 0.1)],
+    ids=["sl2", "heisenberg", "virasoro-delta", "virasoro-c"],
+)
+def test_builtins_refuse_a_float_parameter(make):
+    # sl2(0.1) would otherwise take χ(h) = 3602879701896397/36028797018963968
+    with pytest.raises(TypeError, match=r"^0\.1 is a float"):
+        make()
+    assert sl2(Fraction(1, 10)).chi(1) == Fraction(1, 10)
+
+
+def test_algebra_refuses_a_float_character_value():
+    gens = [Generator(0, "f", -1), Generator(1, "h", 0), Generator(2, "e", 1)]
+    with pytest.raises(TypeError, match=r"^0\.5 is a float"):
+        GradedLieAlgebra("sl2", gens, {(2, 0): [(1, 1)]}, {1: 0.5})
+
+
+def test_algebra_refuses_a_float_bracket_coefficient():
+    gens = [Generator(0, "f", -1), Generator(1, "h", 0), Generator(2, "e", 1)]
+    with pytest.raises(TypeError, match=r"^1\.0 is a float"):
+        GradedLieAlgebra("sl2", gens, {(2, 0): [(1, 1.0)]}, {1: 1})
+
+
 def test_nonsingularity():
     assert sl2(1).check_nonsingular(1) == {1: True}
     assert heisenberg(2, 0).check_nonsingular(1) == {1: False}

@@ -45,6 +45,13 @@ def test_polynomial_normalization():
     assert hash(Polynomial([Fraction(2), 1])) == hash(Polynomial([2, 1]))
 
 
+def test_polynomial_refuses_a_float_coefficient():
+    # Fraction(0.1) would be 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(TypeError, match=r"^polynomial coefficient 0\.1 is a float"):
+        Polynomial([1, 0.1])
+    assert Polynomial([1, Fraction(1, 10)]).coeffs == (1, Fraction(1, 10))
+
+
 def test_polynomial_arithmetic():
     p = Polynomial([1, 2])       # 1 + 2λ
     q = Polynomial([0, 0, 3])    # 3λ²

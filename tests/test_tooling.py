@@ -136,14 +136,14 @@ def test_star_bytes_match_the_benchmark_digests(capsys):
 
 
 def test_verify_bytes_match_the_benchmark_digests(tmp_path, capsys):
-    # the `verify` requests of the benchmark print the seed commit's bytes; the
-    # specs are written from expected.json, as perfbench/workloads.py writes them
+    # every `verify` request of the benchmark prints the seed commit's bytes;
+    # the specs are written from expected.json, as perfbench/workloads.py
+    # writes them
     path = SRC.parent.parent / "perfbench" / "expected.json"
     expected = json.loads(path.read_text(encoding="utf-8"))
     digests, specs = expected["digests"], expected["specs"]
-    keys = sorted(k for k in digests if k.startswith("verify ") and " --max-degree 2 " in k)
-    assert len(keys) == 8  # four bases, each with χ and −χ
-    keys.append("verify --spec @nilpotent2(17) --max-degree 3 --format json")
+    keys = sorted(k for k in digests if k.startswith("verify "))
+    assert len(keys) == 16  # four bases, each with χ and −χ, two degrees
     for key in keys:
         argv = []
         for arg in key.split(" "):

@@ -158,9 +158,12 @@ def test_tampering_breaks_residue_and_closed_form(monkeypatch):
     # the series that star_series reads: residue and first order
     _tampered_series(monkeypatch, 1)
     alg = sl2(1)
-    result = check_residue(alg, 2)
-    assert (result.passed, result.detail) == (False, "first-order term differs from Σ uᵢ⊗vᵢ")
-    result = check_first_order(alg, 2)
+    residue_check = check_residue(alg, 2)
+    assert (residue_check.passed, residue_check.detail) == (
+        False,
+        "first-order term differs from Σ uᵢ⊗vᵢ",
+    )
+    result = check_first_order(residue_check)
     assert (result.passed, result.detail) == (
         False,
         "order-1 coefficients differ from the residue",
@@ -204,8 +207,9 @@ def test_untampered_checks_pass_directly():
     alg = virasoro(1, 1)
     assert check_associativity(alg, 2).passed
     assert check_invariance(alg, 2).passed
-    assert check_residue(alg, 2).passed
-    assert check_first_order(alg, 2).passed
+    residue_check = check_residue(alg, 2)
+    assert residue_check.passed
+    assert check_first_order(residue_check).passed
     assert check_order_bounds(alg, 2).passed
     assert check_determinant_structure(alg, 2).passed
     assert check_oracle_agreement(alg, 2).passed
