@@ -1,17 +1,20 @@
 """Exact scalar arithmetic: arbitrary-precision rationals, dense polynomials in
 the formal parameter λ and fraction-free elimination over them (one loop, as
 Gauss–Jordan for the adjugate and forward for the determinant, on one block
-of the matrix's nonzero pattern at a time, `blocks`), ratios of polynomials
-compared by cross-multiplication, and truncated power series in ħ obtained
-by expanding at λ = ∞ (ħ = 1/λ), as tuples of Fractions."""
+of the nonzero pattern at a time, `blocks`, that runs on int coefficient lists
+and builds Polynomials only for its result), ratios of polynomials compared
+by cross-multiplication, and truncated power series in ħ obtained by
+expanding at λ = ∞ (ħ = 1/λ), as tuples of Fractions."""
 
 from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
+from itertools import compress, count
 from math import lcm
+from operator import add, sub
 
-from .errors import PoleAtInfinityError
+from .errors import CertificateError, PoleAtInfinityError
 
 
 def frac_to_str(x: Fraction) -> str:
@@ -108,9 +111,6 @@ class Polynomial:
             out[i] += c
         return Polynomial(out)
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         a, b = self.coeffs, other.coeffs
         if not a or not b:
@@ -188,53 +188,83 @@ def clear_denominators(matrix):
     return d, [[e.scale(d) if d > 1 and e else e for e in row] for row in matrix]
 
 
+def _step(a, p, f, t, prev):
+    """(a·p − f·t) / prev over ascending int coefficient sequences, as a list
+    with no trailing zeros: both products summed into one list, then exact
+    long division by prev (none if prev = 1, one divmod if all five are
+    constants).  CertificateError if a remainder is left."""
+    if len(p) == 1 == len(prev) and len(a) < 2 and len(f) < 2 and len(t) < 2:
+        q, r = divmod((a[0] * p[0] if a else 0) - (f[0] * t[0] if f and t else 0), prev[0])
+        if r:
+            raise CertificateError("Bareiss division by the previous pivot leaves a remainder")
+        return [q] if q else []
+    out = [0] * max(len(a) + len(p), len(f) + len(t))
+    for i in compress(range(len(a)), a):
+        out[i:i + len(p)] = map(add, out[i:i + len(p)], map(a[i].__mul__, p))
+    for i in compress(range(len(f)), f):
+        out[i:i + len(t)] = map(sub, out[i:i + len(t)], map(f[i].__mul__, t))
+    while out and not out[-1]:
+        out.pop()
+    top, lc = len(prev) - 1, prev[-1]
+    if not top and lc == 1:
+        return out
+    quo = [0] * max(len(out) - top, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        c = out[k + top] // lc  # a remainder stays in out, which is never read above k + top
+        if c:
+            quo[k] = c
+            out[k:k + top + 1] = map(sub, out[k:k + top + 1], map(c.__mul__, prev))
+    if any(out):
+        raise CertificateError("Bareiss division by the previous pivot leaves a remainder")
+    return quo
+
+
 def _bareiss(matrix, gauss_jordan):
     """(adj, det) of A over ℚ[λ] by fraction-free elimination (Bareiss 1968) on
-    d·A (`clear_denominators`), each intermediate a minor in ℤ[λ].  At column
-    k the first row from k on that is nonzero there is swapped up, and each
-    other row right of k becomes (row·p − row[k]·top) / prev, p the new pivot
-    and prev the last, exactly; an entry sure to stay zero is skipped.
-    Gauss–Jordan clears [d·A | I] above and below each pivot; forward, d·A
-    below it, adj None.  The last pivot sign·d^n·det A and the right block
-    sign·d^(n−1)·adj A, sign that of the row swaps, are divided back here.
-    (None, ZERO_POLY) if singular."""
+    d·A/λ^v (`clear_denominators`, λ^v the power of λ that every entry shares),
+    each intermediate a minor in ℤ[λ].  At column k the first row from k on
+    that is nonzero there is swapped up, and each other row right of k becomes
+    (row·p − row[k]·top) / prev, p the new pivot and prev the last, exactly
+    (`_step`); an entry sure to stay zero is skipped.  Gauss–Jordan clears
+    [d·A/λ^v | I] above and below each pivot; forward, d·A/λ^v below it, adj
+    None.  The loop runs on int coefficient lists; Polynomials are built only
+    for the result, as the last pivot and the right block are divided back by
+    sign·d^n/λ^(vn) and sign·d^(n−1)/λ^(v(n−1)), sign that of the row swaps.
+    A 1×1 A is its own det.  (None, ZERO_POLY) if singular."""
     n = len(matrix)
-    d, rows = clear_denominators(matrix)
+    if n == 1:
+        return ([[ONE_POLY]] if gauss_jordan and matrix[0][0] else None), matrix[0][0]
+    d, cleared = clear_denominators(matrix)
+    v = min((next(compress(count(), e.coeffs)) for row in cleared for e in row if e), default=0)
+    rows = [[e.coeffs[v:] for e in row] for row in cleared]  # d·A / λ^v
     if gauss_jordan:
-        rows = [row + [ONE_POLY if i == j else ZERO_POLY for j in range(n)]
-                for i, row in enumerate(rows)]
+        rows = [row + [(1,) if i == j else () for j in range(n)] for i, row in enumerate(rows)]
     width = 2 * n if gauss_jordan else n
-    sign, prev = 1, ONE_POLY
-    for k in range(n):
-        piv = next((r for r in range(k, n) if rows[r][k].coeffs), None)
-        if piv is None:
-            return None, ZERO_POLY
-        if piv != k:
-            rows[k], rows[piv] = rows[piv], rows[k]
-            sign = -sign
-        top = rows[k]
-        p = top[k]
-        for i in range(0 if gauss_jordan else k + 1, n):
-            if i == k:
-                continue
-            row = rows[i]
-            f = row[k]
-            if f.coeffs:
+    sign, prev = 1, (1,)
+    try:
+        for k in range(n):
+            piv = next((r for r in range(k, n) if rows[r][k]), None)
+            if piv is None:
+                return None, ZERO_POLY
+            if piv != k:
+                rows[k], rows[piv] = rows[piv], rows[k]
+                sign = -sign
+            top = rows[k]
+            p = top[k]
+            for i in range(0 if gauss_jordan else k + 1, n):
+                if i == k:
+                    continue
+                row = rows[i]
+                f = row[k]
                 for j in range(k + 1, width):
-                    if row[j].coeffs or top[j].coeffs:
-                        row[j] = (row[j] * p - f * top[j]).exact_div(prev)
-            else:
-                for j in range(k + 1, width):
-                    if row[j].coeffs:
-                        row[j] = (row[j] * p).exact_div(prev)
-        prev = p
-    adj = [row[n:] for row in rows] if gauss_jordan else None
-    if sign > 0 and d == 1:
-        return adj, prev
-    k = Fraction(sign, d ** (n - 1))
-    if adj is not None:
-        adj = [[e.scale(k) for e in row] for row in adj]
-    return adj, prev.scale(k / d)
+                    if row[j] or f and top[j]:
+                        row[j] = _step(row[j], p, f, top[j], prev)
+            prev = p
+    except CertificateError as exc:
+        raise CertificateError(f"{exc} at column {k}") from None
+    s, shift = (Fraction(sign, d ** (n - 1)) if d > 1 else sign), [0] * (v * (n - 1))
+    adj = [[Polynomial(shift + [c * s for c in e]) for e in row[n:]] for row in rows] if gauss_jordan else None
+    return adj, Polynomial([0] * (v * n) + [Fraction(c * sign, d ** n) for c in prev])
 
 
 def _perm_sign(perm):

@@ -11,7 +11,7 @@ import pytest
 
 from starprod import scalars, shapovalov
 from starprod.errors import CertificateError, SingularCharacterError
-from starprod.lie import GradedLieAlgebra
+from starprod.lie import GradedLieAlgebra, virasoro
 from starprod.scalars import ZERO_POLY, Polynomial, adjugate, blocks, determinant
 from starprod.shapovalov import (
     _interpolated_det,
@@ -96,11 +96,14 @@ def _p(*coeffs):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(matrices(), cleared_matrices(), sparse_blocks()))
+@given(st.one_of(matrices(), cleared_matrices(), sparse_blocks(),  # and λ·A, whose λ the kernel divides out
+                 cleared_matrices().map(lambda rows: [[e * _p(0, 1) for e in row] for row in rows])))
 @example([[ZERO_POLY, _p(1)], [_p(0, 1), ZERO_POLY]])  # row swap flips the sign
 @example([[ZERO_POLY, _p(Fraction(1, 3))], [_p(0, 1), _p(1, 0, Fraction(-5, 12))]])  # and d = 12
 @example([[ZERO_POLY, ZERO_POLY, _p(1)], [ZERO_POLY, _p(2), ZERO_POLY], [_p(0, 1), ZERO_POLY, ZERO_POLY]])
 @example([[_p(1, 1), _p(0, 1)], [_p(2, 2), _p(0, 2)]])  # singular
+@example([[_p(0, Fraction(1, 2), 1), ZERO_POLY, _p(0, 0, 3)], [_p(0, 0, 1), _p(0, 2), _p(0, 1)],
+          [ZERO_POLY, _p(0, 0, 0, 5), _p(0, -1)]])  # λ·(an integer matrix over 2)
 @example([[ZERO_POLY, ZERO_POLY], [_p(1), _p(0, 1)]])  # singular, zero row
 @example([[ZERO_POLY, ZERO_POLY, _p(1), _p(0, 1)], [_p(1), _p(2), ZERO_POLY, ZERO_POLY],
           [ZERO_POLY, _p(0, 1), _p(3), ZERO_POLY], [_p(1, 1), ZERO_POLY, _p(1), _p(2)]])  # fill-in
@@ -122,6 +125,29 @@ def test_adjugate_matches_sympy(rows):
                 for j in range(n)] for i in range(n)]
     assert [[elem(e) for e in row] for row in adj] == ref_adj
     assert invert_pairing(rows) == (adj, det)
+
+
+def test_one_by_one_is_its_own_det():
+    # a 1×1 A = [a] has det a and adjugate [1], with no elimination; [0] is
+    # singular, by its pattern and by the kernel alone
+    zero = [[ZERO_POLY]]
+    assert adjugate(zero) == (None, ZERO_POLY) and determinant(zero) == ZERO_POLY
+    assert scalars._bareiss(zero, True) == (None, ZERO_POLY)
+    a = _p(Fraction(-3, 4), 0, 5)
+    assert adjugate([[a]]) == ([[_p(1)]], a) and determinant([[a]]) == a
+    assert scalars._bareiss([[a]], True) == ([[_p(1)]], a)
+
+
+def test_an_inexact_bareiss_division_fails_naming_its_column(monkeypatch):
+    # every intermediate is a minor in ℤ[λ], so a remainder means a wrong
+    # kernel: a step that divides by 3·prev raises CertificateError
+    real = scalars._step
+    monkeypatch.setattr(scalars, "_step", lambda a, p, f, t, prev: real(a, p, f, t, [3 * c for c in prev]))
+    message = "Bareiss division by the previous pivot leaves a remainder at column 0"
+    with pytest.raises(CertificateError, match=f"^{message}$"):
+        adjugate([[_p(1), _p(1)], [_p(1), _p(2)]])
+    with pytest.raises(CertificateError, match=f"^virasoro: degree 2: {message}$"):
+        shapovalov.exact_component(virasoro(1, 1), 2)
 
 
 @st.composite

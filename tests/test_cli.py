@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import factorial
 from pathlib import Path
 
-from starprod import cli, shapovalov, verify
+from starprod import cli, scalars, shapovalov, verify
 from starprod.cli import main
 from starprod.lie import GradedLieAlgebra, Generator, random_two_step, sl2
 
@@ -161,6 +161,18 @@ def test_pairing_det_certificate_catches_a_wrong_kernel(capsys, monkeypatch):
         assert (code, out) == (2, "")
         assert err == f"error: virasoro: degree 3: {message}\n"
     assert _run(capsys, *vir, "--degree", "3")[0] == 0
+
+
+def test_an_inexact_bareiss_division_exits_2(capsys, monkeypatch):
+    # a step that divides by 3·prev leaves a remainder in Virasoro's first
+    # 2×2 inversion; the error names the algebra, the degree and the column
+    real = scalars._step
+    monkeypatch.setattr(scalars, "_step", lambda a, p, f, t, prev: real(a, p, f, t, [3 * c for c in prev]))
+    code, out, err = _run(capsys, "verify", "--builtin", "virasoro", "--param", "delta=1",
+                          "--param", "c=1", "--max-degree", "2")
+    assert (code, out) == (2, "")
+    assert err == ("error: virasoro: degree 2: "
+                   "Bareiss division by the previous pivot leaves a remainder at column 0\n")
 
 
 def test_sl3_blocks_print_the_recorded_bytes(capsys):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from starprod.errors import PoleAtInfinityError
+from starprod import scalars
+from starprod.errors import CertificateError, PoleAtInfinityError
 from starprod.scalars import (
     ONE_POLY,
     Polynomial,
@@ -56,7 +57,7 @@ def test_polynomial_arithmetic():
     p = Polynomial([1, 2])       # 1 + 2λ
     q = Polynomial([0, 0, 3])    # 3λ²
     assert (p + q).coeffs == (1, 2, 3)
-    assert (p - p).is_zero
+    assert (p + (-p)).is_zero
     assert (p * q).coeffs == (0, 0, 3, 6)
     assert (p * p).coeffs == (1, 4, 4)
     assert p.scale(Fraction(1, 2)).coeffs == (Fraction(1, 2), 1)
@@ -113,7 +114,7 @@ def test_divmod_properties(a, b, lead, as_fractions):
     else:
         with pytest.raises(ArithmeticError):
             a.exact_div(b)
-    got = (a - rem).exact_div(b)
+    got = (a + (-rem)).exact_div(b)
     assert got == quo and hash(got) == hash(quo)
 
 
@@ -154,7 +155,6 @@ def test_polynomial_ring_axioms(p, q, r):
     assert p * (q + r) == p * q + p * r
     assert p + (-p) == ZERO_POLY and (p + (-p)).is_zero
     assert p * ONE_POLY == p
-    assert p - q == p + (-q)
     # equal values hash equally, whether the coefficients came as int or Fraction
     for a, b in (((p + q) + r, p + (q + r)), (p * q, q * p), (p * (q + r), p * q + p * r)):
         assert hash(a) == hash(b)
@@ -174,6 +174,41 @@ def test_product_tree_equals_the_left_to_right_product(factors):
         want = want * f
     got = product(factors)
     assert got == want and hash(got) == hash(want)
+
+
+# constants often, so the all-constant short path is drawn too
+INTS = st.one_of(*(st.lists(st.integers(-9, 9), max_size=size) for size in (1, 5)))
+PREVS = st.one_of(
+    st.sampled_from([[1], [-1]]),  # a unit
+    st.integers(-12, 12).filter(bool).map(lambda c: [c]),  # a constant
+    st.builds(lambda low, lead: low + [lead], INTS, st.integers(-4, 4).filter(bool)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(INTS, INTS.filter(any), INTS, INTS, PREVS, st.booleans(), st.booleans())
+@example([], [2], [3], [1, 1], [3], False, False)  # a = 0: −3·(1 + λ) / 3
+@example([1], [1], [], [], [2], False, False)  # 1 / 2 leaves a remainder
+@example([0, 1], [1], [], [], [1, 1], False, False)  # λ / (1 + λ) leaves a remainder
+def test_step_is_the_polynomial_update(a, p, f, t, prev, divisible, as_tuples):
+    # the kernel's int-list step is (a·p − f·t) / prev in ℤ[λ], by Polynomial
+    # arithmetic, and raises whenever that quotient leaves ℤ[λ]; `divisible`
+    # makes a and f multiples of prev, so the quotient is integral
+    if divisible:
+        a, f = ((Polynomial(x) * Polynomial(prev)).coeffs for x in (a, f))
+    want = Polynomial(a) * Polynomial(p) + -(Polynomial(f) * Polynomial(t))
+    try:
+        want = want.exact_div(Polynomial(prev))
+    except ArithmeticError:
+        want = None
+    if want is not None and any(type(c) is not int for c in want.coeffs):
+        want = None
+    args = [tuple(x) if as_tuples else list(x) for x in (a, p, f, t, prev)]
+    if want is None:
+        with pytest.raises(CertificateError, match="^Bareiss division by the previous pivot"):
+            scalars._step(*args)
+    else:
+        assert scalars._step(*args) == list(want.coeffs)
 
 
 def test_polynomial_render():
@@ -255,7 +290,7 @@ def test_expansion_remainder_order():
         s = expand_at_infinity(num, den, n)
         assert all(type(c) is Fraction for c in s)
         partial = Polynomial(list(reversed(s)))
-        assert (num * lam_n - den * partial).degree < den.degree
+        assert (num * lam_n + (-(den * partial))).degree < den.degree
 
 
 def test_hbar_series():

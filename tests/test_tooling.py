@@ -10,8 +10,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-from starprod import cli
-from starprod.lie import random_two_step
+from starprod import cli, scalars
+from starprod.lie import random_two_step, virasoro
+from starprod.scalars import Polynomial
+from starprod.shapovalov import pairing_matrix
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "starprod"
 
@@ -57,6 +59,22 @@ def test_no_module_imports_another_modules_private_name():
             and isinstance(node.value, ast.Name) and node.value.id in modules
         ]
     assert not found, "private names read across modules: " + ", ".join(found)
+
+
+def test_bareiss_builds_polynomials_only_for_its_result(monkeypatch):
+    # the elimination runs on int coefficient lists: a Gauss–Jordan _bareiss
+    # of the 11×11 Virasoro degree-6 pairing builds Polynomials for d·A, adj
+    # and det (243), against 6353 with a Polynomial in every update
+    _, matrix = pairing_matrix(virasoro(1, 1, cutoff=6), 6)
+    n, calls, real = len(matrix), [], Polynomial.__init__
+
+    def counted(self, coeffs=()):
+        calls.append(1)
+        real(self, coeffs)
+
+    monkeypatch.setattr(Polynomial, "__init__", counted)
+    adj, det = scalars._bareiss(matrix, True)
+    assert n == 11 and det and len(calls) <= 4 * n * n
 
 
 def test_exit_codes_survive_python_O(tmp_path):
