@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .errors import (
     CertificateError,
@@ -81,13 +82,31 @@ def _load_algebra(args, needed_window=None):
     raise SpecError("one of --builtin or --spec is required")
 
 
-def _emit(args, payload, text):
-    """Print payload as JSON, or text() as text: the text is rendered only
-    when it is printed."""
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+def _dumps(value, indent="\n"):
+    """json.dumps(value, indent=2, sort_keys=True), written without the
+    pure-Python encoder that `indent` selects: strings go through the C
+    `encode_basestring_ascii`, ints, bools and None through json.dumps."""
+    inner = indent + "  "
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, dict):
+        items = [encode_basestring_ascii(k) + ": " + _dumps(v, inner) for k, v in sorted(value.items())]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        try:  # a list of strings, such as a word's letters, in one C pass
+            items = list(map(encode_basestring_ascii, value))
+        except TypeError:
+            items = [_dumps(v, inner) for v in value]
+        brackets = "[]"
     else:
-        print(text())
+        return json.dumps(value)
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1] if items else brackets
+
+
+def _emit(args, payload, text):
+    """Print payload as JSON (`_dumps`), or text() as text: the text is
+    rendered only when it is printed."""
+    print(_dumps(payload) if args.format == "json" else text())
 
 
 def cmd_validate(args):

@@ -314,10 +314,14 @@ def _interpolated_det(matrix, lengths, where):
         top = sum(ells)
         coeffs = _interpolate([_integer_det(_at(block, x)) for x in range(top + 1)], at)
         n0 = [[Polynomial(e.coeffs[ell:]) for e in row] for row, ell in zip(block, ells)]
-        if determinant(n0) != Polynomial(coeffs[top:]):
-            raise CertificateError(f"{at}det's λ^{top} coefficient differs from det N₀")
         value = [[Polynomial([v]) for v in row] for row in _at(block, top + 1)]
-        if determinant(value) != Polynomial([horner(coeffs, top + 1)]):
+        try:
+            det_n0, det_value = determinant(n0), determinant(value)
+        except CertificateError as exc:
+            raise CertificateError(f"{at}{exc}") from None
+        if det_n0 != Polynomial(coeffs[top:]):
+            raise CertificateError(f"{at}det's λ^{top} coefficient differs from det N₀")
+        if det_value != Polynomial([horner(coeffs, top + 1)]):
             raise CertificateError(f"{at}det differs from det A at λ = {top + 1}")
         dets.append(Polynomial(coeffs))
     det = product(dets)
@@ -523,10 +527,12 @@ def _block_series(matrix, lengths, order, names):
 
 def _lift(hrows, q0, det, c, steps):
     """Column c of Q_0 … Q_steps over one common denominator: (vectors, den)
-    with Q_t[l][c] = vectors[t][l] / den.  q0 = det·N_0⁻¹, det > 0."""
+    with Q_t[l][c] = vectors[t][l] / den, reduced.  q0 = det·N_0⁻¹, det > 0.
+    Step t's new vector is over den·det; as gcd(den, earlier vectors) = 1, the
+    gcd of the set is g = gcd(det, *new), and the rest is rescaled by det // g."""
     size = len(q0)
-    vectors = [[row[c] for row in q0]]
-    den = det
+    g = gcd(det, *(row[c] for row in q0))
+    vectors, den = [[row[c] // g for row in q0]], det // g
     for t in range(1, steps + 1):
         s = [0] * size  # Σ_{j≥1} N_j·Q_{t−j}, over den
         for i, entries in enumerate(hrows):
@@ -537,13 +543,12 @@ def _lift(hrows, q0, det, c, steps):
                         acc += h[j] * vectors[t - j][k]
             s[i] = acc
         new = [-sum(a * b for a, b in zip(row, s) if a) for row in q0]
-        vectors = [[v * det for v in vec] for vec in vectors]
-        vectors.append(new)
-        den *= det
-        g = gcd(den, *(v for vec in vectors for v in vec))
-        if g > 1:
-            vectors = [[v // g for v in vec] for vec in vectors]
-            den //= g
+        g = gcd(det, *new)
+        scale = det // g
+        if scale > 1:
+            vectors = [[v * scale for v in vec] for vec in vectors]
+            den *= scale
+        vectors.append([v // g for v in new] if g > 1 else new)
     return vectors, den
 
 

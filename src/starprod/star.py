@@ -33,7 +33,13 @@ class StarProduct:
     orders: dict = field(default_factory=dict)  # m -> {(x word, y word): Fraction}
 
     def to_json(self):
-        name = self.algebra.gen_name
+        name, names = self.algebra.gen_name, {}  # word -> its name list, built once
+
+        def render(word):
+            if word not in names:
+                names[word] = [name(g) for g in word]
+            return names[word]
+
         out = {
             "algebra": self.algebra.name,
             "max_order": self.max_order,
@@ -45,8 +51,8 @@ class StarProduct:
             for (x, y), c in sorted(self.orders.get(m, {}).items()):
                 terms.append(
                     {
-                        "left": [name(g) for g in x],
-                        "right": [name(g) for g in y],
+                        "left": render(x),
+                        "right": render(y),
                         "coeff": frac_to_str(c),
                     }
                 )

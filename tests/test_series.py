@@ -1,6 +1,7 @@
 """The ħ-adic inverse behind `star_series`, against the exact route."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -12,7 +13,7 @@ from starprod.star import exact_series, star_series
 from starprod.verify import check_order_bounds
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 COEFFS = st.one_of(
@@ -68,6 +69,49 @@ def test_series_equals_expanded_adjugate(case):
             assert got.get((l, c), (0,) * (order + 1)) == want, (l, c)
     # absent entries are exactly the ones whose series vanishes through the order
     assert all(any(cs) for cs in got.values())
+
+
+def _rescale_everything_lift(hrows, q0, det, c, steps):
+    """The reference lift: each step puts det under every earlier vector and
+    reduces the whole set, den included, by one gcd."""
+    vectors, den = [[row[c] for row in q0]], det
+    for t in range(1, steps + 1):
+        s = [sum(h[j] * vectors[t - j][k] for k, h in entries for j in range(1, min(t, len(h) - 1) + 1))
+             for entries in hrows]
+        new = [-sum(a * b for a, b in zip(row, s)) for row in q0]
+        vectors = [[v * det for v in vec] for vec in vectors] + [new]
+        den *= det
+        g = gcd(den, *(v for vec in vectors for v in vec))
+        vectors, den = [[v // g for v in vec] for vec in vectors], den // g
+    return vectors, den
+
+
+@st.composite
+def integer_blocks(draw):
+    """(hrows, q0, det, c, steps) as `_block_series` hands them to `_lift`: a
+    1×1 or dense 2–4-row integer block N_0 + N_1·ħ + … with N_0 invertible,
+    q0 = det·N_0⁻¹ and det > 0."""
+    n, depth = draw(st.sampled_from([1, 2, 3, 4])), draw(st.integers(1, 3))
+    h = [[[draw(st.integers(-6, 6)) for _ in range(depth + 1)] for _ in range(n)] for _ in range(n)]
+    adj, det = adjugate([[_p(e[0]) for e in row] for row in h])
+    assume(not det.is_zero)
+    sign = 1 if det.lc > 0 else -1
+    q0 = [[sign * e.lc for e in row] for row in adj]
+    hrows = [list(enumerate(row)) for row in h]
+    return hrows, q0, sign * det.lc, draw(st.integers(0, n - 1)), draw(st.integers(1, 8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_blocks())
+@example(([[(0, [2, 1])]], [[1]], 2, 0, 2))  # each step rescales the earlier vectors
+# q0's column 0 is (2, 0) over det 4: the lift starts from (1, 0) over 2
+@example(([[(0, [2, 1]), (1, [0, 0])], [(0, [0, 1]), (1, [2, 3])]], [[2, 0], [0, 2]], 4, 0, 3))
+def test_lift_is_the_rescale_everything_lift(case):
+    # one gcd over each new vector gives the same reduced (vectors, den) as
+    # rescaling and reducing every earlier vector at every step
+    vectors, den = shapovalov._lift(*case)
+    assert (vectors, den) == _rescale_everything_lift(*case)
+    assert den > 0 and gcd(den, *(v for vec in vectors for v in vec)) == 1
 
 
 def test_series_declines_where_it_does_not_apply():

@@ -153,23 +153,50 @@ def test_star_bytes_match_the_benchmark_digests(capsys):
             assert hashlib.sha256(out).hexdigest() == digests[key], argv
 
 
+def _bench_argv(key, specs, tmp_path):
+    """The argv of a benchmark digest key, its @name specs written from
+    expected.json as perfbench/workloads.py writes them."""
+    argv = []
+    for arg in key.split(" "):
+        if arg.startswith("@"):
+            spec = tmp_path / f"{arg[1:]}.json"
+            spec.write_text(json.dumps(specs[arg[1:]], sort_keys=True), encoding="utf-8")
+            arg = str(spec)
+        argv.append(arg)
+    return argv
+
+
 def test_verify_bytes_match_the_benchmark_digests(tmp_path, capsys):
-    # every `verify` request of the benchmark prints the seed commit's bytes;
-    # the specs are written from expected.json, as perfbench/workloads.py
-    # writes them
+    # every `verify` request of the benchmark prints the seed commit's bytes
     path = SRC.parent.parent / "perfbench" / "expected.json"
     expected = json.loads(path.read_text(encoding="utf-8"))
     digests, specs = expected["digests"], expected["specs"]
     keys = sorted(k for k in digests if k.startswith("verify "))
     assert len(keys) == 16  # four bases, each with χ and −χ, two degrees
     for key in keys:
-        argv = []
-        for arg in key.split(" "):
-            if arg.startswith("@"):
-                spec = tmp_path / f"{arg[1:]}.json"
-                spec.write_text(json.dumps(specs[arg[1:]], sort_keys=True), encoding="utf-8")
-                arg = str(spec)
-            argv.append(arg)
-        assert cli.main(argv) == 0, key
+        assert cli.main(_bench_argv(key, specs, tmp_path)) == 0, key
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == digests[key], key
+
+
+def test_json_output_never_builds_the_pure_python_encoder(tmp_path, capsys, monkeypatch):
+    # json.dumps with an indent runs on the pure-Python encoder, which
+    # json.encoder._make_iterencode builds; `--format json` of every command
+    # is written without it, in the recorded bytes
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the pure-Python JSON encoder was built")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    path = SRC.parent.parent / "perfbench" / "expected.json"
+    expected = json.loads(path.read_text(encoding="utf-8"))
+    digests, specs = expected["digests"], expected["specs"]
+    for command in ("pairing", "star", "verify"):
+        key = min(k for k in digests if k.startswith(command + " "))
+        assert cli.main(_bench_argv(key, specs, tmp_path)) == 0, key
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == digests[key], key
+    assert cli.main(["validate", "--builtin", "sl2", "--param", "z=5/3", "--format", "json"]) == 0
+    assert capsys.readouterr().out == (
+        '{\n  "algebra": "sl2",\n  "failures": [],\n  "nonsingular": {\n    "1": true\n  },\n'
+        '  "passed": true\n}\n'
+    )
