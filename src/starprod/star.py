@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from .errors import CutoffExceededError
 from .scalars import frac_to_str
@@ -33,13 +34,8 @@ class StarProduct:
     orders: dict = field(default_factory=dict)  # m -> {(x word, y word): Fraction}
 
     def to_json(self):
-        name, names = self.algebra.gen_name, {}  # word -> its name list, built once
-
-        def render(word):
-            if word not in names:
-                names[word] = [name(g) for g in word]
-            return names[word]
-
+        name = self.algebra.gen_name
+        render = cache(lambda word: [name(g) for g in word])  # each word's names, built once
         out = {
             "algebra": self.algebra.name,
             "max_order": self.max_order,
