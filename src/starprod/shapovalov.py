@@ -15,8 +15,10 @@ permuting its rows and columns (`blocks`, read off the nonzero pattern), and
 every elimination runs per block.  A is inverted by fraction-free
 Gauss–Jordan elimination on each [A_b | I], which yields the dets and the
 adjugate as polynomials; the result is accepted only after A·adj = det·I is
-checked in ℚ[λ], block by block.  An inverse entry stays a numerator over
-the whole det A; no arithmetic in ℚ(λ) is ever done.  Where det A alone is
+checked in ℚ[λ], block by block, each entry as one integer: its value at a
+power of 2 beyond a bound on its coefficients, 0 only for the zero
+polynomial.  An inverse entry stays a numerator over the whole det A; no
+arithmetic in ℚ(λ) is ever done.  Where det A alone is
 wanted (`pairing_determinant`), each block's det, of λ-degree ≤ D_b = Σ len x
 over its rows, is interpolated exactly from its integer dets at λ = 0…D_b.
 
@@ -43,6 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import factorial, gcd
+from operator import mul
 
 from .errors import CertificateError, CutoffExceededError, SingularCharacterError
 from .scalars import (
@@ -257,23 +260,31 @@ def invert_pairing(matrix):
     CertificateError unless matrix·adjugate = det·I holds exactly in ℚ[λ].
     The certificate runs on each of the `blocks`: there A·adj = det·I, and
     adj vanishes off the transposed blocks, where A·adj is then zero by the
-    pattern alone.
+    pattern alone.  On an n-column block it is decided on integers: with d·A
+    and e·(adj, det) cleared (`clear_denominators`), every coefficient of
+    d·e·(A·adj − det·I) is at most n·H_A·H_adj + d·H_det in size (H the
+    largest ℓ1 norm of an entry), below B/2 for B = 2^b, b = bits(2·bound).
+    So each entry's value at λ = B, a packed row times a packed column, is 0
+    only for the zero polynomial, as in `verify._decide`.
     """
     adj, det = adjugate(matrix)
     if det.is_zero:
         raise SingularCharacterError("pairing matrix is singular")
+    norm = lambda m: max(sum(map(abs, x.coeffs)) for row in m for x in row)
     inside = 0
     for rows, cols, block in blocks(matrix)[1]:
-        for i, row in zip(rows, block):
-            nonzero = [(k, a) for k, a in zip(cols, row) if a]
-            for j in rows:
-                s = ZERO_POLY
-                for k, a in nonzero:
-                    if adj[k][j]:
-                        s = s + a * adj[k][j]
-                if s != (det if i == j else ZERO_POLY):
+        sub = [[adj[k][j] for j in rows] for k in cols]
+        d, a = clear_denominators(block)
+        _, (*c, (e_det,)) = clear_denominators(sub + [[det]])
+        big = 1 << (2 * (len(cols) * norm(a) * norm(c) + d * norm([[e_det]]))).bit_length()
+        packed_cols = list(zip(*([horner(x.coeffs, big) for x in row] for row in c)))
+        target = d * horner(e_det.coeffs, big)
+        for i, row in enumerate(a):
+            packed = [horner(x.coeffs, big) for x in row]
+            for j, col in enumerate(packed_cols):
+                if sum(map(mul, packed, col)) != (target if i == j else 0):
                     raise CertificateError("adjugate certificate A·adj = det·I failed")
-        inside += sum(1 for k in cols for j in rows if adj[k][j])
+        inside += sum(1 for row in sub for x in row if x)
     if inside != sum(1 for row in adj for e in row if e):
         raise CertificateError("adjugate certificate A·adj = det·I failed off the blocks")
     return adj, det

@@ -73,12 +73,15 @@ class BasisOrder:
 
     def nf_word(self, word):
         """PBW normal form of a single word, memoized per word: callers only
-        read the dict.  The product of two words is nf_word(w1 + w2)."""
+        read the dict.  The product of two words is nf_word(w1 + w2).  The
+        fold starts at the longest sorted prefix, whose inserts never bracket."""
         hit = self._words.get(word)
         if hit is not None:
             return hit
-        state = {(): 1}
-        for g in word:
+        rank = self._rank
+        k = next((i for i in range(1, len(word)) if rank[word[i - 1]] > rank[word[i]]), len(word))
+        state = {word[:k]: 1}
+        for g in word[k:]:
             nxt = {}
             for w, c in state.items():
                 for w1, c1 in self.insert(w, g).items():

@@ -560,12 +560,13 @@ def _random_groups(algebra, rng, group, count, max_len):
         )
         if not _window_budget_ok(algebra, words):
             continue
-        try:
-            for w in words:
-                normal_form(phi_order(algebra), w)
-                normal_form(pi_order(algebra), w)
-        except CutoffExceededError:
-            continue
+        if algebra.truncated:  # no other algebra's bracket raises CutoffExceededError
+            try:
+                for w in words:
+                    normal_form(phi_order(algebra), w)
+                    normal_form(pi_order(algebra), w)
+            except CutoffExceededError:
+                continue
         out.append(words)
     return out
 

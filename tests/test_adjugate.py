@@ -1,7 +1,8 @@
 """The fraction-free elimination kernel, Gauss–Jordan (`adjugate`) and
 forward-only (`determinant`), run block by block, and the det interpolated
 from integer dets (`_interpolated_det`), against sympy's det and adjugate;
-and the per-block certificates against a tampered kernel or block sign."""
+the per-block certificates against a tampered kernel or block sign; and the
+packed A·adj = det·I certificate against the identity summed in ℚ[λ]."""
 
 import json
 from fractions import Fraction
@@ -23,7 +24,7 @@ from starprod.shapovalov import (
 
 sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
@@ -245,6 +246,79 @@ def test_a_wrong_block_fails_its_certificate(monkeypatch, wrong):
         pairing_determinant(algebra, 4)
     with pytest.raises(CertificateError, match="^ħ-adic inverse certificate"):
         inverse_series(matrix, lengths, 4)
+
+
+def _holds(rows, adj, det):
+    """A·adj = det·I over ℚ[λ], every entry summed in Polynomials."""
+    n = len(rows)
+    return all(sum((rows[i][k] * adj[k][j] for k in range(n)), ZERO_POLY) == (det if i == j else ZERO_POLY)
+               for i in range(n) for j in range(n))
+
+
+@st.composite
+def certificates(draw):
+    """(A, adj, det): a nonsingular block matrix of `block_matrices`, its
+    adjugate and det times one rational, and at times one entry of adj or the
+    det moved by a polynomial or by c·λ^j·(λ − 2^k), which vanishes at 2^k."""
+    rows = draw(block_matrices())
+    adj, det = adjugate(rows)
+    assume(det)
+    scale = draw(st.sampled_from([1, -3, Fraction(1, 3), Fraction(-5, 4)]))
+    adj, det = [[e.scale(scale) for e in row] for row in adj], det.scale(scale)
+    shift = draw(st.one_of(
+        st.lists(st.one_of(INTEGERS, RATIONALS), min_size=1, max_size=3).map(Polynomial),
+        st.builds(lambda c, j, k: Polynomial([0] * j + [-c << k, c]), st.integers(-3, 3).filter(bool),
+                  st.integers(0, 2), st.integers(1, 8))))
+    where = draw(st.sampled_from(["none", "det", "block", "anywhere"]))
+    n = len(rows)
+    if where == "det":
+        det = det + shift
+        assume(det)
+    elif where == "block":
+        _, parts = blocks(rows)
+        r, c, _ = draw(st.sampled_from(parts))
+        k, j = draw(st.sampled_from(c)), draw(st.sampled_from(r))
+        adj[k][j] = adj[k][j] + shift
+    elif where == "anywhere":
+        k, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        adj[k][j] = adj[k][j] + shift
+    return rows, adj, det
+
+
+def _narrow_adj():
+    # a 5×5 integer block with det −2 and adj[1][1] = −12; 4 − λ has that value
+    # at λ = 16, and ℓ1 norm 5, the largest in the tampered adj.  Without the
+    # factor n, the bound 1·5 + 2 would pack at 16, where the residual λ − 16
+    # of row 2 vanishes; n·1·5 + 2 = 27 packs at 64
+    rows = [[_p(x) for x in row] for row in
+            [[1, 0, 0, -1, -1], [0, 0, 0, -1, 0], [1, -1, -1, -1, 1], [1, 0, -1, 1, -1], [1, 0, 1, 1, 1]]]
+    adj, det = adjugate(rows)
+    assert det == _p(-2) and adj[1][1] == _p(-12)
+    adj[1][1] = _p(4, -1)
+    return rows, adj, det
+
+
+# two 1×1 blocks of the identity, with adj = I and det 5 − λ: without d·H_det
+# the bound 1 would pack at 4, where the residual λ − 4 vanishes; 1 + 6 packs at 16
+_NARROW_DET = ([[_p(1), ZERO_POLY], [ZERO_POLY, _p(1)]], [[_p(1), ZERO_POLY], [ZERO_POLY, _p(1)]], _p(5, -1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(certificates())
+@example(_narrow_adj())
+@example(_NARROW_DET)
+@example(([[_p(0, 1), _p(1)], [_p(2), _p(Fraction(1, 2))]], [[_p(Fraction(1, 2)), _p(-1)], [_p(-2), _p(0, 1)]],
+          _p(-2, Fraction(1, 2))))  # adj and det of a rational block, untampered
+def test_the_packed_certificate_decides_the_identity(case):
+    # the certificate passes exactly when A·adj = det·I holds in ℚ[λ]
+    rows, adj, det = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(shapovalov, "adjugate", lambda matrix: (adj, det))
+        try:
+            passed = invert_pairing(rows) == (adj, det)
+        except CertificateError:
+            passed = False
+    assert passed == _holds(rows, adj, det)
 
 
 @st.composite

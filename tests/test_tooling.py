@@ -10,7 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from starprod import cli, scalars
+from starprod import cli, scalars, shapovalov
 from starprod.lie import random_two_step, virasoro
 from starprod.scalars import Polynomial
 from starprod.shapovalov import pairing_matrix
@@ -75,6 +75,26 @@ def test_bareiss_builds_polynomials_only_for_its_result(monkeypatch):
     monkeypatch.setattr(Polynomial, "__init__", counted)
     adj, det = scalars._bareiss(matrix, True)
     assert n == 11 and det and len(calls) <= 4 * n * n
+
+
+def test_the_adjugate_certificate_multiplies_no_polynomials(monkeypatch):
+    # invert_pairing decides A·adj = det·I on packed integers: on the Virasoro
+    # degree-6 pairing it calls Polynomial.__mul__ and __add__ no more often
+    # than adjugate alone (0 and 0), where summing Polynomial products makes
+    # 1331 of each
+    _, matrix = pairing_matrix(virasoro(1, 1, cutoff=6), 6)
+    calls = []
+    for name in ("__mul__", "__add__"):
+        real = getattr(Polynomial, name)
+        monkeypatch.setattr(Polynomial, name, lambda a, b, real=real, name=name: calls.append(name) or real(a, b))
+
+    def counted(run):
+        del calls[:]
+        run(matrix)
+        return calls.count("__mul__"), calls.count("__add__")
+
+    alone, certified = counted(scalars.adjugate), counted(shapovalov.invert_pairing)
+    assert certified[0] <= alone[0] and certified[1] <= alone[1]
 
 
 def test_exit_codes_survive_python_O(tmp_path):

@@ -1,14 +1,19 @@
 """PBW normal forms, Hopf operations, projections, and the module action."""
 
+import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from starprod.lie import heisenberg, sl2, virasoro
+from starprod.errors import CutoffExceededError
+from starprod.lie import GradedLieAlgebra, heisenberg, random_two_step, sl2, virasoro
 from starprod.scalars import Polynomial
 from starprod.shapovalov import oracle_pairing
 from starprod.uea import (
+    BasisOrder,
     antipode,
     char_eval,
     coproduct,
@@ -25,6 +30,9 @@ from starprod.uea import (
     tensor_mul2,
     word_name,
 )
+from starprod.verify import _random_groups, _window_budget_ok
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def _sl2_ids():
@@ -186,3 +194,80 @@ def test_word_name():
     alg, f, h, e = _sl2_ids()
     assert word_name(alg, ()) == "1"
     assert word_name(alg, (f, f, h, e)) == "f^2 h e"
+
+
+def _folded(order, word):
+    """The normal form of word as every letter inserted in turn, from ()."""
+    state = {(): 1}
+    for g in word:
+        nxt = {}
+        for w, c in state.items():
+            for w1, c1 in order.insert(w, g).items():
+                nxt[w1] = nxt.get(w1, 0) + c * c1
+        state = {w: c for w, c in nxt.items() if c}
+    return state
+
+
+def _outcome(nf, order, word):
+    try:
+        return nf(order, word)
+    except CutoffExceededError:
+        return "cutoff"
+
+
+def _sl3():
+    spec = json.loads((FIXTURES / "sl3_principal.json").read_text(encoding="utf-8"))
+    return GradedLieAlgebra.from_json(spec)
+
+
+@pytest.mark.parametrize("make, longest", [(lambda: virasoro(1, 1, cutoff=2), 4), (_sl3, 3),
+                                           (lambda: random_two_step(17), 3)],
+                         ids=["virasoro", "sl3", "two-step-17"])
+def test_nf_word_equals_the_letter_by_letter_fold(make, longest):
+    # nf_word starts at the word's sorted prefix; on every word up to `longest`
+    # letters it must equal the fold from the empty word, for both orders,
+    # raising CutoffExceededError exactly where the fold does
+    alg, ref = make(), make()
+    ids = [g.id for g in alg.generators]
+    words = [w for k in range(longest + 1) for w in itertools.product(ids, repeat=k)]
+    for order, ref_order in ((phi_order(alg), phi_order(ref)), (pi_order(alg), pi_order(ref))):
+        got = [_outcome(BasisOrder.nf_word, order, w) for w in words]
+        assert got == [_outcome(_folded, ref_order, w) for w in words]
+    if alg.truncated:
+        assert "cutoff" in got
+
+
+def _probing_groups(algebra, rng, group, count, max_len):
+    """`verify._random_groups` with its cutoff probe run on every algebra."""
+    ids = [g.id for g in algebra.generators]
+    out = []
+    while len(out) < count:
+        words = tuple(
+            tuple(rng.choice(ids) for _ in range(rng.randint(0, max_len)))
+            for _ in range(group)
+        )
+        if not _window_budget_ok(algebra, words):
+            continue
+        try:
+            for w in words:
+                normal_form(phi_order(algebra), w)
+                normal_form(pi_order(algebra), w)
+        except CutoffExceededError:
+            continue
+        out.append(words)
+    return out
+
+
+@pytest.mark.parametrize("make", [lambda: sl2(1), lambda: heisenberg(2, 1), _sl3,
+                                  lambda: random_two_step(17)],
+                         ids=["sl2", "heisenberg", "sl3", "two-step-17"])
+def test_random_groups_without_the_probe_match_the_probing_copy(make):
+    # an untruncated algebra's bracket never raises CutoffExceededError, so the
+    # probe rejects nothing there, and it draws nothing from the rng
+    alg = make()
+    assert not alg.truncated
+    for group, count, max_len in ((1, 60, 4), (3, 40, 3)):
+        rng, ref_rng = random.Random(group), random.Random(group)
+        assert _random_groups(alg, rng, group, count, max_len) == _probing_groups(
+            make(), ref_rng, group, count, max_len)
+        assert rng.getstate() == ref_rng.getstate()
