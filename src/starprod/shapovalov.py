@@ -161,7 +161,7 @@ def pairing_entry(algebra, x, y):
     """(x, y) = scaled character of the zero-degree projection of S(y)·x,
     normal-ordered in the enveloping algebra.  The oracle route."""
     order = phi_order(algebra)
-    return char_eval(algebra, phi(algebra, multiply(order, antipode(order, y), x)))
+    return char_eval(algebra, phi(algebra, multiply(order, antipode(order, {y: 1}), {x: 1})))
 
 
 def oracle_pairing(algebra, x, y):
@@ -263,7 +263,7 @@ def invert_pairing(matrix):
     pattern alone.  On an n-column block it is decided on integers: with d·A
     and e·(adj, det) cleared (`clear_denominators`), every coefficient of
     d·e·(A·adj − det·I) is at most n·H_A·H_adj + d·H_det in size (H the
-    largest ℓ1 norm of an entry), below B/2 for B = 2^b, b = bits(2·bound).
+    largest ℓ1 norm of an entry), below B for B = 2^b, b = bits(bound).
     So each entry's value at λ = B, a packed row times a packed column, is 0
     only for the zero polynomial, as in `verify._decide`.
     """
@@ -276,7 +276,7 @@ def invert_pairing(matrix):
         sub = [[adj[k][j] for j in rows] for k in cols]
         d, a = clear_denominators(block)
         _, (*c, (e_det,)) = clear_denominators(sub + [[det]])
-        big = 1 << (2 * (len(cols) * norm(a) * norm(c) + d * norm([[e_det]]))).bit_length()
+        big = 1 << (len(cols) * norm(a) * norm(c) + d * norm([[e_det]])).bit_length()
         packed_cols = list(zip(*([horner(x.coeffs, big) for x in row] for row in c)))
         target = d * horner(e_det.coeffs, big)
         for i, row in enumerate(a):

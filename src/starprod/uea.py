@@ -1,7 +1,7 @@
 """PBW machinery for the universal enveloping algebra of a graded Lie algebra.
 
-Elements are dicts mapping words (tuples of generator ids) to exact
-scalars (plain ints while integral, Fractions otherwise).
+An element dict maps words (tuples of generator ids) to exact scalars (ints,
+else Fractions); the algebra operations take element dicts only, {w: 1} for w.
 A BasisOrder fixes which PBW normal form is meant: letters are ranked by
 segment (negative / zero / positive degree), then by (degree, id) inside a
 segment.  Rewriting ab -> ba + [a, b] is applied through a memoized
@@ -111,19 +111,10 @@ def pi_order(algebra):
 # -- elements ----------------------------------------------------------------
 
 
-def as_element(x):
-    """Coerce a word, (word, coeff) iterable, or dict into an element dict."""
-    if isinstance(x, dict):
-        return x
-    if isinstance(x, tuple) and all(isinstance(g, int) for g in x):
-        return {x: 1}
-    return dict(x)
-
-
 def normal_form(order, x):
-    """Rewrite an element (or single word) into PBW normal form for `order`."""
+    """Rewrite an element dict into PBW normal form for `order`."""
     out = {}
-    for word, c in as_element(x).items():
+    for word, c in x.items():
         for w1, c1 in order.nf_word(word).items():
             out[w1] = out.get(w1, 0) + c * c1
     return {w: c for w, c in out.items() if c}
@@ -153,8 +144,7 @@ def normal_form_random(order, word, rng):
 
 
 def multiply(order, u, v):
-    """Product in the enveloping algebra, returned in normal form."""
-    u, v = as_element(u), as_element(v)
+    """Product of two element dicts, returned in normal form."""
     out = {}
     for w1, c1 in u.items():
         for w2, c2 in v.items():
@@ -167,7 +157,7 @@ def multiply(order, u, v):
 def antipode(order, x):
     """S(g1...gk) = (-1)^k gk...g1, brought back to normal form."""
     out = {}
-    for word, c in as_element(x).items():
+    for word, c in x.items():
         sign = -c if len(word) % 2 else c
         for w1, c1 in order.nf_word(tuple(reversed(word))).items():
             out[w1] = out.get(w1, 0) + sign * c1
@@ -200,7 +190,7 @@ def coproduct(x):
     renormalization happens here.
     """
     out = {}
-    for word, c in as_element(x).items():
+    for word, c in x.items():
         for left, right, mult in mono_splits(word):
             key = (left, right)
             out[key] = out.get(key, 0) + c * mult
@@ -208,7 +198,7 @@ def coproduct(x):
 
 
 def counit(x):
-    return sum(c for w, c in as_element(x).items() if not w)
+    return sum(c for w, c in x.items() if not w)
 
 
 def word_name(algebra, word):
@@ -228,10 +218,8 @@ def tensor_mul2(order, s, t):
     out = {}
     for (a1, a2), c in s.items():
         for (b1, b2), d in t.items():
-            left = multiply(order, {a1: 1}, {b1: 1})
-            right = multiply(order, {a2: 1}, {b2: 1})
-            for w1, c1 in left.items():
-                for w2, c2 in right.items():
+            for w1, c1 in order.nf_word(a1 + b1).items():
+                for w2, c2 in order.nf_word(a2 + b2).items():
                     key = (w1, w2)
                     out[key] = out.get(key, 0) + c * d * c1 * c2
     return {k: c for k, c in out.items() if c}
@@ -255,7 +243,7 @@ def char_eval(algebra, x):
     """Evaluate a zero-degree element under the scaled character: each letter g
     becomes λ·χ(g).  Returns a Polynomial in λ."""
     acc = {}
-    for word, c in as_element(x).items():
+    for word, c in x.items():
         val = c
         for g in word:
             if algebra.degree(g) != 0:

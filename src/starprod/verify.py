@@ -17,7 +17,7 @@ at the characters checked).  Each check first plans its contributions and
 tallies their exact constants: s their summed size and den their common
 denominator.  `_decide` then clears the numerators to integers and packs each
 into one integer, its value at λ = B = 2^b, once, at the width
-b = bits(2·den·s·H²) (H the largest ℓ1 norm of a numerator) at which a value
+b = bits(den·s·H²) (H the largest ℓ1 norm of a numerator) at which a value
 of 0 decides the zero polynomial; nothing is rerun.  A component accumulates
 as one integer: per term pair, one product of packed numerators times exact
 structure constants.  Associativity reads word products off the memoized
@@ -49,7 +49,6 @@ from .uea import (
     mono_degree,
     mono_splits,
     multiply,
-    normal_form,
     normal_form_random,
     phi_order,
     pi_order,
@@ -131,21 +130,21 @@ def _divides(a, b):
 
 def _decide(terms, power, s, den, run):
     """Return run(packed, B), packed[i] the value of term i at λ = B = 2^b,
-    with b = bits(2·den·s·H^power) from the check's tally.
+    with b = bits(den·s·H^power) from the check's tally.
 
     The tails are cleared by one integer factor and packed as
     N = λ^(v − v_min)·tail at λ = B.  A component is P(B), P a sum of
     k·(product of `power` cleared tails) over exact constants k (for
     invariance, action polynomials, counted by their ℓ1 norms), s = Σ|k| and
     den·k integral.  Then den·P is in ℤ[λ] with coefficients of size at most
-    den·s·H^power, H the largest ℓ1 norm of a tail, which is below B/2, so
+    den·s·H^power, H the largest ℓ1 norm of a tail, which is below B, so
     P(B) = 0 only if P = 0: the lowest nonzero coefficient c of den·P would
     need B | c with 0 < |c| < B.  The tally comes first: nothing is rerun."""
     scale = lcm(*(c.denominator for *_, (_, tail) in terms for c in tail))
     tails = [(v, [(c * scale).numerator for c in tail]) for *_, (v, tail) in terms]
     vmin = min((v for v, tail in tails if tail), default=0)
     h = max((sum(map(abs, tail)) for _, tail in tails), default=0)
-    b = int(2 * den * s * h**power).bit_length()  # den·s is an integer, as den·k is
+    b = int(den * s * h**power).bit_length()  # den·s is an integer, as den·k is
     return run([horner(tail, 1 << b) << b * (v - vmin) for v, tail in tails], 1 << b)
 
 
@@ -563,8 +562,8 @@ def _random_groups(algebra, rng, group, count, max_len):
         if algebra.truncated:  # no other algebra's bracket raises CutoffExceededError
             try:
                 for w in words:
-                    normal_form(phi_order(algebra), w)
-                    normal_form(pi_order(algebra), w)
+                    phi_order(algebra).nf_word(w)
+                    pi_order(algebra).nf_word(w)
             except CutoffExceededError:
                 continue
         out.append(words)
@@ -578,16 +577,13 @@ def property_suite(algebra, seed, samples=100):
     results = []
 
     words = [g[0] for g in _random_groups(algebra, rng, 1, samples, 4)]
-    ok = all(
-        normal_form(order, w) == normal_form_random(order, w, rng) for w in words
-    )
+    ok = all(order.nf_word(w) == normal_form_random(order, w, rng) for w in words)
     results.append(
         CheckResult("confluence", ok, f"{samples} rewrite schedules agree" if ok else "schedules diverge")
     )
 
     ok = all(
-        multiply(order, multiply(order, u, v), {t: 1})
-        == multiply(order, {u: 1}, multiply(order, v, t))
+        multiply(order, order.nf_word(u + v), {t: 1}) == multiply(order, {u: 1}, order.nf_word(v + t))
         for u, v, t in _random_groups(algebra, rng, 3, samples, 3)
     )
     results.append(
@@ -595,10 +591,10 @@ def property_suite(algebra, seed, samples=100):
     )
 
     def antipode_holds(u, v):
-        left = antipode(order, multiply(order, u, v))
+        left = antipode(order, order.nf_word(u + v))
         if left != multiply(order, antipode(order, {v: 1}), antipode(order, {u: 1})):
             return False
-        nf = normal_form(order, u)
+        nf = order.nf_word(u)
         folded = {}
         for (w1, w2), cc in coproduct(nf).items():
             for w3, c3 in multiply(order, antipode(order, {w1: 1}), {w2: 1}).items():
@@ -607,16 +603,15 @@ def property_suite(algebra, seed, samples=100):
         return {w: cf for w, cf in folded.items() if cf} == ({(): eps} if eps else {})
 
     def coproduct_holds(u, v):
-        unf = normal_form(order, u)
-        vnf = normal_form(order, v)
-        lhs = coproduct(normal_form(order, multiply(order, unf, vnf)))
-        if lhs != tensor_mul2(order, coproduct(unf), coproduct(vnf)):
+        unf, vnf = order.nf_word(u), order.nf_word(v)
+        split = coproduct(unf)
+        if coproduct(multiply(order, unf, vnf)) != tensor_mul2(order, split, coproduct(vnf)):
             return False
         left3, right3 = {}, {}
-        for (w1, w2), cc in coproduct(unf).items():
-            for (a, b), dd in coproduct({w1: 1}).items():
+        for (w1, w2), cc in split.items():
+            for a, b, dd in mono_splits(w1):
                 left3[(a, b, w2)] = left3.get((a, b, w2), 0) + cc * dd
-            for (a, b), dd in coproduct({w2: 1}).items():
+            for a, b, dd in mono_splits(w2):
                 right3[(w1, a, b)] = right3.get((w1, a, b), 0) + cc * dd
         return {k: c for k, c in left3.items() if c} == {k: c for k, c in right3.items() if c}
 

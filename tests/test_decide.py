@@ -1,6 +1,6 @@
 """The exact zero test behind the global identities: every component is one
 integer, the value of its residual at λ = B = 2^b, and `verify._decide` packs
-at the width b = bits(2·den·s·H^power) that the check's tally proves."""
+at the width b = bits(den·s·H^power) that the check's tally proves."""
 
 from fractions import Fraction
 from math import lcm
@@ -123,11 +123,11 @@ def test_twins_cancel_exactly():
 
 def test_a_zero_at_too_narrow_a_width_is_not_trusted():
     # 2 − λ vanishes at B = 2 and 4 − λ at B = 4 (H = 1), the widths that
-    # power·bits(H) alone would give; the tallies 2·s·H^power = 6 and 10 pack
-    # at B = 8 and B = 16 instead, where both are nonzero
+    # power·bits(H) alone would give; the tallies s·H^power = 3 and 5 pack
+    # at B = 4 and B = 8 instead, where both are nonzero
     terms = [(0, (0,), (0, (1,))), (1, (1,), (1, (1,)))]
     for power, contributions, value in (
-        (1, [("p", (2, -1), 0, 0)], 2 - 8),
-        (2, [("p", 4, 0, 0), ("p", -1, 0, 1)], 4 - 16),
+        (1, [("p", (2, -1), 0, 0)], 2 - 4),
+        (2, [("p", 4, 0, 0), ("p", -1, 0, 1)], 4 - 8),
     ):
         assert _decide(terms, power, contributions) == {"p": value}

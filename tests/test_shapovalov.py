@@ -277,6 +277,14 @@ def test_invert_pairing_rejects_tampered_adjugate(monkeypatch):
         exact_component(virasoro(1, 1), 2)
 
 
+def test_the_inverse_certificate_packs_wide_enough_to_see_a_residual(monkeypatch):
+    # A = [[1]] with adj = [[λ]] and det = 2: the bound is 1·1·1 + 1·2 = 3, and
+    # the residual λ − 2 vanishes at B = 2 = 2^(bits(3) − 1) but not at B = 4
+    monkeypatch.setattr(shapovalov, "adjugate", lambda matrix: ([[Polynomial((0, 1))]], Polynomial((2,))))
+    with pytest.raises(CertificateError, match=r"^adjugate certificate A·adj = det·I failed$"):
+        invert_pairing([[ONE_POLY]])
+
+
 def test_canonical_element_sl2():
     alg = sl2(2)
     f, e = alg.by_name("f").id, alg.by_name("e").id

@@ -61,6 +61,58 @@ def test_no_module_imports_another_modules_private_name():
     assert not found, "private names read across modules: " + ", ".join(found)
 
 
+def _trees():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for path in sorted(SRC.rglob("*.py"))}
+
+
+def _read_names(tree):
+    """Every name a syntax tree reads: loaded names, attribute names, and the
+    strings listed in an __all__."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            names.update(elt.value for elt in node.value.elts)
+    return names
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # a name left in an import list after its last use was deleted
+    found = []
+    for name, tree in _trees().items():
+        read = _read_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        found.append(f"{name}:{node.lineno} imports {bound}")
+    assert not found, "unused imports in src/starprod: " + ", ".join(found)
+
+
+def test_every_public_name_has_a_caller_in_src():
+    # API that only the tests call is deleted, not kept: every public top-level
+    # function or class is read somewhere in src/ or exported in starprod.__all__
+    # (a recursive call inside its own body does not count)
+    import starprod
+
+    stmts = [(name, node, _read_names(node)) for name, tree in _trees().items() for node in tree.body]
+    found = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, node, _ in stmts
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        and node.name not in starprod.__all__
+        and not any(node.name in read for _, other, read in stmts if other is not node)
+    ]
+    assert not found, "public names that nothing in src/ reads: " + ", ".join(found)
+
+
 def test_bareiss_builds_polynomials_only_for_its_result(monkeypatch):
     # the elimination runs on int coefficient lists: a Gauss–Jordan _bareiss
     # of the 11×11 Virasoro degree-6 pairing builds Polynomials for d·A, adj

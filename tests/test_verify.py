@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from starprod import cli, star, verify
-from starprod.lie import GradedLieAlgebra, heisenberg, random_two_step, sl2, virasoro
+from starprod.lie import GradedLieAlgebra, Generator, heisenberg, random_two_step, sl2, virasoro
 from starprod.scalars import Polynomial
 from starprod.uea import mono_degree, mono_splits, pi_order
 from starprod.shapovalov import canonical_element
@@ -237,6 +237,54 @@ def test_property_suite():
     assert all(r.passed for r in property_suite(virasoro(1, 1), seed=5, samples=25))
 
 
+_SUITE_PASSES = [
+    ("confluence", True, "25 rewrite schedules agree"),
+    ("product-associativity", True, "25 triples associate"),
+    ("antipode", True, "25 antihomomorphism and fold checks"),
+    ("coproduct", True, "25 multiplicativity and coassociativity checks"),
+]
+
+
+def _suite_with(alg, failing):
+    """property_suite's results on alg against the passing ones, with the
+    checks named in `failing` (name -> detail) failing instead."""
+    got = [(r.name, r.passed, r.detail) for r in property_suite(alg, seed=5, samples=25)]
+    assert got == [(name, False, failing[name]) if name in failing else (name, ok, detail)
+                   for name, ok, detail in _SUITE_PASSES]
+
+
+def test_confluence_fails_when_a_schedule_drops_the_bracket_term(monkeypatch):
+    sym = lambda order, word, rng: {tuple(sorted(word, key=order.key)): 1}
+    monkeypatch.setattr(verify, "normal_form_random", sym)
+    _suite_with(sl2(1), {"confluence": "schedules diverge"})
+
+
+def test_product_associativity_fails_without_the_jacobi_identity():
+    # sl2 with [h, e] = 3e: [e, [f, h]] + [f, [h, e]] + [h, [e, f]] = −h
+    gens = [Generator(0, "f", -1), Generator(1, "h", 0), Generator(2, "e", +1)]
+    alg = GradedLieAlgebra("sl2", gens, {(2, 0): [(1, 1)], (1, 2): [(2, 3)], (1, 0): [(0, -2)]}, {1: 1})
+    _suite_with(alg, {"product-associativity": "association fails", "antipode": "antipode identity fails"})
+
+
+def test_antipode_fails_without_its_sign(monkeypatch):
+    real = verify.antipode
+    unsigned = lambda order, x: real(order, {w: (-1) ** len(w) * c for w, c in x.items()})
+    monkeypatch.setattr(verify, "antipode", unsigned)
+    _suite_with(sl2(1), {"antipode": "antipode identity fails"})
+
+
+def test_coassociativity_fails_at_split_multiplicity_one(monkeypatch):
+    real = verify.mono_splits
+    monkeypatch.setattr(verify, "mono_splits", lambda word: [(a, b, 1) for a, b, _ in real(word)])
+    _suite_with(sl2(1), {"coproduct": "coproduct identity fails"})
+
+
+def test_multiplicativity_fails_when_the_slot_factors_swap(monkeypatch):
+    real = verify.tensor_mul2
+    monkeypatch.setattr(verify, "tensor_mul2", lambda order, s, t: real(order, t, s))
+    _suite_with(sl2(1), {"coproduct": "coproduct identity fails"})
+
+
 def test_report_rendering():
     report = VerificationReport("demo")
     report.add(CheckResult("alpha", True, "fine"))
@@ -324,7 +372,7 @@ def _packings(monkeypatch):
 
 @pytest.mark.parametrize("check", [check_associativity, check_invariance])
 def test_one_packing_at_the_tally_width(check, monkeypatch):
-    # pinned results, each from one packing at b = bits(2·den·s·H^power)
+    # pinned results, each from one packing at b = bits(den·s·H^power)
     algebras = [
         lambda: virasoro(1, 1, cutoff=3),
         lambda: random_two_step(17),
@@ -353,7 +401,7 @@ def test_one_packing_at_the_tally_width(check, monkeypatch):
         [(terms, power, s, den, point)] = seen
         scale = lcm(*(c.denominator for *_, (_, tail) in terms for c in tail))
         h = max(sum(abs(c * scale) for c in tail) for *_, (_, tail) in terms)
-        assert (power, point) == (2 if check is check_associativity else 1, 1 << int(2 * den * s * h**power).bit_length())
+        assert (power, point) == (2 if check is check_associativity else 1, 1 << int(den * s * h**power).bit_length())
 
 
 def _brute_tally(alg, window):
