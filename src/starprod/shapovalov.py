@@ -265,7 +265,7 @@ def invert_pairing(matrix):
     d·e·(A·adj − det·I) is at most n·H_A·H_adj + d·H_det in size (H the
     largest ℓ1 norm of an entry), below B for B = 2^b, b = bits(bound).
     So each entry's value at λ = B, a packed row times a packed column, is 0
-    only for the zero polynomial, as in `verify._decide`.
+    only for the zero polynomial, as in `verify._pack`.
     """
     adj, det = adjugate(matrix)
     if det.is_zero:

@@ -15,12 +15,13 @@ divides L, and L·det_n is taken otherwise (so L = det_w wherever each det
 divides the next, as on every builtin, sl3 and the two-step nilpotent algebras
 at the characters checked).  Each check first plans its contributions and
 tallies their exact constants: s their summed size and den their common
-denominator.  `_decide` then clears the numerators to integers and packs each
+denominator.  `_pack` then clears the numerators to integers and packs each
 into one integer, its value at λ = B = 2^b, once, at the width
-b = bits(den·s·H²) (H the largest ℓ1 norm of a numerator) at which a value
-of 0 decides the zero polynomial; nothing is rerun.  A component accumulates
-as one integer: per term pair, one product of packed numerators times exact
-structure constants.  Associativity reads word products off the memoized
+b = bits(den·s·H^power) (H the largest ℓ1 norm of a numerator) at which a
+value of 0 decides the zero polynomial, and each check runs its own pass over
+the packed values; nothing is rerun.  A component accumulates as one integer:
+per term pair, one product of packed numerators times exact structure
+constants.  Associativity reads word products off the memoized
 normal forms (`BasisOrder.nf_word`), and invariance the memoized action of one
 letter (`uea.letter_action`).
 `run_all` forms the canonical element and the residue's dual basis before
@@ -37,8 +38,7 @@ from fractions import Fraction
 from functools import cache
 from math import factorial, lcm, prod
 
-from .errors import CutoffExceededError
-from .scalars import ONE_POLY, Polynomial, RationalFunction, horner, series_ratio
+from .scalars import ONE_POLY, Polynomial, RationalFunction, horner, product, series_ratio
 from .shapovalov import canonical_element, oracle_pairing, pairing_entry, pairing_matrix
 from .star import exact_series, expected_residue, residue, star_series
 from .uea import (
@@ -128,8 +128,8 @@ def _divides(a, b):
     return True
 
 
-def _decide(terms, power, s, den, run):
-    """Return run(packed, B), packed[i] the value of term i at λ = B = 2^b,
+def _pack(terms, power, s, den):
+    """Return (packed, B), packed[i] the value of term i at λ = B = 2^b,
     with b = bits(den·s·H^power) from the check's tally.
 
     The tails are cleared by one integer factor and packed as
@@ -145,7 +145,7 @@ def _decide(terms, power, s, den, run):
     vmin = min((v for v, tail in tails if tail), default=0)
     h = max((sum(map(abs, tail)) for _, tail in tails), default=0)
     b = int(den * s * h**power).bit_length()  # den·s is an integer, as den·k is
-    return run([horner(tail, 1 << b) << b * (v - vmin) for v, tail in tails], 1 << b)
+    return [horner(tail, 1 << b) << b * (v - vmin) for v, tail in tails], 1 << b
 
 
 def _tallied(plan, ks):
@@ -208,21 +208,17 @@ def check_associativity(algebra, window):
         ], [k for *_, k in plan])
     s = sum(left[x][1] + right[y][1] for x, y in slots)
     den = lcm(*(d for *_, d in (*left.values(), *right.values())))
-
-    def run(packed, _):
-        acc = {}
-        get = acc.get
-        for (x, y), (xk, yk), value in zip(slots, keys, packed):
-            bases = [value * other for other in packed]
-            for q, part, k in left[x][0]:
-                key = part | yk
-                acc[key] = get(key, 0) + k * bases[q]
-            for q, part, k in right[y][0]:
-                key = part | xk
-                acc[key] = get(key, 0) - k * bases[q]
-        return acc
-
-    acc = _decide(terms, 2, s, den, run)
+    packed, _ = _pack(terms, 2, s, den)
+    acc = {}
+    get = acc.get
+    for (x, y), (xk, yk), value in zip(slots, keys, packed):
+        bases = [value * other for other in packed]
+        for q, part, k in left[x][0]:
+            key = part | yk
+            acc[key] = get(key, 0) + k * bases[q]
+        for q, part, k in right[y][0]:
+            key = part | xk
+            acc[key] = get(key, 0) - k * bases[q]
     words, mask = list(ids), (1 << wb) - 1
     residual = [tuple(words[key >> i & mask] for i in (2 * wb, wb, 0)) for key, v in acc.items() if v]
     if residual:
@@ -256,19 +252,14 @@ def check_invariance(algebra, window):
                 plan.append((i, side, other, act))
     s = sum(actions[act][1] for plan in plans for *_, act in plan)
     den = lcm(*(d for *_, d in actions.values()))
-
-    def run(packed, point):
-        values = {act: [(w, horner(p, point)) for w, p in a] for act, (a, *_) in actions.items()}
-        accs = []
-        for plan in plans:
-            accs.append(acc := {})
-            for i, side, other, act in plan:
-                for w, value in values[act]:
-                    key = (w, other) if side > 0 else (other, w)
-                    acc[key] = acc.get(key, 0) + value * packed[i]
-        return accs
-
-    for gen, acc in zip(algebra.generators, _decide(terms, 1, s, den, run)):
+    packed, point = _pack(terms, 1, s, den)
+    values = {act: [(w, horner(p, point)) for w, p in a] for act, (a, *_) in actions.items()}
+    for gen, plan in zip(algebra.generators, plans):
+        acc = {}
+        for i, side, other, act in plan:
+            for w, value in values[act]:
+                key = (w, other) if side > 0 else (other, w)
+                acc[key] = acc.get(key, 0) + value * packed[i]
         for key in sorted(acc):
             if acc[key]:
                 where = " | ".join(word_name(algebra, w) for w in key)
@@ -391,27 +382,14 @@ def check_canonicity(algebra, max_degree):
 # -- closed forms ---------------------------------------------------------------
 
 
-def _hbar_product(factors, order):
-    """Product of linear ħ-polynomials, as a coefficient list."""
-    coeffs = [Fraction(1)]
-    for a, b in factors:  # a + b·ħ
-        nxt = [Fraction(0)] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i] += c * a
-            nxt[i + 1] += c * b
-        coeffs = nxt
-    return coeffs[: order + 1] if len(coeffs) > order + 1 else coeffs
-
-
-def _closed_form_sl2(algebra, max_n=6):
+def _closed_form_sl2(algebra):
+    max_n = 6  # checked through ħ^6
     z = algebra.chi(algebra.by_name("h").id)
     f = algebra.by_name("f").id
     e = algebra.by_name("e").id
     canon = canonical_element(algebra, max_n)
     for n in range(1, max_n + 1):
-        den = Polynomial((Fraction(factorial(n)),))
-        for j in range(n):
-            den = den * Polynomial((Fraction(-j), z))
+        den = product([Polynomial((factorial(n),)), *(Polynomial((-j, z)) for j in range(n))])
         want = {((f,) * n, (e,) * n): RationalFunction(Polynomial((Fraction((-1) ** n),)), den)}
         if canon.component(n) != want:
             return CheckResult("closed-form", False, f"coefficient at degree {n} is off")
@@ -421,7 +399,7 @@ def _closed_form_sl2(algebra, max_n=6):
     for n in range(1, max_n + 1):
         series = series_ratio(
             [Fraction((-1) ** n, factorial(n))],
-            _hbar_product([(z, Fraction(-j)) for j in range(n)], max_n - n),
+            product([Polynomial((z, -j)) for j in range(n)]).coeffs,
             max_n - n,
         )
         for i, c in enumerate(series):
@@ -434,9 +412,10 @@ def _closed_form_sl2(algebra, max_n=6):
     )
 
 
-def _closed_form_heisenberg(algebra, max_m=5):
+def _closed_form_heisenberg(algebra):
     import itertools as it
 
+    max_m = 5  # checked through ħ^5
     qs = sorted(g.id for g in algebra.generators if g.degree < 0)
     mirror = {g: algebra.by_name("p" + algebra.gen_name(g)[1:]).id for g in qs}
     w = algebra.chi(algebra.by_name("c").id)
@@ -559,13 +538,6 @@ def _random_groups(algebra, rng, group, count, max_len):
         )
         if not _window_budget_ok(algebra, words):
             continue
-        if algebra.truncated:  # no other algebra's bracket raises CutoffExceededError
-            try:
-                for w in words:
-                    phi_order(algebra).nf_word(w)
-                    pi_order(algebra).nf_word(w)
-            except CutoffExceededError:
-                continue
         out.append(words)
     return out
 

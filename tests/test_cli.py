@@ -569,6 +569,43 @@ def test_spec_without_generators(tmp_path, capsys):
         assert (code, out, err) == (5, "", "error: algebra spec has no generators\n")
 
 
+def test_spec_that_is_not_json_or_not_an_object(tmp_path, capsys):
+    bad, listed = tmp_path / "bad.json", tmp_path / "list.json"
+    bad.write_text("{bad")
+    listed.write_text("[1, 2]")
+    code, out, err = _run(capsys, "validate", "--spec", str(bad))
+    why = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+    assert (code, out, err) == (5, "", f"error: {bad} is not valid JSON: {why}\n")
+    # --cutoff overrides a key of the spec, so the spec must be an object
+    code, out, err = _run(capsys, "validate", "--spec", str(listed), "--cutoff", "2")
+    assert (code, out, err) == (5, "", "error: algebra spec must be a JSON object\n")
+
+
+def test_spec_cutoff_flag_widens_the_validated_window(capsys):
+    # the fixture's own cutoff is 2, so only degrees 1 and 2 are checked there
+    spec = str(Path(__file__).resolve().parent / "fixtures" / "sl3_principal.json")
+    for argv, degrees in (((), ["1", "2"]), (("--cutoff", "3"), ["1", "2", "3"])):
+        code, out, _ = _run(capsys, "validate", "--spec", spec, *argv, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["nonsingular"] == dict.fromkeys(degrees, True)
+
+
+def test_star_text_prints_a_vanishing_order(capsys):
+    code, out, err = _run(
+        capsys,
+        "star", "--builtin", "virasoro", "--param", "delta=1", "--param", "c=1",
+        "--cutoff", "1", "--max-degree", "3",
+    )
+    assert (code, err) == (0, "")
+    assert out == (
+        "virasoro: product series through ħ^3 (slots within ±1)\n"
+        "  ħ^0: 1 · 1 ⊗ 1\n"
+        "  ħ^1: -1/2 · L-1 ⊗ L1\n"
+        "  ħ^2: 0\n"
+        "  ħ^3: 0\n"
+    )
+
+
 def test_spec_with_param_rejected(tmp_path, capsys):
     path = tmp_path / "alg.json"
     path.write_text(json.dumps(sl2(1).to_json()))

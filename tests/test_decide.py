@@ -1,5 +1,5 @@
 """The exact zero test behind the global identities: every component is one
-integer, the value of its residual at λ = B = 2^b, and `verify._decide` packs
+integer, the value of its residual at λ = B = 2^b, and `verify._pack` packs
 at the width b = bits(den·s·H^power) that the check's tally proves."""
 
 from fractions import Fraction
@@ -20,7 +20,7 @@ SCALARS = COEFFS.filter(bool)
 
 @st.composite
 def sums(draw, power):
-    """(terms, contributions) in the shape `_decide` and its run see: terms
+    """(terms, contributions) in the shape a check's pass sees: terms
     (n, pair, (v, tail)) with tail[0] ≠ 0, and contributions (key, k, i, j),
     k a scalar times terms i and j (power 2) or a coefficient tuple times
     term i (power 1).  Each tail comes as three terms, as drawn, scaled by c,
@@ -63,22 +63,17 @@ def _tally(power, contributions):
     return sum(map(abs, ks)), lcm(*(Fraction(c).denominator for c in ks))
 
 
-def _run(power, contributions):
-    def run(packed, point):
-        acc = {}
-        for key, k, i, j in contributions:
-            if power == 2:
-                value = k * packed[i] * packed[j]
-            else:
-                value = horner(k, point) * packed[i]
-            acc[key] = acc.get(key, 0) + value
-        return acc
-
-    return run
-
-
 def _decide(terms, power, contributions):
-    return verify._decide(terms, power, *_tally(power, contributions), _run(power, contributions))
+    """The packed sum of each key's contributions, at the tally's width."""
+    packed, point = verify._pack(terms, power, *_tally(power, contributions))
+    acc = {}
+    for key, k, i, j in contributions:
+        if power == 2:
+            value = k * packed[i] * packed[j]
+        else:
+            value = horner(k, point) * packed[i]
+        acc[key] = acc.get(key, 0) + value
+    return acc
 
 
 def _polynomial_sums(terms, power, contributions):

@@ -113,6 +113,33 @@ def test_every_public_name_has_a_caller_in_src():
     assert not found, "public names that nothing in src/ reads: " + ", ".join(found)
 
 
+def test_every_fail_detail_in_verify_is_asserted_by_a_test():
+    # the checks are not vacuous only if each FAIL detail is reached by some
+    # test: the longest literal part of every CheckResult(name, False, detail)
+    # in verify.py (a bare-name detail read from its assignment in the same
+    # function) must occur in a test file other than this one
+    here = Path(__file__).resolve()
+    corpus = "\n".join(p.read_text(encoding="utf-8") for p in sorted(here.parent.glob("test_*.py"))
+                       if p != here)
+    found = []
+    for func in _trees()["verify.py"].body:
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        assigned = {t.id: node.value for node in ast.walk(func) if isinstance(node, ast.Assign)
+                    for t in node.targets if isinstance(t, ast.Name)}
+        for node in ast.walk(func):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "CheckResult"
+                    and len(node.args) == 3 and getattr(node.args[1], "value", None) is False):
+                continue
+            detail = node.args[2]
+            detail = assigned.get(detail.id, detail) if isinstance(detail, ast.Name) else detail
+            parts = detail.values if isinstance(detail, ast.JoinedStr) else [detail]
+            literal = max((p.value for p in parts if isinstance(p, ast.Constant)), key=len, default="")
+            if not literal or literal not in corpus:
+                found.append(f"verify.py:{node.lineno} {literal!r}")
+    assert not found, "FAIL details that no test asserts: " + ", ".join(found)
+
+
 def test_bareiss_builds_polynomials_only_for_its_result(monkeypatch):
     # the elimination runs on int coefficient lists: a Gauss–Jordan _bareiss
     # of the 11×11 Virasoro degree-6 pairing builds Polynomials for d·A, adj

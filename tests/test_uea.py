@@ -238,7 +238,8 @@ def test_nf_word_equals_the_letter_by_letter_fold(make, longest):
 
 
 def _probing_groups(algebra, rng, group, count, max_len):
-    """`verify._random_groups` with its cutoff probe run on every algebra."""
+    """`verify._random_groups` plus a cutoff probe: a group is also skipped
+    when normal-ordering one of its words raises CutoffExceededError."""
     ids = [g.id for g in algebra.generators]
     out = []
     while len(out) < count:
@@ -259,13 +260,19 @@ def _probing_groups(algebra, rng, group, count, max_len):
 
 
 @pytest.mark.parametrize("make", [lambda: sl2(1), lambda: heisenberg(2, 1), _sl3,
-                                  lambda: random_two_step(17)],
-                         ids=["sl2", "heisenberg", "sl3", "two-step-17"])
+                                  lambda: random_two_step(17), lambda: virasoro(1, 1, cutoff=1),
+                                  lambda: virasoro(1, 1, cutoff=2),
+                                  lambda: virasoro(Fraction(1, 2), Fraction(3, 7), cutoff=3),
+                                  lambda: virasoro(2, -1, cutoff=4)],
+                         ids=["sl2", "heisenberg", "sl3", "two-step-17", "virasoro-1",
+                              "virasoro-2", "virasoro-3-rational", "virasoro-4"])
 def test_random_groups_without_the_probe_match_the_probing_copy(make):
-    # an untruncated algebra's bracket never raises CutoffExceededError, so the
-    # probe rejects nothing there, and it draws nothing from the rng
+    # every letter a rewrite creates has as its degree the sum of a subset of
+    # the group's letter degrees, which lies in [neg, pos] ⊆ [−cutoff, cutoff]
+    # once `_window_budget_ok` holds, and a truncated bracket raises only
+    # outside that window; so the probe rejects nothing, and it draws nothing
+    # from the rng
     alg = make()
-    assert not alg.truncated
     for group, count, max_len in ((1, 60, 4), (3, 40, 3)):
         rng, ref_rng = random.Random(group), random.Random(group)
         assert _random_groups(alg, rng, group, count, max_len) == _probing_groups(

@@ -224,6 +224,80 @@ def test_closed_form_dispatch():
     assert "two-generator table" in check_closed_forms(virasoro(1, 1)).detail
 
 
+def _times(alg, degree, factor, pair=None):
+    """The algebra with its degree-`degree` determinant (or, given `pair`,
+    that pair's numerator, 1 for a pair it lacks) multiplied by the
+    polynomial `factor`."""
+    canonical_element(alg, degree)
+    basis, coeffs, det = alg.memo.components[(degree, "desc")]
+    if pair is None:
+        det = det * factor
+    else:
+        coeffs[pair] = coeffs.get(pair, Polynomial((1,))) * factor
+    alg.memo.components[(degree, "desc")] = (basis, coeffs, det)
+    return alg
+
+
+def _doubled_order(monkeypatch, order):
+    """Make `verify.star_series` return its series with the ħ^`order`
+    coefficients doubled."""
+    real = verify.star_series
+
+    def tampered(*args, **kwargs):
+        orders = dict(real(*args, **kwargs).orders)
+        orders[order] = {key: 2 * c for key, c in orders[order].items()}
+        return SimpleNamespace(orders=orders)
+
+    monkeypatch.setattr(verify, "star_series", tampered)
+
+
+LAMBDA, TWO = Polynomial((0, 1)), Polynomial((2,))
+
+
+def test_a_slowly_decaying_coefficient_breaks_order_bounds():
+    # sl2's degree-1 coefficient 1/(−λ) times λ no longer vanishes at λ = ∞
+    result = check_order_bounds(_times(sl2(1), 1, LAMBDA, ((0,), (2,))), 1)
+    assert result == CheckResult("order-bounds", False, "coefficient at [f | e] decays too slowly")
+
+
+def test_a_determinant_of_the_wrong_degree_breaks_the_structure_check():
+    result = check_determinant_structure(_times(sl2(1), 1, LAMBDA), 2)
+    assert result == CheckResult("determinant", False, "degree 1: det has λ-degree 2, expected 1")
+
+
+def test_a_cross_degree_oracle_value_breaks_oracle_agreement(monkeypatch):
+    monkeypatch.setattr(verify, "oracle_pairing", lambda algebra, x, y: 1)
+    result = check_oracle_agreement(sl2(1), 2)
+    assert result == CheckResult("oracle", False, "cross-degree pair (1,2) does not vanish")
+
+
+@pytest.mark.parametrize("make, tamper, detail", [
+    (lambda: _tampered(sl2(1), 2, 2), None, "coefficient at degree 2 is off"),
+    (lambda: sl2(1), 3, "series differs from the rational closed form"),
+    (lambda: sl2(Fraction(1, 3)), 4, "series differs from the rational closed form"),
+    (lambda: _tampered(heisenberg(2, 1), 1, 1), None, "diagonal term at degree 1 is off"),
+    (lambda: _times(heisenberg(2, 1), 1, LAMBDA, ((0,), (4,))), None,
+     "unexpected off-diagonal terms at degree 1"),
+    (lambda: heisenberg(2, Fraction(1, 3)), 2, "series differs from the exponential form"),
+    (lambda: _times(virasoro(1, 1, cutoff=1), 1, TWO), None, "degree-1 determinant is off"),
+    (lambda: virasoro(1, 1, cutoff=1), 1, "order ≤ 1 series differs from the table"),
+    (lambda: virasoro(1, -8), None, "leading coefficient A vanishes"),
+    (lambda: _times(virasoro(1, 1), 1, TWO), None, "degree-1 determinant is off"),
+    (lambda: _times(virasoro(1, 1), 2, TWO), None, "degree-2 determinant is not Aλ³+Bλ²"),
+    (lambda: virasoro(Fraction(1, 2), Fraction(3, 7)), 2, "order ≤ 2 series differs from the table"),
+], ids=["sl2-coefficient", "sl2-series", "sl2-rational-series", "heisenberg-diagonal",
+        "heisenberg-off-diagonal", "heisenberg-series", "virasoro-1-det", "virasoro-1-series",
+        "virasoro-A-vanishes", "virasoro-2-det1", "virasoro-2-det2", "virasoro-2-series"])
+def test_each_closed_form_failure_is_reachable(make, tamper, detail, monkeypatch):
+    # a corrupted component or series (ħ^tamper doubled), or, for Virasoro at
+    # Δ = 1, c = −8, a character that `run_all` refuses up front because χ is
+    # singular at degree 2, where A = −32Δ³ − 4Δ²c vanishes
+    if tamper is not None:
+        _doubled_order(monkeypatch, tamper)
+    result = check_closed_forms(make())
+    assert result == CheckResult("closed-form", False, detail)
+
+
 def test_property_suite():
     results = property_suite(sl2(1), seed=5, samples=25)
     assert [r.name for r in results] == [
@@ -355,18 +429,16 @@ def test_rational_brackets_and_character(capsys):
 
 
 def _packings(monkeypatch):
-    """Record (terms, power, s, den, B) of every packing `_decide` makes."""
+    """Record (terms, power, s, den, B) of every packing `_pack` makes."""
     seen = []
-    real = verify._decide
+    real = verify._pack
 
-    def spy(terms, power, s, den, run):
-        def spied(packed, point):
-            seen.append((terms, power, s, den, point))
-            return run(packed, point)
+    def spy(terms, power, s, den):
+        packed, point = real(terms, power, s, den)
+        seen.append((terms, power, s, den, point))
+        return packed, point
 
-        return real(terms, power, s, den, spied)
-
-    monkeypatch.setattr(verify, "_decide", spy)
+    monkeypatch.setattr(verify, "_pack", spy)
     return seen
 
 
