@@ -147,10 +147,9 @@ def cmd_pairing(args):
 
     def text():
         lines = [f"{algebra.name}, degree {args.degree}"]
-        lines.append("basis: " + ", ".join(word_name(algebra, w) for w in basis.minus))
-        for row in matrix:
-            lines.append("  [" + ", ".join(entry.render() for entry in row) + "]")
-        lines.append(f"det = {det.render()}")
+        lines.append("basis: " + ", ".join(payload["basis"]["minus"]))
+        lines += ["  [" + ", ".join(row) + "]" for row in payload["matrix"]]
+        lines.append(f"det = {payload['det']}")
         return "\n".join(lines)
 
     _emit(args, payload, text)

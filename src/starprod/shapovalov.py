@@ -61,7 +61,7 @@ from .scalars import (
     horner,
     product,
 )
-from .uea import antipode, char_eval, letter_action, mono_degree, multiply, phi, phi_order, word_name
+from .uea import antipode, char_eval, letter_action, multiply, phi, phi_order, word_name
 
 
 @dataclass(frozen=True)
@@ -69,12 +69,11 @@ class GradedBasis:
     """Monomial bases at one degree: lowering monomials and their positional
     mirrors on the raising side, listed in matching order."""
 
-    degree: int
     minus: tuple
     plus: tuple
 
 
-_DEGREE_ZERO = (GradedBasis(0, ((),), ((),)), ((ONE_POLY,),))  # (basis, rows) at degree 0
+_DEGREE_ZERO = (GradedBasis(((),), ((),)), ((ONE_POLY,),))  # (basis, rows) at degree 0
 
 
 def _index(words):
@@ -132,7 +131,7 @@ def build_basis(algebra, degree, tie_break="desc"):
     mirror = mirror_map(algebra)
     modkey = {g: (algebra.degree(g), g) for g in mirror.values()}.__getitem__
     plus = tuple(tuple(sorted((mirror[g] for g in w), key=modkey)) for w in minus)
-    return GradedBasis(degree, tuple(minus), plus)
+    return GradedBasis(tuple(minus), plus)
 
 
 def dual_basis(algebra, degree):
@@ -404,13 +403,10 @@ class CanonicalElement:
     """Per-degree components of the canonical element: at degree n the
     coefficient of x_k ⊗ y_l is the (l, k) entry of the inverse pairing matrix,
     stored as a polynomial numerator over one common determinant.
-    `component` and `coefficient` hand each entry out as a RationalFunction,
-    a value to compare; a pair outside n₋ ⊗ n₊ or of unequal degrees has
-    coefficient zero."""
+    `component` hands each entry out as a RationalFunction, a value to
+    compare."""
 
-    def __init__(self, algebra, max_degree, bases, nums, dets):
-        self.algebra = algebra
-        self.max_degree = max_degree
+    def __init__(self, bases, nums, dets):
         self.bases = bases
         self.nums = nums
         self.dets = dets
@@ -418,13 +414,6 @@ class CanonicalElement:
     def component(self, n):
         det = self.dets[n]
         return {pair: RationalFunction(num, det) for pair, num in self.nums[n].items()}
-
-    def coefficient(self, x, y):
-        n = -mono_degree(self.algebra, x)
-        if not 0 <= n <= self.max_degree or n != mono_degree(self.algebra, y):
-            return RationalFunction(0)
-        num = self.nums[n].get((x, y))
-        return RationalFunction(num, self.dets[n]) if num is not None else RationalFunction(0)
 
 
 def exact_component(algebra, n, tie_break="desc"):
@@ -465,7 +454,7 @@ def canonical_element(algebra, max_degree, tie_break="desc"):
     bases, nums, dets = {0: _DEGREE_ZERO[0]}, {0: {((), ()): ONE_POLY}}, {0: ONE_POLY}
     for n in range(1, max_degree + 1):
         bases[n], nums[n], dets[n] = exact_component(algebra, n, tie_break)
-    return CanonicalElement(algebra, max_degree, bases, nums, dets)
+    return CanonicalElement(bases, nums, dets)
 
 
 # -- the inverse at λ = ∞ ------------------------------------------------------
@@ -481,9 +470,9 @@ def inverse_series(matrix, lengths, order):
     (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 9), and column c
     needs only t ≤ order − lengths[c].  Every N_j vanishes off A's `blocks`,
     so N⁻¹ is block-diagonal on the transposed blocks, and each block runs
-    alone (`_block_series`): its denominators are cleared once, its N_0 is
-    inverted by `adjugate`, and each column lifts in integers over one common
-    denominator.
+    alone: its denominators are cleared once, its N_0 (read off d·A as in
+    `_interpolated_det`) is inverted by `adjugate`, and each column lifts in
+    integers over one common denominator.
 
     Returns {(l, c): (coefficients of ħ^0 … ħ^order of A⁻¹[l][c])} for the
     entries with a nonzero coefficient, or None when the route does not apply:
@@ -496,43 +485,32 @@ def inverse_series(matrix, lengths, order):
         return None
     out = {}
     for rows, cols, block in parts:
-        inv = _block_series(block, [lengths[i] for i in rows], order, rows)
-        if inv is None:
+        ells = [lengths[i] for i in rows]
+        d, cleared = clear_denominators(block)
+        hrows = []  # per row: (k, [ħ^0, ħ^1, … coefficients of d·A[i][k] / λ^len])
+        for row, ell in zip(cleared, ells):
+            entries = []
+            for k, e in enumerate(row):
+                if e.degree > ell:
+                    return None
+                if e:
+                    entries.append((k, (e.coeffs + (0,) * (ell - e.degree))[::-1]))
+            hrows.append(entries)
+        n0 = [[Polynomial(e.coeffs[ell:]) for e in row] for row, ell in zip(cleared, ells)]
+        adj, det = adjugate(n0)
+        if det.is_zero:
             return None
-        out.update(((cols[l], rows[c]), cs) for (l, c), cs in inv.items())
-    return out
-
-
-def _block_series(matrix, lengths, order, names):
-    """`inverse_series` of one block, in its own indices; names[c] is the
-    column c of the whole inverse, for a failing certificate's message; N₀ is
-    read off d·A as in `_interpolated_det`."""
-    d, cleared = clear_denominators(matrix)
-    hrows = []  # per row: (k, [ħ^0, ħ^1, … coefficients of d·A[i][k] / λ^len])
-    for row, ell in zip(cleared, lengths):
-        entries = []
-        for k, e in enumerate(row):
-            if e.degree > ell:
-                return None
-            if e:
-                entries.append((k, (e.coeffs + (0,) * (ell - e.degree))[::-1]))
-        hrows.append(entries)
-    n0 = [[Polynomial(e.coeffs[ell:]) for e in row] for row, ell in zip(cleared, lengths)]
-    adj, det = adjugate(n0)
-    if det.is_zero:
-        return None
-    sign = 1 if det.lc > 0 else -1
-    q0 = [[sign * e.lc for e in row] for row in adj]
-    out = {}
-    for c, ell in enumerate(lengths):
-        if ell > order:
-            continue
-        lifted, den = _lift(hrows, q0, sign * det.lc, c, order - ell)
-        _certify(hrows, lifted, den, c, names[c])
-        for l in range(len(matrix)):
-            cs = [Fraction(d * v[l], den) for v in lifted]
-            if any(cs):
-                out[(l, c)] = (Fraction(0),) * ell + tuple(cs)
+        n0_sign = 1 if det.lc > 0 else -1
+        q0 = [[n0_sign * e.lc for e in row] for row in adj]
+        for c, ell in enumerate(ells):
+            if ell > order:
+                continue
+            lifted, den = _lift(hrows, q0, n0_sign * det.lc, c, order - ell)
+            _certify(hrows, lifted, den, c, rows[c])
+            for l in range(len(block)):
+                cs = [Fraction(d * v[l], den) for v in lifted]
+                if any(cs):
+                    out[(cols[l], rows[c])] = (Fraction(0),) * ell + tuple(cs)
     return out
 
 

@@ -67,7 +67,7 @@ def test_criterion_01_sl2_closed_form():
             for j in range(n):
                 den = den * Polynomial((-j, z))
             want = RationalFunction(Polynomial(((-1) ** n,)), den)
-            assert canon.coefficient((f,) * n, (e,) * n) == want
+            assert canon.component(n)[((f,) * n, (e,) * n)] == want
 
         expected = {m: {} for m in range(7)}
         expected[0][((), ())] = Fraction(1)

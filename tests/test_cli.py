@@ -456,6 +456,32 @@ def test_spec_file_failing_validation(tmp_path, capsys):
     assert "INVALID" in out
 
 
+def test_validate_reports_each_spec_failure(tmp_path, capsys):
+    # exit 2 with the exact report: a generator outside the window, a nonzero
+    # [e, e], and a character value off degree 0
+    good = sl2(1).to_json()
+    cases = [
+        (
+            {"generators": good["generators"] + [{"name": "x", "degree": 2}], "cutoff": 1},
+            ["window: generator x has degree 2 outside ±1"],
+        ),
+        (
+            {"brackets": good["brackets"] + [{"a": "e", "b": "e", "terms": [{"gen": "h", "coeff": "1"}]}]},
+            ["antisymmetry: [e, e] != 0", "grading: [e, e] contains h of degree 0, expected 2"],
+        ),
+        (
+            {"character": good["character"] + [{"gen": "e", "value": "1"}]},
+            ["character: character value on non-degree-0 generator e"],
+        ),
+    ]
+    path = tmp_path / "alg.json"
+    for change, failures in cases:
+        path.write_text(json.dumps(dict(good, **change)))
+        code, out, err = _run(capsys, "validate", "--spec", str(path))
+        lines = ["sl2: INVALID", *(f"  {f}" for f in failures), "  character pairing at degree 1: nonsingular"]
+        assert (code, out, err) == (2, "\n".join(lines) + "\n", ""), change
+
+
 def test_verify_spec_outside_its_named_family(tmp_path, capsys):
     # a valid algebra named after a family whose generators it lacks fails the
     # closed-form check with exit 2 instead of crashing
@@ -515,7 +541,8 @@ def test_parse_errors(capsys):
 
 def test_spec_field_types(tmp_path, capsys):
     # a spec field of the wrong JSON type exits 5 with a message naming the
-    # field, where it used to crash or be coerced (1.5 → 1, "no" → true)
+    # field, where it used to crash or be coerced (1.5 → 1, "no" → true), and
+    # a malformed entry with a message quoting it
     good = sl2(1).to_json()
     first = good["generators"][0]["name"]
     cases = [
@@ -528,6 +555,14 @@ def test_spec_field_types(tmp_path, capsys):
         ),
         ({"truncated": "no"}, "algebra spec field 'truncated' must be true or false"),
         ({"cutoff": True}, "cutoff must be a positive integer"),
+        ({"generators": ["f"] + good["generators"][1:]}, "bad generator entry: 'f'"),
+        ({"generators": good["generators"] + [{"name": "f", "degree": 1}]}, "duplicate generator name 'f'"),
+        (
+            {"brackets": [dict(good["brackets"][0], terms=[{"gen": "f", "coeff": "x"}])]},
+            "not a rational: 'x'",
+        ),
+        ({"character": [{"gen": "h"}]}, "bad character entry: {'gen': 'h'}"),
+        ({"character": [{"gen": "h", "value": "1/0"}]}, "not a rational: '1/0'"),
     ]
     path = tmp_path / "alg.json"
     for change, message in cases:
@@ -576,8 +611,11 @@ def test_spec_that_is_not_json_or_not_an_object(tmp_path, capsys):
     code, out, err = _run(capsys, "validate", "--spec", str(bad))
     why = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
     assert (code, out, err) == (5, "", f"error: {bad} is not valid JSON: {why}\n")
-    # --cutoff overrides a key of the spec, so the spec must be an object
+    # --cutoff overrides a key of the spec, so the spec must be an object;
+    # without it, the spec reaches `from_json`, which refuses it too
     code, out, err = _run(capsys, "validate", "--spec", str(listed), "--cutoff", "2")
+    assert (code, out, err) == (5, "", "error: algebra spec must be a JSON object\n")
+    code, out, err = _run(capsys, "pairing", "--spec", str(listed), "--degree", "1")
     assert (code, out, err) == (5, "", "error: algebra spec must be a JSON object\n")
 
 

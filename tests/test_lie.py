@@ -98,6 +98,26 @@ def test_validation_catches_character_on_commutators():
     assert any(check == "character" for check, _ in report.failures)
 
 
+def test_validation_reports_what_no_spec_can_declare():
+    # a spec names each generator once, numbers the ids itself and declares a
+    # pair one way only, so these reports come from the constructor alone
+    f, h, e = Generator(0, "f", -1), Generator(1, "h", 0), Generator(2, "e", 1)
+    cases = [
+        ([f, Generator(1, "f", 1)], {}, [("unique-names", "duplicate generator names")]),
+        ([f, Generator(0, "e", 1)], {}, [("unique-ids", "duplicate generator ids")]),
+        (
+            [f, h, e],
+            {(2, 0): [(1, 1)], (0, 2): [(1, 1)]},  # [e, f] = h = [f, e]
+            [
+                ("antisymmetry", "[e, f] is not minus [f, e]"),
+                ("antisymmetry", "[f, e] is not minus [e, f]"),
+            ],
+        ),
+    ]
+    for gens, brackets, failures in cases:
+        assert GradedLieAlgebra("bad", gens, brackets, {}).validate().failures == failures
+
+
 def test_character_is_read_only():
     # the per-degree caches are not keyed on the character, so it cannot change
     alg = sl2(1)

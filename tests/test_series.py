@@ -88,7 +88,7 @@ def _rescale_everything_lift(hrows, q0, det, c, steps):
 
 @st.composite
 def integer_blocks(draw):
-    """(hrows, q0, det, c, steps) as `_block_series` hands them to `_lift`: a
+    """(hrows, q0, det, c, steps) as `inverse_series` hands one block to `_lift`: a
     1×1 or dense 2–4-row integer block N_0 + N_1·ħ + … with N_0 invertible,
     q0 = det·N_0⁻¹ and det > 0."""
     n, depth = draw(st.sampled_from([1, 2, 3, 4])), draw(st.integers(1, 3))
@@ -190,6 +190,34 @@ def test_corrupted_lift_fails_the_certificate(monkeypatch):
         monkeypatch.setattr(shapovalov, "_lift", corrupt)
         with pytest.raises(ArithmeticError, match=r"^sl2: degree 1: ħ-adic inverse certificate"):
             star_series(sl2(1), 3)
+
+
+# rows and columns {0, 2} form one block and {1} the other, so the first
+# block's local column 1 is the whole matrix's column 2
+INTERLEAVED = [[_p(1, 2), _p(0), _p(1, 1)], [_p(0), _p(3, 1), _p(0)], [_p(0, 1), _p(0), _p(2, 3)]]
+
+
+def test_interleaved_blocks_key_the_whole_matrix(monkeypatch):
+    order = 3
+    adj, det = adjugate(INTERLEAVED)
+    got = inverse_series(INTERLEAVED, [1, 1, 1], order)
+    for l, row in enumerate(adj):
+        for c, num in enumerate(row):
+            want = expand_at_infinity(num, det, order)
+            assert got.get((l, c), (0,) * (order + 1)) == want, (l, c)
+    assert set(got) == {(0, 0), (0, 2), (1, 1), (2, 0), (2, 2)}
+
+    real = shapovalov._lift
+
+    def corrupt(hrows, q0, det, c, steps):
+        vectors, den = real(hrows, q0, det, c, steps)
+        if len(q0) == 2 and c == 1:  # the first block's second column only
+            vectors[1][0] += 1
+        return vectors, den
+
+    monkeypatch.setattr(shapovalov, "_lift", corrupt)
+    with pytest.raises(ArithmeticError, match=r"^ħ-adic inverse certificate N·Q ≡ I mod ħ\^3 fails in column 2$"):
+        inverse_series(INTERLEAVED, [1, 1, 1], order)
 
 
 def test_corrupted_series_fails_the_route_comparison(monkeypatch):

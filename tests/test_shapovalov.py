@@ -223,6 +223,7 @@ def test_canonical_element_matches_sympy_inverse():
     for alg, top in cases:
         canon = canonical_element(alg, top)
         for n in range(1, top + 1):
+            component = canon.component(n)
             basis, rows = pairing_matrix(alg, n)
             size = len(rows)
             entries = [[field.from_sympy(sum(sympy.Rational(k) * lam**i for i, k in enumerate(p.coeffs)))
@@ -232,7 +233,7 @@ def test_canonical_element_matches_sympy_inverse():
                 for l, y in enumerate(basis.plus):
                     num, den = sympy.fraction(sympy.cancel(inverse[l, k]))
                     want = RationalFunction(to_poly(num), to_poly(den))
-                    assert canon.coefficient(x, y) == want, (alg.name, n, x, y)
+                    assert component.get((x, y), RationalFunction(0)) == want, (alg.name, n, x, y)
 
 
 def test_adjugate_constant_2x2():
@@ -289,18 +290,15 @@ def test_canonical_element_sl2():
     alg = sl2(2)
     f, e = alg.by_name("f").id, alg.by_name("e").id
     canon = canonical_element(alg, 2)
-    assert canon.coefficient((), ()) == RationalFunction(ONE_POLY)
+    assert canon.component(0)[((), ())] == RationalFunction(ONE_POLY)
     # degree 1: -1/(zλ)
-    assert canon.coefficient((f,), (e,)) == RationalFunction(
+    assert canon.component(1)[((f,), (e,))] == RationalFunction(
         Polynomial((-1,)), Polynomial((0, 2))
     )
     # degree 2: 1/(2·2λ·(2λ-1))
-    assert canon.coefficient((f, f), (e, e)) == RationalFunction(
+    assert canon.component(2)[((f, f), (e, e))] == RationalFunction(
         ONE_POLY, Polynomial((0, -4, 8))
     )
-    # degree mismatch gives zero, and so does a pair outside n₋ ⊗ n₊
-    assert canon.coefficient((f,), (e, e)).is_zero
-    assert canon.coefficient((e,), (f,)) == RationalFunction(0)
 
 
 def test_canonical_element_virasoro():

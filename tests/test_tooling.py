@@ -113,6 +113,28 @@ def test_every_public_name_has_a_caller_in_src():
     assert not found, "public names that nothing in src/ reads: " + ", ".join(found)
 
 
+def test_every_public_method_has_a_caller_in_src():
+    # the same rule one level down: every public method of a public top-level
+    # class is read somewhere in src/ outside its own body (a private class's
+    # methods, such as an argparse hook, are exempt)
+    units = []  # top-level statements, each class member on its own
+    for name, tree in _trees().items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                units += [(name, node, member) for member in node.body]
+            else:
+                units.append((name, None, node))
+    units = [(name, cls, node, _read_names(node)) for name, cls, node in units]
+    found = [
+        f"{name}:{node.lineno} {cls.name}.{node.name}"
+        for name, cls, node, _ in units
+        if cls is not None and not cls.name.startswith("_")
+        and isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and not any(node.name in read for _, _, other, read in units if other is not node)
+    ]
+    assert not found, "public methods that nothing in src/ reads: " + ", ".join(found)
+
+
 def test_every_fail_detail_in_verify_is_asserted_by_a_test():
     # the checks are not vacuous only if each FAIL detail is reached by some
     # test: the longest literal part of every CheckResult(name, False, detail)
