@@ -169,7 +169,7 @@ class GradedLieAlgebra:
             if a == b and terms:
                 report.add("antisymmetry", f"[{self.gen_name(a)}, {self.gen_name(a)}] != 0")
             rev = self._table.get((b, a))
-            if rev is not None and (a, b) != (b, a):
+            if rev is not None and a < b:  # once per unordered pair
                 if tuple((g, -c) for g, c in rev) != terms:
                     report.add(
                         "antisymmetry",

@@ -19,8 +19,10 @@ checked in ℚ[λ], block by block, each entry as one integer: its value at a
 power of 2 beyond a bound on its coefficients, 0 only for the zero
 polynomial.  An inverse entry stays a numerator over the whole det A; no
 arithmetic in ℚ(λ) is ever done.  Where det A alone is
-wanted (`pairing_determinant`), each block's det, of λ-degree ≤ D_b = Σ len x
-over its rows, is interpolated exactly from its integer dets at λ = 0…D_b.
+wanted (`pairing_determinant`), each row of a block is divided by the power
+λ^v_k that its entries share, and the det of what is left, of λ-degree ≤
+D'_b = Σ (len x_k − v_k) over its rows, is interpolated exactly from its
+integer dets at λ = 0…D'_b, then multiplied back by λ^(Σ v_k).
 
 `star_series` needs only the first ħ-coefficients of each inverse entry at
 λ = 1/ħ, so it takes a second route (`series_component`): the pairing matrix
@@ -294,7 +296,8 @@ def invert_pairing(matrix):
 
 def pairing_determinant(algebra, n, tie_break="desc"):
     """(basis, matrix, det) at degree n: the memoized pairing matrix and its det
-    alone (`_interpolated_det`).  Raises SingularCharacterError when det = 0."""
+    alone, interpolated per block past its rows' shared powers of λ
+    (`_interpolated_det`).  Raises SingularCharacterError when det = 0."""
     basis, matrix = pairing_matrix(algebra, n, tie_break)
     det = _interpolated_det(matrix, [len(x) for x in basis.minus], f"{algebra.name}: degree {n}: ")
     if det.is_zero:
@@ -304,12 +307,14 @@ def pairing_determinant(algebra, n, tie_break="desc"):
 
 def _interpolated_det(matrix, lengths, where):
     """sign·Π det(block) / d^n over the `blocks` of d·A (`clear_denominators`).
-    Row k has λ-degree ≤ lengths[k], so det A_b has degree ≤ D = Σ lengths over
-    its rows and is interpolated from its `_integer_det`s at λ = 0…D.  By
-    `determinant`, its λ^D coefficient must be det N₀ (the rows' λ^lengths[k]
-    coefficients) and its value at D + 1 det A_b(D + 1); sign·Π must match
-    `_integer_det` of d·A at the first nonzero x > Σ lengths.  CertificateError
-    otherwise, led by `where` and the block's rows."""
+    Row k of a block has λ-degree ≤ lengths[k] and its nonzero entries share
+    λ^v_k at least, so A'_b = diag(λ^−v_k)·A_b has det of degree ≤ D' =
+    Σ (lengths[k] − v_k), interpolated from its `_integer_det`s at λ = 0…D',
+    and det A_b = λ^(Σ v_k)·det A'_b.  By `determinant`, its λ^D' coefficient
+    must be det N₀ (the rows' λ^lengths[k] coefficients) and its value at D' + 1
+    det A'_b(D' + 1); sign·Π must match `_integer_det` of d·A at the first
+    nonzero x > Σ lengths.  CertificateError otherwise, led by `where` and the
+    block's rows."""
     d, cleared = clear_denominators(matrix)
     sign, parts = blocks(cleared)
     dets = [Polynomial([sign])]
@@ -320,7 +325,9 @@ def _interpolated_det(matrix, lengths, where):
             dets.append(block[0][0])
             continue
         at = where + (f"block at rows {rows}: " if len(parts) > 1 else "")
-        ells = [lengths[i] for i in rows]
+        vs = [min(next(i for i, c in enumerate(e.coeffs) if c) for e in row if e) for row in block]
+        block = [[Polynomial(e.coeffs[v:]) for e in row] for row, v in zip(block, vs)]
+        ells = [lengths[i] - v for i, v in zip(rows, vs)]
         top = sum(ells)
         coeffs = _interpolate([_integer_det(_at(block, x)) for x in range(top + 1)], at)
         n0 = [[Polynomial(e.coeffs[ell:]) for e in row] for row, ell in zip(block, ells)]
@@ -333,7 +340,7 @@ def _interpolated_det(matrix, lengths, where):
             raise CertificateError(f"{at}det's λ^{top} coefficient differs from det N₀")
         if det_value != Polynomial([horner(coeffs, top + 1)]):
             raise CertificateError(f"{at}det differs from det A at λ = {top + 1}")
-        dets.append(Polynomial(coeffs))
+        dets.append(Polynomial([0] * sum(vs) + coeffs))
     det = product(dets)
     if len(parts) > 1 and det:
         x = next(x for x in count(sum(lengths) + 1) if horner(det.coeffs, x))

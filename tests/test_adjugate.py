@@ -325,20 +325,23 @@ def test_the_packed_certificate_decides_the_identity(case):
 def bounded_matrices(draw):
     """(rows, lengths): block-diagonal matrices of at most 6 rows in blocks of
     1–3, rows and columns shuffled, each entry of row k of λ-degree at most
-    lengths[k] ≤ 3.  Rational draws get a coefficient over 3, 4 or 12, so
-    d > 1; some blocks repeat a row (singular), and a row may stay below its
-    bound (a zero row of N₀)."""
+    lengths[k] ≤ 3, and every entry of row k a multiple of λ^shifts[k] with
+    shifts[k] ≤ lengths[k], so rows share powers of λ.  Rational draws get a
+    coefficient over 3, 4 or 12, so d > 1; some blocks repeat a row
+    (singular), and a row may stay below its bound (a zero row of N₀)."""
     rational = draw(st.booleans())
     coeff = RATIONALS if rational else INTEGERS
     sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(lambda s: sum(s) <= 6))
     n = sum(sizes)
     lengths = [draw(st.integers(0, 3)) for _ in range(n)]
+    shifts = [draw(st.integers(0, ell)) for ell in lengths]
     base = [[ZERO_POLY] * n for _ in range(n)]
     top = 0
     for size in sizes:
         for i in range(top, top + size):
             for j in range(top, top + size):
-                base[i][j] = Polynomial(draw(st.lists(coeff, max_size=lengths[i] + 1)))
+                tail = draw(st.lists(coeff, max_size=lengths[i] + 1 - shifts[i]))
+                base[i][j] = Polynomial([0] * shifts[i] + tail)
         if size > 1 and draw(st.booleans()):
             last = top + size - 1  # a multiple of the block's first row
             lengths[last] = max(lengths[last], lengths[top])
@@ -347,7 +350,7 @@ def bounded_matrices(draw):
     if rational:
         i = draw(st.integers(0, n - 1))
         extra = Fraction(draw(st.sampled_from([1, -5])), draw(st.sampled_from([3, 4, 12])))
-        base[i][i] = base[i][i] + Polynomial([extra])
+        base[i][i] = base[i][i] + Polynomial([0] * shifts[i] + [extra])
     rperm = draw(st.permutations(range(n)))
     cperm = draw(st.permutations(range(n)))
     return [[base[i][j] for j in cperm] for i in rperm], [lengths[i] for i in rperm]
@@ -362,6 +365,11 @@ def bounded_matrices(draw):
 @example(([[_p(1, 1), _p(0, 1)], [_p(2, 2), _p(0, 2)]], [1, 1]))  # singular
 @example(([[_p(1), _p(2), ZERO_POLY], [ZERO_POLY, ZERO_POLY, _p(3)],
            [ZERO_POLY, ZERO_POLY, _p(1)]], [0, 0, 0]))  # singular by its pattern
+@example(([[_p(0, 1), _p(0, 2)], [_p(0, 3), _p(0, 0, 1)]], [1, 2]))  # every entry divisible by λ
+@example(([[_p(1, 1), _p(2)], [_p(0, 0, 2), _p(0, 0, 1)]], [1, 2]))  # row 1's valuation is its bound
+@example(([[_p(0, 1), ZERO_POLY, _p(0, 2), ZERO_POLY], [ZERO_POLY, _p(1), ZERO_POLY, _p(1, 1)],
+           [_p(0, 0, 3), ZERO_POLY, _p(0, 0, 1), ZERO_POLY], [ZERO_POLY, _p(2, 1), ZERO_POLY, _p(3)]],
+          [1, 1, 2, 1]))  # two blocks, rows of valuation 1 and 2 against 0 and 0
 def test_interpolated_det_matches_sympy(case):
     rows, lengths = case
     assert all(e.degree <= ell for row, ell in zip(rows, lengths) for e in row)

@@ -134,11 +134,12 @@ def test_pairing_order_flag(capsys):
 
 
 def test_pairing_det_certificate_catches_a_wrong_kernel(capsys, monkeypatch):
-    # Virasoro at degree 3 is one 3×3 block with D = Σ len = 6: its det is
-    # interpolated from the integer dets at λ = 0…6 and checked by the
-    # independent kernel `determinant`, at N₀ and at λ = 7.  One wrong value
+    # Virasoro at degree 3 is one 3×3 block with D = Σ len = 6, and each row
+    # shares one power of λ, so D' = Σ (len − 1) = 3: its det over λ³ is
+    # interpolated from the integer dets at λ = 0…3 and checked by the
+    # independent kernel `determinant`, at N₀ and at λ = 4.  One wrong value
     # fits no integer polynomial, values all off by one fit one that fails at
-    # λ = 7, and a scaled `determinant` fails at N₀; each exits 2, naming the
+    # λ = 4, and a scaled `determinant` fails at N₀; each exits 2, naming the
     # algebra and the degree
     integer_det, determinant = shapovalov._integer_det, shapovalov.determinant
     vir = ("pairing", "--builtin", "virasoro", "--param", "delta=1", "--param", "c=1")
@@ -150,9 +151,9 @@ def test_pairing_det_certificate_catches_a_wrong_kernel(capsys, monkeypatch):
         return integer_det(rows) + (len(calls) == 4)
 
     failures = [
-        ("_integer_det", one_wrong_value, "det values at λ = 0…6 fit no integer polynomial"),
-        ("_integer_det", lambda rows: integer_det(rows) + 1, "det differs from det A at λ = 7"),
-        ("determinant", lambda m: determinant(m).scale(2), "det's λ^6 coefficient differs from det N₀"),
+        ("_integer_det", one_wrong_value, "det values at λ = 0…3 fit no integer polynomial"),
+        ("_integer_det", lambda rows: integer_det(rows) + 1, "det differs from det A at λ = 4"),
+        ("determinant", lambda m: determinant(m).scale(2), "det's λ^3 coefficient differs from det N₀"),
     ]
     for name, wrong, message in failures:
         with monkeypatch.context() as patch:

@@ -108,10 +108,7 @@ def test_validation_reports_what_no_spec_can_declare():
         (
             [f, h, e],
             {(2, 0): [(1, 1)], (0, 2): [(1, 1)]},  # [e, f] = h = [f, e]
-            [
-                ("antisymmetry", "[e, f] is not minus [f, e]"),
-                ("antisymmetry", "[f, e] is not minus [e, f]"),
-            ],
+            [("antisymmetry", "[f, e] is not minus [e, f]")],  # once for the pair
         ),
     ]
     for gens, brackets, failures in cases:

@@ -178,6 +178,19 @@ def test_bareiss_builds_polynomials_only_for_its_result(monkeypatch):
     assert n == 11 and det and len(calls) <= 4 * n * n
 
 
+def test_the_det_interpolates_past_each_rows_power_of_lambda(monkeypatch):
+    # pairing_determinant divides each row of a block by the power of λ its
+    # entries share before interpolating: Virasoro's degree-6 block takes
+    # D' + 1 = 25 integer dets (36 at D = 35), and random_two_step(17)'s
+    # degree-3 block, every entry c·λ³, takes one (31)
+    calls, real = [], shapovalov._integer_det
+    monkeypatch.setattr(shapovalov, "_integer_det", lambda rows: calls.append(1) or real(rows))
+    for algebra, n, want in ((virasoro(1, 1, cutoff=6), 6, 25), (random_two_step(17), 3, 1)):
+        del calls[:]
+        assert shapovalov.pairing_determinant(algebra, n)[2]
+        assert len(calls) == want, algebra.name
+
+
 def test_the_adjugate_certificate_multiplies_no_polynomials(monkeypatch):
     # invert_pairing decides A·adj = det·I on packed integers: on the Virasoro
     # degree-6 pairing it calls Polynomial.__mul__ and __add__ no more often
@@ -258,6 +271,23 @@ def test_pairing_bytes_match_the_benchmark_digests(capsys):
         assert cli.main(key.split(" ")) == 0, key
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == digests[key], key
+
+
+def test_pairing_bytes_beyond_the_benchmark_degree(capsys):
+    # Virasoro degree 8 and sl3 degree 10 lie past the benchmark's degree 6,
+    # where dividing out each row's power of λ drops more interpolation
+    # points; sl3's blocks have rows of different valuations, so the
+    # whole-matrix sign check runs too
+    sl3 = str(Path(__file__).resolve().parent / "fixtures" / "sl3_principal.json")
+    cases = [
+        (["--builtin", "virasoro", "--param", "delta=1", "--param", "c=1", "--degree", "8"],
+         "e3844c6c3bdff27a2178eb2dfc69484bd35d7b0d86a1b4994b1efb517d9c5b7c"),
+        (["--spec", sl3, "--cutoff", "10", "--degree", "10"],
+         "266216a269fd4308bc0ca1a53a89410cbdcdb0786571d5986396a965b5776020"),
+    ]
+    for argv, digest in cases:
+        assert cli.main(["pairing", *argv, "--format", "json"]) == 0, argv
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, argv
 
 
 def test_star_bytes_match_the_benchmark_digests(capsys):
