@@ -5,7 +5,8 @@ element assembled from them.
 Each pairing entry is read off the Verma module, as the coefficient of v in
 S(y)·x·v, by recursion on the first letter of y: one letter action leaves
 pairings of lower degree, read from the matrices below, which are built
-first, so an entry costs one letter action.  The PBW projection of S(y)·x
+first.  A row costs its letter actions and the nonzero lower entries they
+reach, and a zero entry costs nothing.  The PBW projection of S(y)·x
 (`pairing_entry`) computes the same scalar by another route and serves as
 its oracle.
 
@@ -187,10 +188,10 @@ def pairing_matrix(algebra, degree, tie_break="desc"):
     Returns (basis, rows), rows as tuples of tuples.  The "desc" matrix is
     memoized in `memo.pairings` by degree; "asc" permutes its rows and columns.
 
-    The degrees are built lowest first, each entry one `oracle_pairing` step
-    from the matrix one raising letter down.  A lower degree that was not
-    asked for is dropped once no higher degree can read it, and the rest once
-    `degree` is built.
+    The degrees are built lowest first, each row by one `oracle_pairing` step
+    from the nonzero entries of the matrices one raising letter down
+    (`_next_degree`).  A lower degree that was not asked for is dropped once
+    no higher degree can read it, and the rest once `degree` is built.
 
     An entry (x, y) above λ-degree min(len x, len y) raises CertificateError:
     each power of λ comes from a disjoint bracket cluster holding a letter of
@@ -219,33 +220,42 @@ def pairing_matrix(algebra, degree, tie_break="desc"):
 
 
 def _next_degree(algebra, n, window):
-    """(basis, rows) at degree n, from the matrices of `window` at n − deg g
-    for each raising letter g.  Each column's first letter, suffix, lower
-    matrix column and row index are resolved once."""
+    """(basis, rows) at degree n, a row at a time, from the matrices of
+    `window` at n − deg g, g the first letter of a column.  Per letter g, each
+    lower row's nonzero entries are listed once as (column, value), the
+    column that of g followed by the lower column's word.  If
+    g·x·v = Σ p_w·w·v, row x over g's columns is −Σ p_w·(row w's list), and
+    every other slot is the shared `ZERO_POLY`; a w that the lower basis
+    lacks takes `oracle_pairing`.  The touched columns are checked in order,
+    so the first entry above its bound in row-major order raises."""
     basis = build_basis(algebra, n)
-    indexed = {m: (_index(b.minus), _index(b.plus), rows) for m, (b, rows) in window.items()}
-    columns = []
+    col_of, letters = _index(basis.plus), {}
     for y in basis.plus:
-        row_at, col_at, rows = indexed[n - algebra.degree(y[0])]
-        j = col_at[y[1:]]
-        columns.append((y[0], y[1:], len(y), row_at, [row[j] for row in rows]))
+        if y[0] not in letters:
+            lower, rows = window[n - algebra.degree(y[0])]
+            to = [col_of.get((y[0], *r)) for r in lower.plus]
+            nonzero = [[(to[j], v) for j, v in enumerate(row) if to[j] is not None and v] for row in rows]
+            letters[y[0]] = (_index(lower.minus), nonzero)
     out = []
     for x in basis.minus:
-        row = []
-        for g, rest, size, row_at, col in columns:
-            value = ZERO_POLY
+        acc = {}
+        for g, (row_at, nonzero) in letters.items():
             for w, p in letter_action(algebra, g, x, 1):
                 i = row_at.get(w)
-                v = col[i] if i is not None else oracle_pairing(algebra, w, rest)
-                if v:
-                    value = value + p * v
-            if value.degree > min(len(x), size):
-                where = f"{word_name(algebra, x)} | {word_name(algebra, (g, *rest))}"
+                terms = nonzero[i] if i is not None else [
+                    (c, v) for c, y in enumerate(basis.plus)
+                    if y[0] == g and (v := oracle_pairing(algebra, w, y[1:]))]
+                for c, v in terms:
+                    acc[c] = acc.get(c, ZERO_POLY) + p * v
+        row = [ZERO_POLY] * len(basis.plus)
+        for c in sorted(acc):
+            if acc[c].degree > min(len(x), len(basis.plus[c])):
+                where = f"{word_name(algebra, x)} | {word_name(algebra, basis.plus[c])}"
                 raise CertificateError(
-                    f"{algebra.name}: pairing entry [{where}] of λ-degree {value.degree} "
+                    f"{algebra.name}: pairing entry [{where}] of λ-degree {acc[c].degree} "
                     f"exceeds its bound at degree {n}"
                 )
-            row.append(-value)
+            row[c] = -acc[c]
         out.append(tuple(row))
     return basis, tuple(out)
 

@@ -1,6 +1,8 @@
 """Pairing matrices, their exact inverses, and the canonical element."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -489,6 +491,62 @@ def test_entry_above_its_length_bound_raises(monkeypatch):
     monkeypatch.setattr(shapovalov, "letter_action", raised)
     with pytest.raises(ArithmeticError, match=r"^virasoro: pairing entry \[L-2 \| L2\] of λ-degree 2 exceeds its bound at degree 2$"):
         pairing_matrix(alg, 2)
+
+
+def test_the_first_entry_above_its_bound_in_row_major_order_raises(monkeypatch):
+    # on heisenberg(2) degree 2, p1·q1² leads with an added term λ³·q2, whose
+    # row reaches column p1 p2 before q1's row reaches p1², and both entries
+    # of row q1² exceed their bound 2, as does [q2^2 | p2^2] in a later row:
+    # the message names [q1^2 | p1^2], not the column touched first
+    real = shapovalov.letter_action
+    alg = heisenberg(2, 1)
+    q1, q2, p1, p2 = (alg.by_name(g).id for g in ("q1", "q2", "p1", "p2"))
+    lam3 = Polynomial((0, 0, 0, 1))
+
+    def raised(algebra, g, word, side):
+        terms = real(algebra, g, word, side)
+        if (g, word) == (p1, (q1, q1)):
+            return ((q2,), lam3), *((w, p + lam3) for w, p in terms)
+        if (g, word) == (p2, (q2, q2)):
+            return tuple((w, p + lam3) for w, p in terms)
+        return terms
+
+    monkeypatch.setattr(shapovalov, "letter_action", raised)
+    with pytest.raises(ArithmeticError, match=r"^heisenberg\(2\): pairing entry \[q1\^2 \| p1\^2\] of λ-degree 4 exceeds its bound at degree 2$"):
+        pairing_matrix(alg, 2)
+
+
+def _ungraded():
+    # [e, g] and [k, f] land in h, off the degrees -1 and +1, so a letter
+    # action leaves words that no matrix below holds
+    gens = [("f", -1), ("g", -2), ("h", 0), ("e", 1), ("k", 2)]
+    return GradedLieAlgebra.from_json({
+        "name": "ungraded",
+        "generators": [{"name": n, "degree": d} for n, d in gens],
+        "brackets": [
+            {"a": a, "b": b, "terms": [{"gen": "h", "coeff": "1"}]}
+            for a, b in (("e", "f"), ("k", "g"), ("e", "g"), ("k", "f"))
+        ],
+        "character": [{"gen": "h", "value": "1"}],
+    })
+
+
+def test_the_built_matrix_equals_the_module_recursion():
+    # every entry, zero or not, of the row-by-row build equals oracle_pairing's
+    # recursion over the whole of y, which reads no matrix
+    sl3 = Path(__file__).resolve().parent / "fixtures" / "sl3_principal.json"
+    cases = (
+        (heisenberg(3, Fraction(2, 3)), range(1, 7)),
+        (GradedLieAlgebra.from_json(json.loads(sl3.read_text(encoding="utf-8"))), range(1, 7)),
+        (random_two_step(17), range(1, 4)),
+        (virasoro(Fraction(1, 2), Fraction(3, 7), cutoff=5), range(1, 6)),
+        (_ungraded(), (3, 4)),
+    )
+    for alg, degrees in cases:
+        for n in degrees:
+            basis, rows = pairing_matrix(alg, n)
+            want = tuple(tuple(oracle_pairing(alg, x, y) for y in basis.plus) for x in basis.minus)
+            assert rows == want, (alg.name, n)
 
 
 def test_tie_break_gives_same_component():

@@ -8,10 +8,11 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from starprod import cli, scalars, shapovalov
-from starprod.lie import random_two_step, virasoro
+from starprod.lie import heisenberg, random_two_step, virasoro
 from starprod.scalars import Polynomial
 from starprod.shapovalov import pairing_matrix
 
@@ -211,6 +212,33 @@ def test_the_adjugate_certificate_multiplies_no_polynomials(monkeypatch):
     assert certified[0] <= alone[0] and certified[1] <= alone[1]
 
 
+def test_the_pairing_build_forms_no_zero(monkeypatch):
+    # _next_degree builds each row from the nonzero entries of the rows one
+    # letter down: on heisenberg(3) through degree 6, with the letter actions
+    # memoized by a first build, it forms one product per nonzero contribution
+    # (83) and negates only the 83 nonzero entries of the diagonal matrices,
+    # where visiting every entry negated 1595 polynomials
+    algebra = heisenberg(3, Fraction(2, 3))
+    pairing_matrix(algebra, 6)
+    algebra.memo.pairings.clear()
+    calls, inside = [], []
+    for name in ("__mul__", "__neg__"):
+        real = getattr(Polynomial, name)
+        monkeypatch.setattr(Polynomial, name, lambda *a, real=real, name=name: (inside and calls.append(name)) or real(*a))
+    real_next = shapovalov._next_degree
+
+    def counted(*args):
+        inside.append(True)
+        try:
+            return real_next(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(shapovalov, "_next_degree", counted)
+    pairing_matrix(algebra, 6)
+    assert calls.count("__mul__") <= 83 and calls.count("__neg__") <= 83
+
+
 def test_exit_codes_survive_python_O(tmp_path):
     # the checks behind exit codes 2, 3, 4 and 5 must still fire with asserts stripped
     spec = tmp_path / "alg.json"
@@ -277,13 +305,18 @@ def test_pairing_bytes_beyond_the_benchmark_degree(capsys):
     # Virasoro degree 8 and sl3 degree 10 lie past the benchmark's degree 6,
     # where dividing out each row's power of λ drops more interpolation
     # points; sl3's blocks have rows of different valuations, so the
-    # whole-matrix sign check runs too
+    # whole-matrix sign check runs too.  heisenberg(3) degree 12 and sl3
+    # degree 12 build their mostly zero matrices from the nonzero lower rows
     sl3 = str(Path(__file__).resolve().parent / "fixtures" / "sl3_principal.json")
     cases = [
         (["--builtin", "virasoro", "--param", "delta=1", "--param", "c=1", "--degree", "8"],
          "e3844c6c3bdff27a2178eb2dfc69484bd35d7b0d86a1b4994b1efb517d9c5b7c"),
         (["--spec", sl3, "--cutoff", "10", "--degree", "10"],
          "266216a269fd4308bc0ca1a53a89410cbdcdb0786571d5986396a965b5776020"),
+        (["--builtin", "heisenberg", "--param", "n=3", "--param", "w=2/3", "--degree", "12"],
+         "2a031bf1667167436df19c799c9677ce4037706115e1b293b16bb8ad1c6237aa"),
+        (["--spec", sl3, "--cutoff", "12", "--degree", "12"],
+         "d0b5eb396a7bd5248ddecfa2f84428743eb67ab226396eca6a0205eff5e8a1a2"),
     ]
     for argv, digest in cases:
         assert cli.main(["pairing", *argv, "--format", "json"]) == 0, argv
