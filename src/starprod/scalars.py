@@ -1,10 +1,10 @@
 """Exact scalar arithmetic: arbitrary-precision rationals, dense polynomials in
 the formal parameter λ and fraction-free elimination over them (one loop, as
-Gauss–Jordan for the adjugate and forward for the determinant, on one block
-of the nonzero pattern at a time, `blocks`, that runs on int coefficient lists
-and builds Polynomials only for its result), ratios of polynomials compared
-by cross-multiplication, and truncated power series in ħ obtained by
-expanding at λ = ∞ (ħ = 1/λ), as tuples of Fractions."""
+Gauss–Jordan for the adjugate and forward for the determinant, on the matrix
+it is given, on int coefficient lists, building Polynomials only for its
+result), the blocks of a nonzero pattern (`blocks`), ratios of polynomials
+compared by cross-multiplication, and truncated power series in ħ obtained
+by expanding at λ = ∞ (ħ = 1/λ), as tuples of Fractions."""
 
 from __future__ import annotations
 
@@ -324,36 +324,15 @@ def product(factors):
 
 def adjugate(matrix):
     """(adj, det) with A·adj = det·I over ℚ[λ], both polynomial, by
-    Gauss–Jordan `_bareiss` on each of the `blocks`.  A⁻¹ is block-diagonal on
-    the transposed blocks, so adj is sign·(Π of the other blocks' dets)·adj_b
-    on block b and zero off the blocks.  A singular matrix gives
-    (None, ZERO_POLY); whether that is an error is the caller's choice."""
-    sign, parts = blocks(matrix)
-    if not sign:
-        return None, ZERO_POLY
-    solved = [_bareiss(block, True) for _, _, block in parts]
-    if any(adj_b is None for adj_b, _ in solved):
-        return None, ZERO_POLY
-    if len(parts) == 1:
-        return solved[0]
-    det = product([Polynomial([sign])] + [det_b for _, det_b in solved])
-    adj = [[ZERO_POLY] * len(matrix) for _ in matrix]
-    for (rows, cols, _), (adj_b, det_b) in zip(parts, solved):
-        cof = det.exact_div(det_b)
-        for c, row in zip(cols, adj_b):
-            for r, e in zip(rows, row):
-                if e.coeffs:
-                    adj[c][r] = e * cof
-    return adj, det
+    Gauss–Jordan `_bareiss` on A as given; a caller that knows A's `blocks`
+    passes one block at a time.  A singular matrix gives (None, ZERO_POLY);
+    whether that is an error is the caller's choice."""
+    return _bareiss(matrix, True)
 
 
 def determinant(matrix):
-    """det A over ℚ[λ], sign·Π det(block) over the `blocks`, each by forward
-    `_bareiss`; ZERO_POLY if A is singular."""
-    sign, parts = blocks(matrix)
-    if not sign:
-        return ZERO_POLY
-    return product([Polynomial([sign])] + [_bareiss(block, False)[1] for _, _, block in parts])
+    """det A over ℚ[λ] by forward `_bareiss` on A as given; ZERO_POLY if singular."""
+    return _bareiss(matrix, False)[1]
 
 
 class RationalFunction:

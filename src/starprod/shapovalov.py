@@ -12,14 +12,14 @@ its oracle.
 
 All scalars are polynomials in the character scale λ, handled exactly.  The
 pairing is graded by the g₀-weight, so a matrix A splits into blocks after
-permuting its rows and columns (`blocks`, read off the nonzero pattern), and
-every elimination runs per block.  A is inverted by fraction-free
-Gauss–Jordan elimination on each [A_b | I], which yields the dets and the
-adjugate as polynomials; the result is accepted only after A·adj = det·I is
-checked in ℚ[λ], block by block, each entry as one integer: its value at a
-power of 2 beyond a bound on its coefficients, 0 only for the zero
-polynomial.  An inverse entry stays a numerator over the whole det A; no
-arithmetic in ℚ(λ) is ever done.  Where det A alone is
+permuting its rows and columns (`blocks`, read off the nonzero pattern once
+per matrix), and every elimination takes one block as it is given.  A is
+inverted by fraction-free Gauss–Jordan elimination on each [A_b | I], which
+yields the dets and the adjugate as polynomials; the result is accepted only
+after A·adj = det·I is checked in ℚ[λ], block by block, each entry as one
+integer: its value at a power of 2 beyond a bound on its coefficients, 0
+only for the zero polynomial.  An inverse entry stays a numerator over the
+whole det A; no arithmetic in ℚ(λ) is ever done.  Where det A alone is
 wanted (`pairing_determinant`), each row of a block is divided by the power
 λ^v_k that its entries share, and the det of what is left, of λ-degree ≤
 D'_b = Σ (len x_k − v_k) over its rows, is interpolated exactly from its
@@ -268,22 +268,42 @@ def invert_pairing(matrix):
 
     Returns (adjugate, det), with inverse[i][j] = adjugate[i][j] / det.
     Raises SingularCharacterError when the determinant vanishes, and
-    CertificateError unless matrix·adjugate = det·I holds exactly in ℚ[λ].
-    The certificate runs on each of the `blocks`: there A·adj = det·I, and
-    adj vanishes off the transposed blocks, where A·adj is then zero by the
+    CertificateError unless matrix·adjugate = det·I holds exactly in ℚ[λ]
+    (`_certify_adjugate`).  A is split into its `blocks` once, and each
+    block A_b runs through `adjugate` alone.  A⁻¹ is block-diagonal on the
+    transposed blocks, so det = sign·Π det_b, and adj is adj_b·(det / det_b)
+    on block b and zero off the blocks; a matrix of one block is its own."""
+    sign, parts = blocks(matrix)
+    solved = [adjugate(block) for _, _, block in parts] if sign else []
+    if not sign or any(adj_b is None for adj_b, _ in solved):
+        raise SingularCharacterError("pairing matrix is singular")
+    if len(parts) == 1:
+        adj, det = solved[0]
+    else:
+        det = product([Polynomial([sign])] + [det_b for _, det_b in solved])
+        adj = [[ZERO_POLY] * len(matrix) for _ in matrix]
+        for (rows, cols, _), (adj_b, det_b) in zip(parts, solved):
+            cof = det.exact_div(det_b)
+            for c, row in zip(cols, adj_b):
+                for r, e in zip(rows, row):
+                    adj[c][r] = e * cof
+    _certify_adjugate(parts, adj, det)
+    return adj, det
+
+
+def _certify_adjugate(parts, adj, det):
+    """Raise CertificateError unless A·adj = det·I, for A the matrix whose
+    `blocks` are `parts`.  On each block A·adj = det·I is checked, and adj
+    must vanish off the transposed blocks, where A·adj is then zero by the
     pattern alone.  On an n-column block it is decided on integers: with d·A
     and e·(adj, det) cleared (`clear_denominators`), every coefficient of
     d·e·(A·adj − det·I) is at most n·H_A·H_adj + d·H_det in size (H the
     largest ℓ1 norm of an entry), below B for B = 2^b, b = bits(bound).
     So each entry's value at λ = B, a packed row times a packed column, is 0
-    only for the zero polynomial, as in `verify._pack`.
-    """
-    adj, det = adjugate(matrix)
-    if det.is_zero:
-        raise SingularCharacterError("pairing matrix is singular")
+    only for the zero polynomial, as in `verify._pack`."""
     norm = lambda m: max(sum(map(abs, x.coeffs)) for row in m for x in row)
     inside = 0
-    for rows, cols, block in blocks(matrix)[1]:
+    for rows, cols, block in parts:
         sub = [[adj[k][j] for j in rows] for k in cols]
         d, a = clear_denominators(block)
         _, (*c, (e_det,)) = clear_denominators(sub + [[det]])
@@ -298,7 +318,6 @@ def invert_pairing(matrix):
         inside += sum(1 for row in sub for x in row if x)
     if inside != sum(1 for row in adj for e in row if e):
         raise CertificateError("adjugate certificate A·adj = det·I failed off the blocks")
-    return adj, det
 
 
 # -- the determinant alone ----------------------------------------------------
@@ -320,11 +339,11 @@ def _interpolated_det(matrix, lengths, where):
     Row k of a block has λ-degree ≤ lengths[k] and its nonzero entries share
     λ^v_k at least, so A'_b = diag(λ^−v_k)·A_b has det of degree ≤ D' =
     Σ (lengths[k] − v_k), interpolated from its `_integer_det`s at λ = 0…D',
-    and det A_b = λ^(Σ v_k)·det A'_b.  By `determinant`, its λ^D' coefficient
-    must be det N₀ (the rows' λ^lengths[k] coefficients) and its value at D' + 1
-    det A'_b(D' + 1); sign·Π must match `_integer_det` of d·A at the first
-    nonzero x > Σ lengths.  CertificateError otherwise, led by `where` and the
-    block's rows."""
+    and det A_b = λ^(Σ v_k)·det A'_b.  By `determinant`, each matrix taken
+    whole, its λ^D' coefficient must be det N₀ (the rows' λ^lengths[k]
+    coefficients) and its value at D' + 1 det A'_b(D' + 1); sign·Π must match
+    `_integer_det` of d·A at the first nonzero x > Σ lengths.
+    CertificateError otherwise, led by `where` and the block's rows."""
     d, cleared = clear_denominators(matrix)
     sign, parts = blocks(cleared)
     dets = [Polynomial([sign])]
@@ -488,8 +507,8 @@ def inverse_series(matrix, lengths, order):
     needs only t ≤ order − lengths[c].  Every N_j vanishes off A's `blocks`,
     so N⁻¹ is block-diagonal on the transposed blocks, and each block runs
     alone: its denominators are cleared once, its N_0 (read off d·A as in
-    `_interpolated_det`) is inverted by `adjugate`, and each column lifts in
-    integers over one common denominator.
+    `_interpolated_det`) is inverted whole by `adjugate`, with no second
+    split, and each column lifts in integers over one common denominator.
 
     Returns {(l, c): (coefficients of ħ^0 … ħ^order of A⁻¹[l][c])} for the
     entries with a nonzero coefficient, or None when the route does not apply:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from math import comb
 
-from .scalars import ONE_POLY, Polynomial
+from .scalars import ONE_POLY, ZERO_POLY, Polynomial
 
 # -- letter orders -----------------------------------------------------------
 
@@ -291,10 +291,10 @@ def letter_action(algebra, g, word, side):
         # g w0 (rest·v) = w0 (g · rest·v) + [g, w0] (rest·v)
         for w1, p1 in letter_action(algebra, g, rest, side):
             for w2, p2 in letter_action(algebra, w0, w1, side):
-                acc[w2] = acc.get(w2, Polynomial()) + p1 * p2
+                acc[w2] = acc.get(w2, ZERO_POLY) + p1 * p2
         for h, k in algebra.bracket(g, w0):
             for w1, p1 in letter_action(algebra, h, rest, side):
-                acc[w1] = acc.get(w1, Polynomial()) + p1.scale(k)
+                acc[w1] = acc.get(w1, ZERO_POLY) + p1.scale(k)
         out = tuple((w, p) for w, p in sorted(acc.items()) if p)
     algebra.memo.actions[key] = out
     return out

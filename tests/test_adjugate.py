@@ -1,6 +1,7 @@
 """The fraction-free elimination kernel, Gauss–Jordan (`adjugate`) and
-forward-only (`determinant`), run block by block, and the det interpolated
-from integer dets (`_interpolated_det`), against sympy's det and adjugate;
+forward-only (`determinant`), run on a whole matrix, the inverse that
+`invert_pairing` assembles from the blocks, and the det interpolated from
+integer dets (`_interpolated_det`), against sympy's det and adjugate;
 the per-block certificates against a tampered kernel or block sign; and the
 packed A·adj = det·I certificate against the identity summed in ℚ[λ]."""
 
@@ -125,15 +126,19 @@ def test_adjugate_matches_sympy(rows):
     ref_adj = [[(-1) ** (i + j) * ref.extract(others(j), others(i)).det() if n > 1 else ring.one
                 for j in range(n)] for i in range(n)]
     assert [[elem(e) for e in row] for row in adj] == ref_adj
+    # the kernel eliminated A whole; invert_pairing splits it into blocks,
+    # inverts each and assembles, and must give the same adj and det
     assert invert_pairing(rows) == (adj, det)
 
 
 def test_one_by_one_is_its_own_det():
     # a 1×1 A = [a] has det a and adjugate [1], with no elimination; [0] is
-    # singular, by its pattern and by the kernel alone
+    # singular by the kernel alone and, in invert_pairing, by its pattern
     zero = [[ZERO_POLY]]
     assert adjugate(zero) == (None, ZERO_POLY) and determinant(zero) == ZERO_POLY
     assert scalars._bareiss(zero, True) == (None, ZERO_POLY)
+    with pytest.raises(SingularCharacterError):
+        invert_pairing(zero)
     a = _p(Fraction(-3, 4), 0, 5)
     assert adjugate([[a]]) == ([[_p(1)]], a) and determinant([[a]]) == a
     assert scalars._bareiss([[a]], True) == ([[_p(1)]], a)
@@ -210,6 +215,9 @@ def test_blocks_match_sympy(rows):
             invert_pairing(rows)
         return
     assert [[elem(e) for e in row] for row in adj] == ref_adj
+    # the kernel eliminated A whole; invert_pairing takes these blocks,
+    # inverts each and assembles sign·Π det_b and adj_b·(det / det_b), and
+    # must give the same adj and det
     assert invert_pairing(rows) == (adj, det)
 
 
@@ -286,21 +294,22 @@ def certificates(draw):
 
 
 def _narrow_adj():
-    # a 5×5 integer block with det −2 and adj[1][1] = −12; 4 − λ has that value
-    # at λ = 16, and ℓ1 norm 5, the largest in the tampered adj.  Without the
-    # factor n, the bound 1·5 + 2 would pack at 16, where the residual λ − 16
-    # of row 2 vanishes; n·1·5 + 2 = 27 packs at 64
+    # a 5×5 integer block with det −2 and adj[1][1] = −12; −4 − λ has that
+    # value at λ = 8, and ℓ1 norm 5, the largest in the tampered adj.  Without
+    # the factor n, the bound 1·5 + 2 = 7 would pack at 8, where the residual
+    # A[i][1]·(8 − λ) vanishes; n·1·5 + 2 = 27 packs at 32
     rows = [[_p(x) for x in row] for row in
             [[1, 0, 0, -1, -1], [0, 0, 0, -1, 0], [1, -1, -1, -1, 1], [1, 0, -1, 1, -1], [1, 0, 1, 1, 1]]]
     adj, det = adjugate(rows)
     assert det == _p(-2) and adj[1][1] == _p(-12)
-    adj[1][1] = _p(4, -1)
+    adj[1][1] = _p(-4, -1)
     return rows, adj, det
 
 
-# two 1×1 blocks of the identity, with adj = I and det 5 − λ: without d·H_det
-# the bound 1 would pack at 4, where the residual λ − 4 vanishes; 1 + 6 packs at 16
-_NARROW_DET = ([[_p(1), ZERO_POLY], [ZERO_POLY, _p(1)]], [[_p(1), ZERO_POLY], [ZERO_POLY, _p(1)]], _p(5, -1))
+# two 1×1 blocks of the identity, with adj = I and det 3 − λ: without d·H_det
+# the bound 1 would pack at 2, where the residual λ − 2 vanishes; 1 + 4 = 5
+# packs at 8
+_NARROW_DET = ([[_p(1), ZERO_POLY], [ZERO_POLY, _p(1)]], [[_p(1), ZERO_POLY], [ZERO_POLY, _p(1)]], _p(3, -1))
 
 
 @settings(max_examples=100, deadline=None)
@@ -312,12 +321,11 @@ _NARROW_DET = ([[_p(1), ZERO_POLY], [ZERO_POLY, _p(1)]], [[_p(1), ZERO_POLY], [Z
 def test_the_packed_certificate_decides_the_identity(case):
     # the certificate passes exactly when A·adj = det·I holds in ℚ[λ]
     rows, adj, det = case
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(shapovalov, "adjugate", lambda matrix: (adj, det))
-        try:
-            passed = invert_pairing(rows) == (adj, det)
-        except CertificateError:
-            passed = False
+    try:
+        shapovalov._certify_adjugate(blocks(rows)[1], adj, det)
+        passed = True
+    except CertificateError:
+        passed = False
     assert passed == _holds(rows, adj, det)
 
 

@@ -239,6 +239,26 @@ def test_the_pairing_build_forms_no_zero(monkeypatch):
     assert calls.count("__mul__") <= 83 and calls.count("__neg__") <= 83
 
 
+def test_each_pairing_matrix_is_split_into_blocks_once(monkeypatch, capsys):
+    # the code that owns a pairing matrix splits it into blocks once, and the
+    # elimination kernel takes each block as given: one `blocks` call per
+    # matrix, where splitting the kernel's input again made 89, 72 and 3
+    calls, real = [], scalars.blocks
+    counted = lambda matrix: calls.append(1) or real(matrix)
+    monkeypatch.setattr(scalars, "blocks", counted)
+    monkeypatch.setattr(shapovalov, "blocks", counted)
+    cases = [
+        (["star", "--builtin", "heisenberg", "--param", "n=3", "--param", "w=2/3", "--max-degree", "6"], 6),
+        (["star", "--builtin", "sl2", "--param", "z=1", "--max-degree", "36"], 36),
+        (["pairing", "--builtin", "virasoro", "--param", "delta=1", "--param", "c=1", "--degree", "6"], 1),
+    ]
+    for argv, want in cases:
+        del calls[:]
+        assert cli.main([*argv, "--format", "json"]) == 0, argv
+        capsys.readouterr()
+        assert len(calls) == want, argv
+
+
 def test_exit_codes_survive_python_O(tmp_path):
     # the checks behind exit codes 2, 3, 4 and 5 must still fire with asserts stripped
     spec = tmp_path / "alg.json"
