@@ -69,7 +69,7 @@ class Memo:
     orders: dict = field(default_factory=dict)  # segments -> uea.BasisOrder
     actions: dict = field(default_factory=dict)  # (side, letter, module word) -> terms
     pairings: dict = field(default_factory=dict)  # degree -> (basis, rows)
-    components: dict = field(default_factory=dict)  # (degree, tie_break) -> (basis, nums, det)
+    components: dict = field(default_factory=dict)  # (degree, tie_break) -> (basis, entries, det)
 
 
 class GradedLieAlgebra:

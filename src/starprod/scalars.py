@@ -57,7 +57,7 @@ class Polynomial:
     Fractions otherwise; the two mix exactly and compare/hash consistently.
     `exact_div` takes c // lc whenever an int c is divisible by an int leading
     coefficient lc, and divides in Fractions otherwise, so exact division in
-    ℤ[λ] (as in `adjugate`) never leaves the ints."""
+    ℤ[λ] (as in `verify`'s common denominator) never leaves the ints."""
 
     __slots__ = ("coeffs",)
 
@@ -338,8 +338,8 @@ def determinant(matrix):
 class RationalFunction:
     """A ratio of polynomials in λ, a value to build and compare.  The pair is
     kept as given, with no common factor removed, so two ratios are equal when
-    their cross products are (a.num·b.den == b.num·a.den); having no normal
-    form, the value is not hashable."""
+    their cross products are (a.num·b.den == b.num·a.den), or over one den
+    their numerators; having no normal form, the value is not hashable."""
 
     __slots__ = ("num", "den")
 
@@ -352,16 +352,14 @@ class RationalFunction:
             raise ZeroDivisionError("rational function with zero denominator")
         self.num, self.den = num, den
 
-    @property
-    def is_zero(self):
-        return self.num.is_zero
-
     def __bool__(self):
         return not self.num.is_zero
 
     def __eq__(self, other):
         if not isinstance(other, RationalFunction):
             return NotImplemented
+        if self.den == other.den:
+            return self.num == other.num
         return self.num * other.den == other.num * self.den
 
     def __repr__(self):

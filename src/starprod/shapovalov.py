@@ -15,11 +15,11 @@ pairing is graded by the g₀-weight, so a matrix A splits into blocks after
 permuting its rows and columns (`blocks`, read off the nonzero pattern once
 per matrix), and every elimination takes one block as it is given.  A is
 inverted by fraction-free Gauss–Jordan elimination on each [A_b | I], which
-yields the dets and the adjugate as polynomials; the result is accepted only
-after A·adj = det·I is checked in ℚ[λ], block by block, each entry as one
-integer: its value at a power of 2 beyond a bound on its coefficients, 0
-only for the zero polynomial.  An inverse entry stays a numerator over the
-whole det A; no arithmetic in ℚ(λ) is ever done.  Where det A alone is
+yields det_b and adj_b as polynomials; each block is accepted only after
+A_b·adj_b = det_b·I is checked in ℚ[λ], each entry as one integer: its
+value at a power of 2 beyond a bound on its coefficients, 0 only for the
+zero polynomial.  An inverse entry stays a numerator over its own block's
+det_b; no arithmetic in ℚ(λ) is ever done.  Where det A alone is
 wanted (`pairing_determinant`), each row of a block is divided by the power
 λ^v_k that its entries share, and the det of what is left, of λ-degree ≤
 D'_b = Σ (len x_k − v_k) over its rows, is interpolated exactly from its
@@ -264,60 +264,52 @@ def _next_degree(algebra, n, window):
 
 
 def invert_pairing(matrix):
-    """Invert a square Polynomial matrix over ℚ(λ).
+    """Invert a square Polynomial matrix over ℚ(λ), one block at a time.
 
-    Returns (adjugate, det), with inverse[i][j] = adjugate[i][j] / det.
-    Raises SingularCharacterError when the determinant vanishes, and
-    CertificateError unless matrix·adjugate = det·I holds exactly in ℚ[λ]
-    (`_certify_adjugate`).  A is split into its `blocks` once, and each
+    Returns (inverse, det).  A is split into its `blocks` once, and each
     block A_b runs through `adjugate` alone.  A⁻¹ is block-diagonal on the
-    transposed blocks, so det = sign·Π det_b, and adj is adj_b·(det / det_b)
-    on block b and zero off the blocks; a matrix of one block is its own."""
+    transposed blocks, so row l of A⁻¹ lies in one block b, and inverse[l] =
+    (num_0, …, num_{n−1}, det_b) holds it as adj_b's entries, zero off the
+    block, over det_b.  det = sign·Π det_b, and a matrix of one block has
+    its block's det, with no product formed.  Raises
+    SingularCharacterError when a det vanishes, and CertificateError unless
+    A_b·adj_b = det_b·I holds exactly in ℚ[λ] for every block
+    (`_certify_adjugate`)."""
     sign, parts = blocks(matrix)
     solved = [adjugate(block) for _, _, block in parts] if sign else []
     if not sign or any(adj_b is None for adj_b, _ in solved):
         raise SingularCharacterError("pairing matrix is singular")
-    if len(parts) == 1:
-        adj, det = solved[0]
-    else:
-        det = product([Polynomial([sign])] + [det_b for _, det_b in solved])
-        adj = [[ZERO_POLY] * len(matrix) for _ in matrix]
-        for (rows, cols, _), (adj_b, det_b) in zip(parts, solved):
-            cof = det.exact_div(det_b)
-            for c, row in zip(cols, adj_b):
-                for r, e in zip(rows, row):
-                    adj[c][r] = e * cof
-    _certify_adjugate(parts, adj, det)
-    return adj, det
+    inverse = [None] * len(matrix)
+    for (rows, cols, block), (adj_b, det_b) in zip(parts, solved):
+        _certify_adjugate(block, adj_b, det_b)
+        for l, adj_row in zip(cols, adj_b):
+            row = [ZERO_POLY] * len(matrix)
+            for c, e in zip(rows, adj_row):
+                row[c] = e
+            inverse[l] = (*row, det_b)
+    dets = [det_b for _, det_b in solved]
+    return inverse, dets[0] if len(dets) == 1 else product([Polynomial([sign])] + dets)
 
 
-def _certify_adjugate(parts, adj, det):
-    """Raise CertificateError unless A·adj = det·I, for A the matrix whose
-    `blocks` are `parts`.  On each block A·adj = det·I is checked, and adj
-    must vanish off the transposed blocks, where A·adj is then zero by the
-    pattern alone.  On an n-column block it is decided on integers: with d·A
-    and e·(adj, det) cleared (`clear_denominators`), every coefficient of
-    d·e·(A·adj − det·I) is at most n·H_A·H_adj + d·H_det in size (H the
-    largest ℓ1 norm of an entry), below B for B = 2^b, b = bits(bound).
-    So each entry's value at λ = B, a packed row times a packed column, is 0
-    only for the zero polynomial, as in `verify._pack`."""
+def _certify_adjugate(block, adj, det):
+    """Raise CertificateError unless A_b·adj = det·I for one block A_b and the
+    adj and det returned for it.  On n columns it is decided on integers:
+    with d·A_b and e·(adj, det) cleared (`clear_denominators`), every
+    coefficient of d·e·(A_b·adj − det·I) is at most n·H_A·H_adj + d·H_det in
+    size (H the largest ℓ1 norm of an entry), below B for B = 2^b,
+    b = bits(bound).  So each entry's value at λ = B, a packed row times a
+    packed column, is 0 only for the zero polynomial, as in `verify._pack`."""
     norm = lambda m: max(sum(map(abs, x.coeffs)) for row in m for x in row)
-    inside = 0
-    for rows, cols, block in parts:
-        sub = [[adj[k][j] for j in rows] for k in cols]
-        d, a = clear_denominators(block)
-        _, (*c, (e_det,)) = clear_denominators(sub + [[det]])
-        big = 1 << (len(cols) * norm(a) * norm(c) + d * norm([[e_det]])).bit_length()
-        packed_cols = list(zip(*([horner(x.coeffs, big) for x in row] for row in c)))
-        target = d * horner(e_det.coeffs, big)
-        for i, row in enumerate(a):
-            packed = [horner(x.coeffs, big) for x in row]
-            for j, col in enumerate(packed_cols):
-                if sum(map(mul, packed, col)) != (target if i == j else 0):
-                    raise CertificateError("adjugate certificate A·adj = det·I failed")
-        inside += sum(1 for row in sub for x in row if x)
-    if inside != sum(1 for row in adj for e in row if e):
-        raise CertificateError("adjugate certificate A·adj = det·I failed off the blocks")
+    d, a = clear_denominators(block)
+    _, (*c, (e_det,)) = clear_denominators([*adj, [det]])
+    big = 1 << (len(block) * norm(a) * norm(c) + d * norm([[e_det]])).bit_length()
+    packed_cols = list(zip(*([horner(x.coeffs, big) for x in row] for row in c)))
+    target = d * horner(e_det.coeffs, big)
+    for i, row in enumerate(a):
+        packed = [horner(x.coeffs, big) for x in row]
+        for j, col in enumerate(packed_cols):
+            if sum(map(mul, packed, col)) != (target if i == j else 0):
+                raise CertificateError("adjugate certificate A·adj = det·I failed")
 
 
 # -- the determinant alone ----------------------------------------------------
@@ -437,44 +429,44 @@ def _integer_det(rows):
 
 class CanonicalElement:
     """Per-degree components of the canonical element: at degree n the
-    coefficient of x_k ⊗ y_l is the (l, k) entry of the inverse pairing matrix,
-    stored as a polynomial numerator over one common determinant.
-    `component` hands each entry out as a RationalFunction, a value to
-    compare."""
+    coefficient of x_k ⊗ y_l is the (l, k) entry of the inverse pairing
+    matrix, stored in `entries[n]` as (num, den), den the det of the block
+    that holds it; `dets[n]` is the whole det.  `component` hands each entry
+    out as a RationalFunction, a value to compare."""
 
-    def __init__(self, bases, nums, dets):
+    def __init__(self, bases, entries, dets):
         self.bases = bases
-        self.nums = nums
+        self.entries = entries
         self.dets = dets
 
     def component(self, n):
-        det = self.dets[n]
-        return {pair: RationalFunction(num, det) for pair, num in self.nums[n].items()}
+        return {pair: RationalFunction(num, den) for pair, (num, den) in self.entries[n].items()}
 
 
 def exact_component(algebra, n, tie_break="desc"):
-    """The degree-n component over ℚ(λ) as (basis, {(x, y): numerator}, det),
-    memoized in `memo.components`.  Raises SingularCharacterError when the
-    pairing matrix is singular and CertificateError when A·adj = det·I fails,
-    each naming the algebra and the degree."""
+    """The degree-n component over ℚ(λ) as (basis, {(x, y): (num, den)}, det),
+    den the det of the entry's block and det the whole one, memoized in
+    `memo.components`.  Raises SingularCharacterError when the pairing
+    matrix is singular and CertificateError when a block's
+    A_b·adj_b = det_b·I fails, each naming the algebra and the degree."""
     key = (n, tie_break)
     components = algebra.memo.components
     if key not in components:
         basis, matrix = pairing_matrix(algebra, n, tie_break)
         try:
-            inv_nums, det = invert_pairing(matrix)
+            inverse, det = invert_pairing(matrix)
         except SingularCharacterError:
             raise SingularCharacterError(
                 f"{algebra.name}: pairing matrix at degree {n} is singular"
             ) from None
         except CertificateError as exc:
             raise CertificateError(f"{algebra.name}: degree {n}: {exc}") from None
-        coeffs = {}
+        entries = {}
         for k, x in enumerate(basis.minus):
             for l, y in enumerate(basis.plus):
-                if inv_nums[l][k]:
-                    coeffs[(x, y)] = inv_nums[l][k]
-        components[key] = (basis, coeffs, det)
+                if inverse[l][k]:
+                    entries[(x, y)] = (inverse[l][k], inverse[l][-1])
+        components[key] = (basis, entries, det)
     return components[key]
 
 
@@ -482,15 +474,15 @@ def expanded_component(algebra, n, order):
     """{(x, y): coefficients of ħ^0 … ħ^order} of the exact degree-n
     component, expanded at λ = ∞: the exact route to what `series_component`
     computes."""
-    _, coeffs, det = exact_component(algebra, n)
-    return {pair: expand_at_infinity(num, det, order) for pair, num in coeffs.items()}
+    _, entries, _ = exact_component(algebra, n)
+    return {pair: expand_at_infinity(num, den, order) for pair, (num, den) in entries.items()}
 
 
 def canonical_element(algebra, max_degree, tie_break="desc"):
-    bases, nums, dets = {0: _DEGREE_ZERO[0]}, {0: {((), ()): ONE_POLY}}, {0: ONE_POLY}
+    bases, entries, dets = {0: _DEGREE_ZERO[0]}, {0: {((), ()): (ONE_POLY, ONE_POLY)}}, {0: ONE_POLY}
     for n in range(1, max_degree + 1):
-        bases[n], nums[n], dets[n] = exact_component(algebra, n, tie_break)
-    return CanonicalElement(bases, nums, dets)
+        bases[n], entries[n], dets[n] = exact_component(algebra, n, tie_break)
+    return CanonicalElement(bases, entries, dets)
 
 
 # -- the inverse at λ = ∞ ------------------------------------------------------

@@ -9,11 +9,13 @@ of the canonical element) are verified inside a degree window: components
 whose slot degrees all lie within the window are exactly determined by the
 per-degree data up to that window, so the windowed check is a genuine proof
 for those components rather than an approximation.  `_cleared` puts every
-term over one denominator L, a common multiple of the dets det_n built by
-walking n upward: det_n replaces L when L divides it, L stays when det_n
-divides L, and L·det_n is taken otherwise (so L = det_w wherever each det
-divides the next, as on every builtin, sl3 and the two-step nilpotent algebras
-at the characters checked).  Each check first plans its contributions and
+term over one denominator L, a common multiple of the block dets that the
+terms are over, built by walking them degree by degree: a block det
+replaces L when L divides it, L stays when it divides L, and their product
+is taken otherwise.  A degree of one block is over det_n, so L = det_w
+wherever each degree is one block and each det divides the next, as on
+Virasoro and the two-step nilpotent algebras at the characters checked.
+Each check first plans its contributions and
 tallies their exact constants: s their summed size and den their common
 denominator.  `_pack` then clears the numerators to integers and packs each
 into one integer, its value at λ = B = 2^b, once, at the width
@@ -97,25 +99,26 @@ class VerificationReport:
 
 def _cleared(canon, window):
     """(degree, (x, y), (v, tail)) for every canonical-element term through the
-    window, by degree and pair.  Each numerator is multiplied by L / det_n, so
-    that all terms sit over one denominator L, a common multiple of the dets
-    (det_w itself wherever each det divides the next), and is then split as
-    λ^v · tail: v is its λ-adic valuation and tail the coefficient tuple from
-    λ^v up, so tail[0] is nonzero (a zero numerator is (0, ()))."""
+    window, by degree and pair.  Each numerator is multiplied by L / den, den
+    its block's det, so that all terms sit over one denominator L, a common
+    multiple of the distinct dens (det_w itself wherever each degree is one
+    block and each det divides the next), and is then split as λ^v · tail: v
+    is its λ-adic valuation and tail the coefficient tuple from λ^v up, so
+    tail[0] is nonzero (a zero numerator is (0, ()))."""
+    entries = [(n, *item) for n in range(window + 1) for item in sorted(canon.entries[n].items())]
+    dens = dict.fromkeys(den for *_, (_, den) in entries)
     common = ONE_POLY
-    for n in range(window + 1):
-        det = canon.dets[n]
-        if _divides(common, det):
-            common = det
-        elif not _divides(det, common):
-            common = common * det
+    for den in dens:
+        if _divides(common, den):
+            common = den
+        elif not _divides(den, common):
+            common = common * den
+    cofs = {den: common.exact_div(den) for den in dens}
     terms = []
-    for n in range(window + 1):
-        cof = common.exact_div(canon.dets[n])
-        for pair, num in sorted(canon.nums[n].items()):
-            cs = (num * cof).coeffs
-            v = next((i for i, c in enumerate(cs) if c), 0)
-            terms.append((n, pair, (v, cs[v:])))
+    for n, pair, (num, den) in entries:
+        cs = (num * cofs[den]).coeffs
+        v = next((i for i, c in enumerate(cs) if c), 0)
+        terms.append((n, pair, (v, cs[v:])))
     return terms
 
 
@@ -295,10 +298,9 @@ def check_order_bounds(algebra, max_degree):
     components expanded at λ = ∞ (`exact_series`) term by term, slots included."""
     canon = canonical_element(algebra, max_degree)
     for n in range(1, max_degree + 1):
-        det = canon.dets[n]
-        for (x, y), num in canon.nums[n].items():
+        for (x, y), (num, den) in canon.entries[n].items():
             bound = max(len(x), len(y))
-            if det.degree - num.degree < bound:
+            if den.degree - num.degree < bound:
                 where = f"{word_name(algebra, x)} | {word_name(algebra, y)}"
                 return CheckResult(
                     "order-bounds", False, f"coefficient at [{where}] decays too slowly"
@@ -368,11 +370,13 @@ def check_oracle_agreement(algebra, max_degree):
 
 def check_canonicity(algebra, max_degree):
     """The canonical element does not depend on the admissible basis order:
-    "asc" permutes rows and columns alike, so nums and dets agree exactly."""
+    "asc" permutes rows and columns alike, so the dets agree exactly, and
+    each entry as a value in ℚ(λ): a block's det may change sign under the
+    permutation, and its numerators with it."""
     a = canonical_element(algebra, max_degree, "desc")
     b = canonical_element(algebra, max_degree, "asc")
     for n in range(1, max_degree + 1):
-        if a.nums[n] != b.nums[n] or a.dets[n] != b.dets[n]:
+        if a.component(n) != b.component(n) or a.dets[n] != b.dets[n]:
             return CheckResult("canonicity", False, f"components differ at degree {n}")
     return CheckResult(
         "canonicity", True, f"identical under both basis orders through degree {max_degree}"

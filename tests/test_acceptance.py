@@ -229,10 +229,9 @@ def test_criterion_09_order_bounds():
     for alg in (sl2(1), heisenberg(2, 1), _vir5()):
         canon = canonical_element(alg, 5)
         for n in range(1, 6):
-            det = canon.dets[n]
-            for (x, y), num in canon.nums[n].items():
-                # order at infinity of num/det is num.degree - det.degree
-                assert det.degree - num.degree >= max(len(x), len(y))
+            for (x, y), (num, den) in canon.entries[n].items():
+                # order at infinity of num/den is num.degree - den.degree
+                assert den.degree - num.degree >= max(len(x), len(y))
         star = star_series(alg, 5)
         for m, bucket in star.orders.items():
             for x, y in bucket:

@@ -197,18 +197,31 @@ def test_an_inexact_division_in_the_det_checks_names_its_degree(capsys, monkeypa
 def test_sl3_blocks_print_the_recorded_bytes(capsys):
     # sl3 in the principal grading, χ(h1) = χ(h2) = 1: each pairing matrix
     # splits into blocks of several sizes (1, 1, 2, 2, …, 5 at degree 8); the
-    # digests are those the whole-matrix elimination printed
+    # digests are those the whole-matrix elimination printed, and for verify,
+    # the inverse whose entries shared the whole det
     spec = str(Path(__file__).resolve().parent / "fixtures" / "sl3_principal.json")
     digests = {
         ("pairing", "--degree", "8"):
             "20a4bcb1134afdcd34bfc26fdeebdf039f1fd7afba213fa716a622ee4b5bdbd2",
         ("star", "--max-degree", "6"):
             "3beefcc9b2aa3102a2ddad1a879453c0cef1a4795bb65db1a318b117e50d1165",
+        ("verify", "--max-degree", "5"):
+            "d9bd4e9e437ac9b10d0a9e40a97bda4ccbd65978d7b5b6112ff496862cab906a",
     }
     for (command, *rest), digest in digests.items():
         code, out, err = _run(capsys, command, "--spec", spec, *rest, "--format", "json")
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+
+
+def test_heisenberg_blocks_verify_to_the_recorded_bytes(capsys):
+    # Heisenberg(3) has one 1×1 block per pairing matrix row (15 at degree
+    # 4); the digest is the one printed when every entry shared the whole det
+    code, out, err = _run(capsys, "verify", "--builtin", "heisenberg", "--param", "n=3",
+                          "--param", "w=2/3", "--max-degree", "4", "--format", "json")
+    assert (code, err) == (0, "")
+    digest = "4d9e1617a3f7324bfc891a6fb83169640bf5924764282712710a322c53d6fe4f"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_degree_zero_and_no_raising_generator_print_the_recorded_bytes(tmp_path, capsys):

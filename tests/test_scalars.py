@@ -225,12 +225,14 @@ def test_rational_function_equality(num, den, den_lead, g, g_lead, k):
     den, g = Polynomial(den + [den_lead]), Polynomial(g + [g_lead])
     assume(k)
     r = RationalFunction(num, den)
-    # the pair is kept as given, and equality is cross-multiplication
+    # the pair is kept as given, and equality is cross-multiplication, or of
+    # the numerators over one den
     assert (r.num, r.den) == (num, den)
+    assert RationalFunction(num, den) == r != RationalFunction(num + den, den)
     assert RationalFunction(num * g, den * g) == r
     assert RationalFunction(num.scale(k), den.scale(k)) == r
     assert RationalFunction((num + den) * g, den * g) != r
-    assert bool(r) == (not num.is_zero) == (not r.is_zero)
+    assert bool(r) == (not num.is_zero)
     assert RationalFunction(ZERO_POLY, den) == RationalFunction(0, g) == RationalFunction(0)
     with pytest.raises(ZeroDivisionError):
         RationalFunction(num, ZERO_POLY)

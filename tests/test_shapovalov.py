@@ -253,19 +253,39 @@ def test_adjugate_constant_2x2():
 def test_invert_pairing():
     alg = virasoro(1, 1)
     _, rows = pairing_matrix(alg, 2)
-    nums, det = invert_pairing(rows)
+    inverse, det = invert_pairing(rows)
     assert det == Polynomial((0, 0, 18, -36))
+    # one block: every row of the inverse is its numerators over det itself
+    assert [row[-1] for row in inverse] == [det, det]
     # multiply back by hand in ℚ[λ]: Σ_k A[i][k]·adj[k][j] = δ_ij·det
     for i in range(2):
         for j in range(2):
             s = ZERO_POLY
             for k in range(2):
-                s = s + rows[i][k] * nums[k][j]
+                s = s + rows[i][k] * inverse[k][j]
             assert s == (det if i == j else ZERO_POLY)
 
     singular = [[Polynomial((0, 1)), Polynomial((0, 1))], [Polynomial((0, 1)), Polynomial((0, 1))]]
     with pytest.raises(SingularCharacterError):
         invert_pairing(singular)
+
+
+def test_a_block_det_changes_sign_with_the_basis_order():
+    # rows 0, 1 meet columns 1, 2, and row 2 column 0: swapping basis words 0
+    # and 1 in rows and columns alike swaps the rows of the 2×2 block but not
+    # its columns, so its det and numerators change sign while the whole det
+    # and every entry's value stay; `check_canonicity` compares values
+    a, b, c, d, e = (Polynomial((k, 1)) for k in range(1, 6))
+    rows = [[ZERO_POLY, a, b], [ZERO_POLY, c, d], [e, ZERO_POLY, ZERO_POLY]]
+    perm = [1, 0, 2]
+    inverse, det = invert_pairing(rows)
+    swapped, swapped_det = invert_pairing([[rows[i][j] for j in perm] for i in perm])
+    assert swapped_det == det and swapped[0][-1] == -inverse[1][-1]
+    for l in range(3):
+        for k in range(3):
+            num, den = swapped[l][k], swapped[l][-1]
+            want = RationalFunction(inverse[perm[l]][perm[k]], inverse[perm[l]][-1])
+            assert RationalFunction(num, den) == want, (l, k)
 
 
 def test_invert_pairing_rejects_tampered_adjugate(monkeypatch):
@@ -364,18 +384,19 @@ def test_virasoro_dets_match_kac_determinant():
 
 
 def test_canonical_element_inverts_pairing():
-    # Σ_y num(x_k, y)·(x_i, y) = δ_ik·det: the element really is the inverse,
-    # checked in ℚ[λ] against the projection route's entries
+    # Σ_y num(x_k, y)·(x_i, y) = δ_ik·den: the element really is the inverse,
+    # checked in ℚ[λ] against the projection route's entries, where x_k's
+    # entries share den, the det of x_k's block (Heisenberg has three blocks)
     for alg, n in ((heisenberg(2, 1), 2), (virasoro(1, 1), 2)):
         basis = build_basis(alg, n)
-        canon = canonical_element(alg, n)
-        nums, det = canon.nums[n], canon.dets[n]
-        for i, xi in enumerate(basis.minus):
-            for k, xk in enumerate(basis.minus):
+        entries = canonical_element(alg, n).entries[n]
+        for k, xk in enumerate(basis.minus):
+            [den] = {den for (x, _), (_, den) in entries.items() if x == xk}
+            for i, xi in enumerate(basis.minus):
                 s = ZERO_POLY
                 for y in basis.plus:
-                    s = s + nums.get((xk, y), ZERO_POLY) * pairing_entry(alg, xi, y)
-                assert s == (det if i == k else ZERO_POLY)
+                    s = s + entries.get((xk, y), (ZERO_POLY,))[0] * pairing_entry(alg, xi, y)
+                assert s == (den if i == k else ZERO_POLY)
 
 
 def test_canonical_element_singular_character():
@@ -391,7 +412,7 @@ def test_canonical_element_empty_degree():
     alg = GradedLieAlgebra("pm2", gens, {(2, 0): [(1, 1)]}, {1: 1})
     assert pairing_matrix(alg, 1) == (build_basis(alg, 1), ())
     canon = canonical_element(alg, 2)
-    assert (canon.bases[1].minus, canon.nums[1], canon.dets[1]) == ((), {}, ONE_POLY)
+    assert (canon.bases[1].minus, canon.entries[1], canon.dets[1]) == ((), {}, ONE_POLY)
     # (x, y) = χ(S(y)·x) = -λ·χ([y, x]) = -λ
     assert canon.component(2) == {((0,), (2,)): RationalFunction(-1, Polynomial([0, 1]))}
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from starprod import cli, scalars, shapovalov
-from starprod.lie import heisenberg, random_two_step, virasoro
+from starprod.lie import GradedLieAlgebra, heisenberg, random_two_step, virasoro
 from starprod.scalars import Polynomial
 from starprod.shapovalov import pairing_matrix
 
@@ -210,6 +210,29 @@ def test_the_adjugate_certificate_multiplies_no_polynomials(monkeypatch):
 
     alone, certified = counted(scalars.adjugate), counted(shapovalov.invert_pairing)
     assert certified[0] <= alone[0] and certified[1] <= alone[1]
+
+
+def test_the_inverse_forms_no_cofactor(monkeypatch):
+    # invert_pairing keeps each entry over its own block's det: its only
+    # Polynomial products are the balanced product sign·Π det_b, and it divides
+    # nothing, where multiplying each adj_b by det / det_b made 56 products
+    # and 28 divisions on Heisenberg(3)'s 28 blocks at degree 6, and 51 and 7
+    # on sl3's 7 blocks at degree 6
+    sl3 = Path(__file__).resolve().parent / "fixtures" / "sl3_principal.json"
+    cases = (
+        (heisenberg(3, Fraction(2, 3)), 28, 28),
+        (GradedLieAlgebra.from_json(json.loads(sl3.read_text(encoding="utf-8"))), 7, 7),
+    )
+    calls = []
+    for name in ("__mul__", "exact_div"):
+        real = getattr(Polynomial, name)
+        monkeypatch.setattr(Polynomial, name, lambda a, b, real=real, name=name: calls.append(name) or real(a, b))
+    for algebra, parts, products in cases:
+        _, matrix = pairing_matrix(algebra, 6)
+        assert len(scalars.blocks(matrix)[1]) == parts, algebra.name
+        del calls[:]
+        shapovalov.invert_pairing(matrix)
+        assert (calls.count("__mul__"), calls.count("exact_div")) == (products, 0), algebra.name
 
 
 def test_the_pairing_build_forms_no_zero(monkeypatch):

@@ -75,7 +75,8 @@ def _tampered(alg, window, degree):
     canonical_element(alg, window)
     basis, coeffs, det = alg.memo.components[(degree, "desc")]
     key = next(iter(coeffs))
-    coeffs[key] = coeffs[key].scale(2)
+    num, den = coeffs[key]
+    coeffs[key] = (num.scale(2), den)
     return alg
 
 
@@ -115,7 +116,8 @@ def test_tampering_across_valuations():
     canonical_element(alg, 2)
     _, coeffs, _ = alg.memo.components[(2, "desc")]
     key = next(iter(coeffs))
-    coeffs[key] = coeffs[key] + Polynomial((1,))
+    num, den = coeffs[key]
+    coeffs[key] = (num + Polynomial((1,)), den)
 
     result = check_associativity(alg, 2)
     assert (result.passed, result.detail) == (False, "window 2: residual at [a1 | a1 | b1^2]")
@@ -175,7 +177,8 @@ def test_tampering_breaks_canonicity():
     assert check_canonicity(alg, 2).passed
     _, coeffs, _ = alg.memo.components[(2, "asc")]
     key = next(iter(coeffs))
-    coeffs[key] = coeffs[key] + Polynomial((0, 1))
+    num, den = coeffs[key]
+    coeffs[key] = (num + Polynomial((0, 1)), den)
     result = check_canonicity(alg, 2)
     assert (result.passed, result.detail) == (False, "components differ at degree 2")
 
@@ -226,14 +229,15 @@ def test_closed_form_dispatch():
 
 def _times(alg, degree, factor, pair=None):
     """The algebra with its degree-`degree` determinant (or, given `pair`,
-    that pair's numerator, 1 for a pair it lacks) multiplied by the
-    polynomial `factor`."""
+    that pair's numerator, 1 over the det for a pair it lacks) multiplied by
+    the polynomial `factor`."""
     canonical_element(alg, degree)
     basis, coeffs, det = alg.memo.components[(degree, "desc")]
     if pair is None:
         det = det * factor
     else:
-        coeffs[pair] = coeffs.get(pair, Polynomial((1,))) * factor
+        num, den = coeffs.get(pair, (Polynomial((1,)), det))
+        coeffs[pair] = (num * factor, den)
     alg.memo.components[(degree, "desc")] = (basis, coeffs, det)
     return alg
 
@@ -378,23 +382,24 @@ def test_report_rendering():
     assert data["checks"][0] == {"name": "alpha", "passed": True, "detail": "fine"}
 
 
-def test_cleared_terms_share_a_common_multiple_of_the_dets():
-    # every numerator is carried over L / det_n: L = det_w when each det divides
-    # the next, and the product of the two when neither divides the other
-    from types import SimpleNamespace
-
-    from starprod.verify import _cleared
-
-    lam = Polynomial((0, 1))
-    nums = {n: {((n,), (n,)): Polynomial((n + 1,))} for n in range(3)}
-    for dets, common in (
-        ([Polynomial((1,)), lam, lam * lam], lam * lam),
-        ([Polynomial((1,)), lam, Polynomial((1, 1))], lam * Polynomial((1, 1))),
-        ([Polynomial((1,)), lam * Polynomial((1, 1)), lam], lam * Polynomial((1, 1))),
+def test_cleared_terms_share_a_common_multiple_of_the_block_dets():
+    # every numerator is carried over L / den, den the det of its block: L =
+    # det_w when each det divides the next, and the product of two dens when
+    # neither divides the other, across degrees or between one degree's blocks
+    lam, one, shifted = Polynomial((0, 1)), Polynomial((1,)), Polynomial((1, 1))
+    for dens, common in (
+        ([[one], [lam], [lam * lam]], lam * lam),
+        ([[one], [lam], [shifted]], lam * shifted),
+        ([[one], [lam * shifted], [lam]], lam * shifted),
+        ([[one], [lam], [lam, shifted]], lam * shifted),  # two blocks at degree 2
     ):
-        canon = SimpleNamespace(dets=dict(enumerate(dets)), nums=nums)
-        for n, pair, (v, tail) in _cleared(canon, 2):
-            want = (nums[n][pair] * common.exact_div(dets[n])).coeffs
+        entries = {n: {((n, k), (k,)): (Polynomial((n + k + 1,)), den) for k, den in enumerate(row)}
+                   for n, row in enumerate(dens)}
+        terms = _cleared(SimpleNamespace(entries=entries), 2)
+        assert [(n, pair) for n, pair, _ in terms] == [(n, pair) for n in entries for pair in entries[n]]
+        for n, pair, (v, tail) in terms:
+            num, den = entries[n][pair]
+            want = (num * common.exact_div(den)).coeffs
             assert (v, tail) == (next(i for i, c in enumerate(want) if c), want[v:]), n
 
 
