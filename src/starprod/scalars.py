@@ -154,7 +154,7 @@ class Polynomial:
             raise ArithmeticError("polynomial division was expected to be exact")
         return Polynomial(quo)
 
-    def render(self, var="λ"):
+    def render(self):
         if self.is_zero:
             return "0"
         parts = []
@@ -165,7 +165,7 @@ class Polynomial:
                 parts.append(frac_to_str(c))
                 continue
             mag = "" if abs(c) == 1 else frac_to_str(abs(c)) + "*"
-            body = var if i == 1 else f"{var}^{i}"
+            body = "λ" if i == 1 else f"λ^{i}"
             parts.append(("-" if c < 0 else "+") + mag + body)
         out = "".join(parts)
         return out[1:] if out.startswith("+") else out

@@ -13,13 +13,13 @@ its oracle.
 All scalars are polynomials in the character scale λ, handled exactly.  The
 pairing is graded by the g₀-weight, so a matrix A splits into blocks after
 permuting its rows and columns (`blocks`, read off the nonzero pattern once
-per matrix), and every elimination takes one block as it is given.  A is
-inverted by fraction-free Gauss–Jordan elimination on each [A_b | I], which
-yields det_b and adj_b as polynomials; each block is accepted only after
-A_b·adj_b = det_b·I is checked in ℚ[λ], each entry as one integer: its
-value at a power of 2 beyond a bound on its coefficients, 0 only for the
-zero polynomial.  An inverse entry stays a numerator over its own block's
-det_b; no arithmetic in ℚ(λ) is ever done.  Where det A alone is
+per matrix), and every elimination takes one block as it is given.
+`exact_component` hands each block to `invert_pairing`, whose fraction-free
+Gauss–Jordan on [A_b | I] yields det_b and adj_b in ℚ[λ]; each is accepted
+only after A_b·adj_b = det_b·I is checked in ℚ[λ], each entry as one
+integer: its value at a power of 2 beyond a bound on its coefficients, 0
+only for the zero polynomial.  An inverse entry stays a numerator over its
+own block's det_b; no arithmetic in ℚ(λ) is ever done.  Where det A alone is
 wanted (`pairing_determinant`), each row of a block is divided by the power
 λ^v_k that its entries share, and the det of what is left, of λ-degree ≤
 D'_b = Σ (len x_k − v_k) over its rows, is interpolated exactly from its
@@ -263,32 +263,16 @@ def _next_degree(algebra, n, window):
 # -- exact inversion ---------------------------------------------------------
 
 
-def invert_pairing(matrix):
-    """Invert a square Polynomial matrix over ℚ(λ), one block at a time.
-
-    Returns (inverse, det).  A is split into its `blocks` once, and each
-    block A_b runs through `adjugate` alone.  A⁻¹ is block-diagonal on the
-    transposed blocks, so row l of A⁻¹ lies in one block b, and inverse[l] =
-    (num_0, …, num_{n−1}, det_b) holds it as adj_b's entries, zero off the
-    block, over det_b.  det = sign·Π det_b, and a matrix of one block has
-    its block's det, with no product formed.  Raises
-    SingularCharacterError when a det vanishes, and CertificateError unless
-    A_b·adj_b = det_b·I holds exactly in ℚ[λ] for every block
-    (`_certify_adjugate`)."""
-    sign, parts = blocks(matrix)
-    solved = [adjugate(block) for _, _, block in parts] if sign else []
-    if not sign or any(adj_b is None for adj_b, _ in solved):
+def invert_pairing(block):
+    """(adj, det) of one block A_b of a pairing matrix, by `adjugate`, so
+    that A_b⁻¹ = adj/det over ℚ(λ) with adj and det in ℚ[λ].  Raises
+    SingularCharacterError when det = 0, and CertificateError unless
+    A_b·adj = det·I holds exactly in ℚ[λ] (`_certify_adjugate`)."""
+    adj, det = adjugate(block)
+    if adj is None:
         raise SingularCharacterError("pairing matrix is singular")
-    inverse = [None] * len(matrix)
-    for (rows, cols, block), (adj_b, det_b) in zip(parts, solved):
-        _certify_adjugate(block, adj_b, det_b)
-        for l, adj_row in zip(cols, adj_b):
-            row = [ZERO_POLY] * len(matrix)
-            for c, e in zip(rows, adj_row):
-                row[c] = e
-            inverse[l] = (*row, det_b)
-    dets = [det_b for _, det_b in solved]
-    return inverse, dets[0] if len(dets) == 1 else product([Polynomial([sign])] + dets)
+    _certify_adjugate(block, adj, det)
+    return adj, det
 
 
 def _certify_adjugate(block, adj, det):
@@ -431,8 +415,9 @@ class CanonicalElement:
     """Per-degree components of the canonical element: at degree n the
     coefficient of x_k ⊗ y_l is the (l, k) entry of the inverse pairing
     matrix, stored in `entries[n]` as (num, den), den the det of the block
-    that holds it; `dets[n]` is the whole det.  `component` hands each entry
-    out as a RationalFunction, a value to compare."""
+    that holds it, and listed block by block; `dets[n]` is the whole det.
+    `component` hands each entry out as a RationalFunction, a value to
+    compare."""
 
     def __init__(self, bases, entries, dets):
         self.bases = bases
@@ -445,28 +430,37 @@ class CanonicalElement:
 
 def exact_component(algebra, n, tie_break="desc"):
     """The degree-n component over ℚ(λ) as (basis, {(x, y): (num, den)}, det),
-    den the det of the entry's block and det the whole one, memoized in
-    `memo.components`.  Raises SingularCharacterError when the pairing
-    matrix is singular and CertificateError when a block's
-    A_b·adj_b = det_b·I fails, each naming the algebra and the degree."""
+    memoized in `memo.components`.  The pairing matrix A is split into its
+    `blocks` once, and A⁻¹ is block-diagonal on the transposed blocks: each
+    block's `invert_pairing` gives (adj_b, det_b), and the entry at
+    (x_k, y_l), k = rows[i] and l = cols[j], is adj_b[j][i] over det_b,
+    listed block by block, row-major in each, when nonzero.  det =
+    sign·Π det_b, and a matrix of one block has its block's det, with no
+    product formed.  Raises SingularCharacterError when A is singular and
+    CertificateError when a block's A_b·adj_b = det_b·I fails, each naming
+    the algebra and the degree."""
     key = (n, tie_break)
     components = algebra.memo.components
     if key not in components:
         basis, matrix = pairing_matrix(algebra, n, tie_break)
+        sign, parts = blocks(matrix)
+        singular = f"{algebra.name}: pairing matrix at degree {n} is singular"
+        if not sign:
+            raise SingularCharacterError(singular)
+        entries, dets = {}, [Polynomial([sign])]
         try:
-            inverse, det = invert_pairing(matrix)
+            for rows, cols, block in parts:
+                adj, det_b = invert_pairing(block)
+                dets.append(det_b)
+                for i, k in enumerate(rows):
+                    for j, l in enumerate(cols):
+                        if adj[j][i]:
+                            entries[basis.minus[k], basis.plus[l]] = (adj[j][i], det_b)
         except SingularCharacterError:
-            raise SingularCharacterError(
-                f"{algebra.name}: pairing matrix at degree {n} is singular"
-            ) from None
+            raise SingularCharacterError(singular) from None
         except CertificateError as exc:
             raise CertificateError(f"{algebra.name}: degree {n}: {exc}") from None
-        entries = {}
-        for k, x in enumerate(basis.minus):
-            for l, y in enumerate(basis.plus):
-                if inverse[l][k]:
-                    entries[(x, y)] = (inverse[l][k], inverse[l][-1])
-        components[key] = (basis, entries, det)
+        components[key] = (basis, entries, dets[1] if len(parts) == 1 else product(dets))
     return components[key]
 
 

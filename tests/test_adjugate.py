@@ -1,6 +1,6 @@
 """The fraction-free elimination kernel, Gauss–Jordan (`adjugate`) and
 forward-only (`determinant`), run on a whole matrix, the inverse that
-`invert_pairing` keeps block by block, and the det interpolated from
+`invert_pairing` gives block by block, and the det interpolated from
 integer dets (`_interpolated_det`), against sympy's det and adjugate;
 the per-block certificates against a tampered kernel or block sign; and the
 packed A·adj = det·I certificate against the identity summed in ℚ[λ]."""
@@ -14,7 +14,7 @@ import pytest
 from starprod import scalars, shapovalov
 from starprod.errors import CertificateError, SingularCharacterError
 from starprod.lie import GradedLieAlgebra, virasoro
-from starprod.scalars import ZERO_POLY, Polynomial, adjugate, blocks, determinant
+from starprod.scalars import ONE_POLY, ZERO_POLY, Polynomial, adjugate, blocks, determinant, product
 from starprod.shapovalov import (
     _interpolated_det,
     inverse_series,
@@ -98,14 +98,21 @@ def _p(*coeffs):
 
 
 def _matches_whole(rows, adj, det):
-    """invert_pairing against the kernel's whole-matrix adj and det: the same
-    det, and each row of the inverse nonzero where adj's row is, every entry
-    num/den equal to adj/det by cross-multiplication."""
-    inverse, got = invert_pairing(rows)
-    assert got == det
-    for (*nums, den), want in zip(inverse, adj, strict=True):
-        assert [bool(num) for num in nums] == [bool(e) for e in want]
-        assert all(num * det == e * den for num, e in zip(nums, want))
+    """invert_pairing, handed one block at a time, against the kernel's
+    whole-matrix adj and det: sign·Π det_b is the same det, and the entry of
+    A⁻¹ at (cols[j], rows[i]), adj_b[j][i] over det_b, is nonzero where adj
+    is and equal to adj/det by cross-multiplication; off the blocks adj is 0."""
+    sign, parts = blocks(rows)
+    inverse, dets = {}, [Polynomial([sign])]
+    for r, c, block in parts:
+        adj_b, det_b = invert_pairing(block)
+        dets.append(det_b)
+        inverse.update({(l, k): (adj_b[j][i], det_b) for j, l in enumerate(c) for i, k in enumerate(r)})
+    assert product(dets) == det
+    for l, want in enumerate(adj):
+        for k, e in enumerate(want):
+            num, den = inverse.get((l, k), (ZERO_POLY, ONE_POLY))
+            assert bool(num) == bool(e) and num * det == e * den
 
 
 @settings(max_examples=100, deadline=None)
@@ -137,14 +144,14 @@ def test_adjugate_matches_sympy(rows):
     ref_adj = [[(-1) ** (i + j) * ref.extract(others(j), others(i)).det() if n > 1 else ring.one
                 for j in range(n)] for i in range(n)]
     assert [[elem(e) for e in row] for row in adj] == ref_adj
-    # the kernel eliminated A whole; invert_pairing splits it into blocks and
+    # the kernel eliminated A whole; invert_pairing, handed each of its blocks,
     # keeps each entry over its block's det, the same inverse
     _matches_whole(rows, adj, det)
 
 
 def test_one_by_one_is_its_own_det():
     # a 1×1 A = [a] has det a and adjugate [1], with no elimination; [0] is
-    # singular by the kernel alone and, in invert_pairing, by its pattern
+    # singular by the kernel alone, and invert_pairing refuses it
     zero = [[ZERO_POLY]]
     assert adjugate(zero) == (None, ZERO_POLY) and determinant(zero) == ZERO_POLY
     assert scalars._bareiss(zero, True) == (None, ZERO_POLY)
@@ -222,13 +229,16 @@ def test_blocks_match_sympy(rows):
     assert determinant(rows) == det
     if det.is_zero:
         assert adj is None
-        with pytest.raises(SingularCharacterError):
-            invert_pairing(rows)
+        # singular by its pattern (sign 0), or else by a block invert_pairing refuses
+        if sign:
+            with pytest.raises(SingularCharacterError):
+                for _, _, block in parts:
+                    invert_pairing(block)
         return
     assert [[elem(e) for e in row] for row in adj] == ref_adj
-    # the kernel eliminated A whole; invert_pairing takes these blocks,
-    # inverts each, keeps adj_b over det_b and forms sign·Π det_b, and must
-    # give the same inverse and det
+    # the kernel eliminated A whole; invert_pairing, handed these blocks one
+    # at a time, keeps adj_b over det_b, and with sign·Π det_b must give the
+    # same inverse and det
     _matches_whole(rows, adj, det)
 
 
@@ -259,8 +269,8 @@ def test_a_wrong_block_fails_its_certificate(monkeypatch, wrong):
     assert sorted(len(r) for r, _, _ in blocks(matrix)[1]) == [1, 1, 2, 2, 3]
     lengths = [len(x) for x in basis.minus]
     _tamper(monkeypatch, wrong)
-    with pytest.raises(CertificateError, match="^adjugate certificate"):
-        invert_pairing(matrix)
+    with pytest.raises(CertificateError, match="^sl3: degree 4: adjugate certificate"):
+        shapovalov.exact_component(algebra, 4)
     with pytest.raises(CertificateError, match=r"^sl3: degree 4: block at rows \[\d"):
         pairing_determinant(algebra, 4)
     with pytest.raises(CertificateError, match="^ħ-adic inverse certificate"):

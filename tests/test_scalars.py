@@ -214,7 +214,7 @@ def test_step_is_the_polynomial_update(a, p, f, t, prev, divisible, as_tuples):
 def test_polynomial_render():
     assert Polynomial([0, -2, 1]).render() == "-2*λ+λ^2"
     assert Polynomial([Fraction(1, 2)]).render() == "1/2"
-    assert Polynomial([0, 1]).render("x") == "x"
+    assert Polynomial([0, 1]).render() == "λ"
     assert ZERO_POLY.render() == "0"
     assert Polynomial([1, -1]).render() == "1-λ"
 

@@ -8,7 +8,7 @@ import pytest
 
 from starprod.errors import CertificateError, SingularCharacterError
 from starprod.lie import GradedLieAlgebra, Generator, heisenberg, random_two_step, sl2, virasoro
-from starprod.scalars import ONE_POLY, ZERO_POLY, Polynomial, RationalFunction, adjugate
+from starprod.scalars import ONE_POLY, ZERO_POLY, Polynomial, RationalFunction, adjugate, blocks, product
 from starprod import shapovalov, verify
 from starprod.shapovalov import (
     build_basis,
@@ -187,8 +187,8 @@ def test_oracle_check_catches_a_corrupted_entry(monkeypatch):
 
 
 def test_dets_match_sympy_on_projection_matrices():
-    # sympy's det of the oracle-route matrix against invert_pairing's det of
-    # the module-route matrix
+    # sympy's det of the oracle-route matrix against exact_component's det,
+    # sign·Π det_b over the blocks of the module-route matrix
     sympy = pytest.importorskip("sympy")
     lam = sympy.Symbol("lam")
 
@@ -204,7 +204,7 @@ def test_dets_match_sympy_on_projection_matrices():
             # elimination over sympy's QQ[lam] domain: its default Bareiss on
             # expressions takes seconds at Virasoro n = 4
             want = matrix.det(method="domain-ge")
-            _, det = invert_pairing(rows)
+            det = exact_component(alg, n)[2]
             assert sympy.expand(want - to_sympy(det)) == 0, (alg.name, n)
 
 
@@ -253,16 +253,15 @@ def test_adjugate_constant_2x2():
 def test_invert_pairing():
     alg = virasoro(1, 1)
     _, rows = pairing_matrix(alg, 2)
-    inverse, det = invert_pairing(rows)
+    # one block: invert_pairing takes the matrix whole and returns (adj, det)
+    adj, det = invert_pairing(rows)
     assert det == Polynomial((0, 0, 18, -36))
-    # one block: every row of the inverse is its numerators over det itself
-    assert [row[-1] for row in inverse] == [det, det]
     # multiply back by hand in ℚ[λ]: Σ_k A[i][k]·adj[k][j] = δ_ij·det
     for i in range(2):
         for j in range(2):
             s = ZERO_POLY
             for k in range(2):
-                s = s + rows[i][k] * inverse[k][j]
+                s = s + rows[i][k] * adj[k][j]
             assert s == (det if i == j else ZERO_POLY)
 
     singular = [[Polynomial((0, 1)), Polynomial((0, 1))], [Polynomial((0, 1)), Polynomial((0, 1))]]
@@ -278,14 +277,21 @@ def test_a_block_det_changes_sign_with_the_basis_order():
     a, b, c, d, e = (Polynomial((k, 1)) for k in range(1, 6))
     rows = [[ZERO_POLY, a, b], [ZERO_POLY, c, d], [e, ZERO_POLY, ZERO_POLY]]
     perm = [1, 0, 2]
-    inverse, det = invert_pairing(rows)
-    swapped, swapped_det = invert_pairing([[rows[i][j] for j in perm] for i in perm])
-    assert swapped_det == det and swapped[0][-1] == -inverse[1][-1]
-    for l in range(3):
-        for k in range(3):
-            num, den = swapped[l][k], swapped[l][-1]
-            want = RationalFunction(inverse[perm[l]][perm[k]], inverse[perm[l]][-1])
-            assert RationalFunction(num, den) == want, (l, k)
+
+    def split(matrix):
+        # A⁻¹[l][k] as adj_b[j][i] over det_b, per block, as exact_component keys it
+        sign, parts = blocks(matrix)
+        inverse, dets = {}, {}
+        for r, c, block in parts:
+            adj, dets[tuple(r)] = invert_pairing(block)
+            inverse.update({(l, k): RationalFunction(adj[j][i], dets[tuple(r)])
+                            for j, l in enumerate(c) for i, k in enumerate(r)})
+        return inverse, dets, product([Polynomial((sign,)), *dets.values()])
+
+    inverse, dets, det = split(rows)
+    swapped, swapped_dets, swapped_det = split([[rows[i][j] for j in perm] for i in perm])
+    assert swapped_det == det and swapped_dets[(0, 1)] == -dets[(0, 1)]
+    assert {(perm[l], perm[k]): v for (l, k), v in swapped.items()} == inverse
 
 
 def test_invert_pairing_rejects_tampered_adjugate(monkeypatch):

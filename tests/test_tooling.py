@@ -212,16 +212,18 @@ def test_the_adjugate_certificate_multiplies_no_polynomials(monkeypatch):
     assert certified[0] <= alone[0] and certified[1] <= alone[1]
 
 
+SL3 = Path(__file__).resolve().parent / "fixtures" / "sl3_principal.json"
+
+
 def test_the_inverse_forms_no_cofactor(monkeypatch):
-    # invert_pairing keeps each entry over its own block's det: its only
+    # exact_component keeps each entry over its own block's det: its only
     # Polynomial products are the balanced product sign·Π det_b, and it divides
     # nothing, where multiplying each adj_b by det / det_b made 56 products
     # and 28 divisions on Heisenberg(3)'s 28 blocks at degree 6, and 51 and 7
     # on sl3's 7 blocks at degree 6
-    sl3 = Path(__file__).resolve().parent / "fixtures" / "sl3_principal.json"
     cases = (
         (heisenberg(3, Fraction(2, 3)), 28, 28),
-        (GradedLieAlgebra.from_json(json.loads(sl3.read_text(encoding="utf-8"))), 7, 7),
+        (GradedLieAlgebra.from_json(json.loads(SL3.read_text(encoding="utf-8"))), 7, 7),
     )
     calls = []
     for name in ("__mul__", "exact_div"):
@@ -231,8 +233,24 @@ def test_the_inverse_forms_no_cofactor(monkeypatch):
         _, matrix = pairing_matrix(algebra, 6)
         assert len(scalars.blocks(matrix)[1]) == parts, algebra.name
         del calls[:]
-        shapovalov.invert_pairing(matrix)
+        shapovalov.exact_component(algebra, 6)
         assert (calls.count("__mul__"), calls.count("exact_div")) == (products, 0), algebra.name
+
+
+def test_each_block_is_inverted_alone(monkeypatch):
+    # exact_component splits the pairing matrix and hands invert_pairing one
+    # block per call: 28 1×1 blocks on Heisenberg(3) at degree 6, and on sl3
+    # at degree 6 seven blocks of 4, 3, 3, 2, 2, 1 and 1 rows
+    sizes, real = [], shapovalov.invert_pairing
+    monkeypatch.setattr(shapovalov, "invert_pairing", lambda block: sizes.append(len(block)) or real(block))
+    cases = (
+        (heisenberg(3, Fraction(2, 3)), [1] * 28),
+        (GradedLieAlgebra.from_json(json.loads(SL3.read_text(encoding="utf-8"))), [4, 3, 3, 2, 2, 1, 1]),
+    )
+    for algebra, want in cases:
+        del sizes[:]
+        shapovalov.exact_component(algebra, 6)
+        assert sorted(sizes, reverse=True) == want, algebra.name
 
 
 def test_the_pairing_build_forms_no_zero(monkeypatch):
@@ -302,10 +320,10 @@ def test_exit_codes_survive_python_O(tmp_path):
         assert done.returncode == code, (argv, done.stdout, done.stderr)
 
 
-def _load_tracer():
-    # read perfbench/loop.py by path, as a module of its own, without editing it
-    path = SRC.parent.parent / "perfbench" / "loop.py"
-    spec = importlib.util.spec_from_file_location("perfbench_loop", path)
+def _load_perfbench(name):
+    # read perfbench/<name>.py by path, as a module of its own, without editing it
+    path = SRC.parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -313,7 +331,7 @@ def _load_tracer():
 
 def test_traced_layers_resolve():
     # the benchmark's tracer wraps these functions by name; a rename must fail here
-    loop = _load_tracer()
+    loop = _load_perfbench("loop")
     assert loop.LAYERS
     missing = [
         f"{module}.{attr}"
@@ -321,6 +339,22 @@ def test_traced_layers_resolve():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert not missing, "traced layers that no longer resolve: " + ", ".join(missing)
+
+
+def test_traced_counters_read_every_workload(tmp_path):
+    # the benchmark's counters read what the traced functions return (the
+    # inverse as one block's (adj, det)); a result they cannot read fails the
+    # traced request, so run one tiny request of each workload through them
+    loop, workloads = _load_perfbench("loop"), _load_perfbench("workloads")
+    specs = workloads.load_expected()["specs"]
+    for workload in workloads.WORKLOADS:
+        key = workloads.make_inputs(workload, 0, size="tiny")[0]
+        argv, _ = workloads.materialize(key, str(tmp_path), specs)
+        rec, out = loop.traced_request(argv)
+        assert (rec["rc"], rec["error"]) == (0, None), workload
+        assert workloads.check_output(workload, key, out.decode()) == [], workload
+        if workload == "verify-nilpotent":
+            assert rec["counts"]["shapovalov.det_degree"] > 0
 
 
 def test_exported_names_resolve():
