@@ -68,11 +68,11 @@ def _load_algebra(args, needed_window=None):
         if args.param:
             raise SpecError("--param only applies to --builtin")
         try:
-            with open(args.spec) as fh:
+            with open(args.spec, encoding="utf-8") as fh:
                 data = json.load(fh)
         except OSError as exc:
             raise SpecError(f"cannot read {args.spec}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also bad UTF-8, a too long int, deep nesting
             raise SpecError(f"{args.spec} is not valid JSON: {exc}") from exc
         if args.cutoff is not None:
             if not isinstance(data, dict):

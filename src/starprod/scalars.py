@@ -8,6 +8,7 @@ by expanding at λ = ∞ (ħ = 1/λ), as tuples of Fractions."""
 
 from __future__ import annotations
 
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from itertools import compress, count
@@ -42,10 +43,15 @@ def horner(coeffs, x):
 
 
 def frac_from_str(s) -> Fraction:
+    """The rational that `Fraction` reads from str(s).  An exponent larger than
+    Python's int digit limit is refused before its power of ten is built."""
+    text, limit = str(s), sys.get_int_max_str_digits()
     try:
-        return Fraction(str(s))
+        if not 0 < limit < abs(int(text.lower().partition("e")[2] or 0)):
+            return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {s!r}") from exc
+    raise ValueError(f"{s!r} has an exponent beyond ±{limit}, the int digit limit")
 
 
 class Polynomial:
@@ -57,7 +63,9 @@ class Polynomial:
     Fractions otherwise; the two mix exactly and compare/hash consistently.
     `exact_div` takes c // lc whenever an int c is divisible by an int leading
     coefficient lc, and divides in Fractions otherwise, so exact division in
-    ℤ[λ] (as in `verify`'s common denominator) never leaves the ints."""
+    ℤ[λ] (as in `verify`'s common denominator) never leaves the ints.  A value
+    never changes once built, so operands are shared, never copied: a sum with
+    zero, a product with the constant 1 and `scale(1)` return an operand."""
 
     __slots__ = ("coeffs",)
 
@@ -104,6 +112,8 @@ class Polynomial:
 
     def __add__(self, other):
         a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return self if a else other
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -115,6 +125,8 @@ class Polynomial:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return ZERO_POLY
+        if a == (1,) or b == (1,):
+            return other if a == (1,) else self
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if not ca:
@@ -125,6 +137,8 @@ class Polynomial:
         return Polynomial(out)
 
     def scale(self, k):
+        if k == 1:
+            return self
         if not k:
             return ZERO_POLY
         if type(k) is Fraction and k.denominator == 1:

@@ -351,7 +351,7 @@ def _interpolated_det(matrix, lengths, where):
         x = next(x for x in count(sum(lengths) + 1) if horner(det.coeffs, x))
         if horner(det.coeffs, x) != _integer_det(_at(cleared, x)):
             raise CertificateError(f"{where}sign·Π det(block) differs from det A at λ = {x}")
-    return det.scale(Fraction(1, d ** len(matrix))) if d > 1 else det
+    return det.scale(Fraction(1, d ** len(matrix)))
 
 
 def _at(matrix, x):

@@ -549,7 +549,7 @@ def _random_groups(algebra, rng, group, count, max_len):
 def property_suite(algebra, seed, samples=100):
     """Randomized structural checks on the enveloping algebra operations."""
     rng = random.Random(seed)
-    order = phi_order(algebra)
+    order, splits = phi_order(algebra), cache(mono_splits)  # per call: no state outlives the request
     results = []
 
     words = [g[0] for g in _random_groups(algebra, rng, 1, samples, 4)]
@@ -585,9 +585,9 @@ def property_suite(algebra, seed, samples=100):
             return False
         left3, right3 = {}, {}
         for (w1, w2), cc in split.items():
-            for a, b, dd in mono_splits(w1):
+            for a, b, dd in splits(w1):
                 left3[(a, b, w2)] = left3.get((a, b, w2), 0) + cc * dd
-            for a, b, dd in mono_splits(w2):
+            for a, b, dd in splits(w2):
                 right3[(w1, a, b)] = right3.get((w1, a, b), 0) + cc * dd
         return {k: c for k, c in left3.items() if c} == {k: c for k, c in right3.items() if c}
 

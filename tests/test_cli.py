@@ -633,6 +633,56 @@ def test_spec_that_is_not_json_or_not_an_object(tmp_path, capsys):
     assert (code, out, err) == (5, "", "error: algebra spec must be a JSON object\n")
 
 
+def _refused_spec(tmp_path, capsys, content):
+    """(out, err) of `validate` on a spec file holding these bytes, which must
+    exit 5 at once with one line naming the file and no traceback."""
+    path = tmp_path / "spec.json"
+    path.write_bytes(content)
+    code, out, err = _run(capsys, "validate", "--spec", str(path))
+    assert (code, out) == (5, "") and err.startswith(f"error: {path} is not valid JSON: ")
+    assert err.count("\n") == 1
+    return err
+
+
+def test_spec_with_an_integer_past_the_digit_limit(tmp_path, capsys):
+    # json reads a 5000-digit integer with int(), which refuses more than 4300
+    # digits: a ValueError that is not a json.JSONDecodeError
+    good = json.dumps(sl2(1).to_json())
+    for field in ('"cutoff": 1', '"coeff": "2"'):  # the cutoff, and a bracket coefficient
+        assert field in good
+        spec = good.replace(field, field.split()[0] + " " + "1" * 5000)
+        assert "Exceeds the limit (4300 digits)" in _refused_spec(tmp_path, capsys, spec.encode())
+
+
+def test_spec_nested_past_the_recursion_limit(tmp_path, capsys):
+    err = _refused_spec(tmp_path, capsys, b"[" * 100_000)
+    assert "maximum recursion depth exceeded" in err
+
+
+def test_spec_that_is_not_utf8(tmp_path, capsys):
+    # a UTF-16 byte order mark: JSON files are UTF-8, whatever the locale
+    err = _refused_spec(tmp_path, capsys, b"\xff\xfe{}")
+    assert "'utf-8' codec can't decode byte 0xff in position 0" in err
+
+
+def test_an_exponent_past_the_digit_limit_is_refused_up_front(tmp_path, capsys):
+    # Fraction would build 10^9999999, for minutes, before any check; an
+    # exponent above the int digit limit exits 5 at once, by --param and in a
+    # spec alike, while 10^±4300 itself is still read
+    for value in ("1e-9999999", "1E+4301", "-2.5e1_0000"):
+        code, out, err = _run(capsys, "star", "--builtin", "sl2", "--param", f"z={value}")
+        assert (code, out, err) == (5, "", f"error: {value!r} has an exponent beyond ±4300, the int digit limit\n")
+    spec = sl2(1).to_json()
+    for entry in spec["character"]:
+        entry["value"] = "1e-99999999"
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = _run(capsys, "star", "--spec", str(path))
+    assert (code, out, err) == (5, "", "error: '1e-99999999' has an exponent beyond ±4300, the int digit limit\n")
+    assert scalars.frac_from_str("1e-4300") == Fraction(1, 10**4300)
+    assert scalars.frac_from_str("-3E+2") == -300
+
+
 def test_spec_cutoff_flag_widens_the_validated_window(capsys):
     # the fixture's own cutoff is 2, so only degrees 1 and 2 are checked there
     spec = str(Path(__file__).resolve().parent / "fixtures" / "sl3_principal.json")

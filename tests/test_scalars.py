@@ -162,6 +162,43 @@ def test_polynomial_ring_axioms(p, q, r):
     assert as_fractions == p and hash(as_fractions) == hash(p)
 
 
+def _plain(coeffs):
+    """Coefficients as Fractions, trailing zeros stripped: no Polynomial involved."""
+    out = [Fraction(c) for c in coeffs]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+# the constants a sum or a product may hand back as they are, as every route builds them
+CONSTANTS = st.sampled_from([ONE_POLY, ZERO_POLY, Polynomial((1,)), Polynomial((Fraction(1),)), Polynomial()])
+OPERANDS = st.one_of(CONSTANTS, POLYS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(OPERANDS, OPERANDS, st.one_of(st.sampled_from([1, Fraction(1), 0, Fraction(0)]), COEFFS))
+def test_sums_products_and_scales_equal_plain_coefficient_arithmetic(p, q, k):
+    # a sum with zero, a product with the constant 1 and scale(1) hand back an
+    # operand; every result still equals the coefficient convolution, in the
+    # normal form (ints where integral, no trailing zero), on either side
+    a, b = p.coeffs, q.coeffs
+    conv = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    sums = [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(max(len(a), len(b)))]
+    cases = [(p + q, sums), (q + p, sums), (p * q, conv), (q * p, conv), (p.scale(k), [c * k for c in a])]
+    for got, want in cases:
+        assert got.coeffs == _plain(want)
+        assert all(type(c) is int or c.denominator > 1 for c in got.coeffs)
+    if not a or not b:
+        assert p + q is (q if not a else p)
+    if a == (1,) != b and b:
+        assert p * q is q and q * p is q
+    if k == 1:
+        assert p.scale(k) is p
+
+
 FACTORS = st.one_of(st.just(ZERO_POLY), COEFFS.map(lambda c: Polynomial([c])), POLYS)
 
 

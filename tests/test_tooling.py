@@ -136,6 +136,34 @@ def test_every_public_method_has_a_caller_in_src():
     assert not found, "public methods that nothing in src/ reads: " + ", ".join(found)
 
 
+def test_nothing_assigns_a_polynomials_attributes_outside_its_init():
+    # a sum with zero, a product with 1 and scale(1) hand back an operand, and
+    # the constants ZERO_POLY and ONE_POLY are shared by every route: sound only
+    # while a Polynomial never changes once built.  Its one slot is set in
+    # Polynomial.__init__ and nowhere else in src/ or tests/, by an assignment,
+    # a del or a setattr; with no __dict__, no other attribute can be set
+    slots = set(Polynomial.__slots__)
+    assert slots == {"coeffs"} and not hasattr(Polynomial(), "__dict__")
+    init = next(node for cls in _trees()["scalars.py"].body
+                if isinstance(cls, ast.ClassDef) and cls.name == "Polynomial"
+                for node in cls.body if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    allowed = {(SRC / "scalars.py", line) for line in range(init.lineno, init.end_lineno + 1)}
+    found = []
+    for path in sorted([*SRC.rglob("*.py"), *Path(__file__).resolve().parent.glob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                hit = node.attr in slots
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                hit = name in ("setattr", "delattr", "__setattr__", "__delattr__") and any(
+                    isinstance(a, ast.Constant) and a.value in slots for a in node.args)
+            else:
+                continue
+            if hit and (path, node.lineno) not in allowed:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, "assignments to a Polynomial's coefficients outside __init__: " + ", ".join(found)
+
+
 def test_every_fail_detail_in_verify_is_asserted_by_a_test():
     # the checks are not vacuous only if each FAIL detail is reached by some
     # test: the longest literal part of every CheckResult(name, False, detail)
@@ -278,6 +306,27 @@ def test_the_pairing_build_forms_no_zero(monkeypatch):
     monkeypatch.setattr(shapovalov, "_next_degree", counted)
     pairing_matrix(algebra, 6)
     assert calls.count("__mul__") <= 83 and calls.count("__neg__") <= 83
+
+
+def test_the_pairing_build_multiplies_by_no_constant_one(monkeypatch):
+    # a sum with zero, a product with the constant 1 and scale(1) hand back an
+    # operand, so a cold heisenberg(3) build through degree 6 (letter actions
+    # not yet memoized) forms no such product and builds 219 polynomials, where
+    # forming 198 products by 1 and copying each first sum built 806
+    algebra = heisenberg(3, Fraction(2, 3))
+    built, by_one = [], []
+    real_init, real_mul = Polynomial.__init__, Polynomial.__mul__
+
+    def mul(p, q):
+        out = real_mul(p, q)
+        if (1,) in (p.coeffs, q.coeffs) and out is not p and out is not q:
+            by_one.append((p, q))
+        return out
+
+    monkeypatch.setattr(Polynomial, "__init__", lambda self, *a: built.append(1) or real_init(self, *a))
+    monkeypatch.setattr(Polynomial, "__mul__", mul)
+    pairing_matrix(algebra, 6)
+    assert by_one == [] and len(built) == 219
 
 
 def test_each_pairing_matrix_is_split_into_blocks_once(monkeypatch, capsys):
