@@ -128,6 +128,26 @@ def test_tampering_across_valuations():
     )
 
 
+@pytest.mark.parametrize("lead", [0, 2], ids=["missing", "doubled"])
+def test_a_wrong_leading_word_breaks_associativity(lead):
+    # the two sides share the commutator nf(y·x) − x·y: with the memoized
+    # pi-order normal form of one pos·neg word y·x holding its leading word
+    # x·y with coefficient 0 or 2, the difference leaves a residual, where
+    # dropping x·y from nf(y·x) would leave none
+    for make, y, x, detail in (
+        (lambda: sl2(1), "e", "f", "window 2: residual at [f | f e | e]"),
+        (lambda: random_two_step(17), "b1", "a1", "window 2: residual at [a1 | a1 b1 | b1]"),
+        (lambda: virasoro(1, 1), "L1", "L-1", "window 2: residual at [L-2 | L-1 L1 | L1^2]"),
+    ):
+        alg = make()
+        y, x = alg.by_name(y).id, alg.by_name(x).id
+        order = pi_order(alg)
+        nf = {w: c for w, c in order.nf_word((y, x)).items() if w != (x, y)}
+        order._words[(y, x)] = {**nf, (x, y): lead} if lead else nf
+        result = check_associativity(alg, 2)
+        assert (result.passed, result.detail) == (False, detail)
+
+
 def test_associativity_component_counts():
     for alg, detail in (
         (random_two_step(0), "window 3: 29273 components vanish"),
@@ -482,8 +502,10 @@ def test_one_packing_at_the_tally_width(check, monkeypatch):
 
 
 def _brute_tally(alg, window):
-    """Σ|k| and the lcm of k's denominators over every contribution of the
-    associativity pass, enumerated term pair by term pair."""
+    """The number of contributions of the associativity pass, their Σ|k| and
+    the lcm of k's denominators, enumerated term pair by term pair: the left
+    skips the split x1 = (), and the right's split y2 = () reads the
+    commutator nf(y1·xq) − xq·y1, which the two sides share."""
     nf = pi_order(alg).nf_word
     terms = _cleared(canonical_element(alg, window), window)
     deg = lambda w: mono_degree(alg, w)
@@ -491,16 +513,19 @@ def _brute_tally(alg, window):
     for _, (x, y), _ in terms:
         for n, (xq, yq), _ in terms:
             for x1, _, mult in mono_splits(x):
-                if n <= window + deg(x1):
+                if x1 and n <= window + deg(x1):
                     ks += [mult * c1 for c1 in nf(x1 + xq).values()]
             for y1, y2, mult in mono_splits(y):
                 if n <= window - deg(y2):
+                    mid = dict(nf(y1 + xq))
+                    if not y2:
+                        mid[xq + y1] = mid.get(xq + y1, 0) - 1
                     ks += [
                         mult * c2 * c3
-                        for w2, c2 in nf(y1 + xq).items() if all(map(alg.degree, w2))
+                        for w2, c2 in mid.items() if c2 and all(map(alg.degree, w2))
                         for c3 in nf(y2 + yq).values()
                     ]
-    return sum(map(abs, ks)), lcm(*(Fraction(k).denominator for k in ks))
+    return len(ks), sum(map(abs, ks)), lcm(*(Fraction(k).denominator for k in ks))
 
 
 def _sl3_halves():
@@ -516,7 +541,7 @@ def _sl3_halves():
 
 
 def test_the_plan_tally_is_the_brute_force_tally(monkeypatch):
-    seen = _packings(monkeypatch)
+    seen, counts = _packings(monkeypatch), []
     for make, window in (
         (lambda: random_two_step(17), 3),
         (_rational, 3),
@@ -526,7 +551,12 @@ def test_the_plan_tally_is_the_brute_force_tally(monkeypatch):
         del seen[:]
         assert check_associativity(make(), window).passed
         [(*_, s, den, _)] = seen
-        assert (s, den) == _brute_tally(make(), window)
+        count, *tally = _brute_tally(make(), window)
+        assert (s, den) == tuple(tally)
+        counts.append(count)
+    # adding the shared commutator once, not both of its sides, leaves the
+    # first 26 876 of the 69 508 contributions those sides would make
+    assert counts[0] == 26876
     # on the halved sl3, c2 = c3 = -1/2 meet in one constant k = 1/4: den is
     # the denominator of the product, 4, where the factors' lcm would give 2
     assert den == 4
