@@ -183,19 +183,15 @@ def mono_splits(word):
     return out
 
 
-def coproduct(x, memo=None):
+def coproduct(x):
     """Coproduct into two tensor slots: dict (word, word) -> scalar.
 
     Input words are assumed sorted; splits of a sorted word stay sorted, so no
-    renormalization happens here.  A caller that splits the same words again
-    passes a dict `memo` of its own, which keeps each word's splits.
+    renormalization happens here.
     """
-    memo = {} if memo is None else memo
     out = {}
     for word, c in x.items():
-        if word not in memo:
-            memo[word] = mono_splits(word)
-        for left, right, mult in memo[word]:
+        for left, right, mult in mono_splits(word):
             key = (left, right)
             out[key] = out.get(key, 0) + c * mult
     return {k: c for k, c in out.items() if c}

@@ -571,8 +571,7 @@ def property_suite(algebra, seed, samples=100):
     """Randomized structural checks on the enveloping algebra operations."""
     rng = random.Random(seed)
     order, splits = phi_order(algebra), cache(mono_splits)  # per call: no state outlives the request
-    # Δ's own splits, apart from the coassociativity ones, and Δ(nf u) once per u
-    two, delta = {}, cache(lambda u: coproduct(order.nf_word(u), two))
+    delta = cache(lambda u: coproduct(order.nf_word(u)))  # Δ(nf u) once per u
     results = []
 
     words = [g[0] for g in _random_groups(algebra, rng, 1, samples, 4)]
@@ -604,7 +603,7 @@ def property_suite(algebra, seed, samples=100):
     def coproduct_holds(u, v):
         unf, vnf = order.nf_word(u), order.nf_word(v)
         split = delta(u)
-        if coproduct(multiply(order, unf, vnf), two) != tensor_mul2(order, split, coproduct(vnf, two)):
+        if coproduct(multiply(order, unf, vnf)) != tensor_mul2(order, split, coproduct(vnf)):
             return False
         left3, right3 = {}, {}
         for (w1, w2), cc in split.items():

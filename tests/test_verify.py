@@ -541,21 +541,29 @@ def _sl3_halves():
 
 
 def test_the_plan_tally_is_the_brute_force_tally(monkeypatch):
-    seen, counts = _packings(monkeypatch), []
+    seen, sizes, counts = _packings(monkeypatch), [], []
+    real = verify._tallied
+    monkeypatch.setattr(verify, "_tallied", lambda plan, ks: sizes.append(len(ks)) or real(plan, ks))
     for make, window in (
         (lambda: random_two_step(17), 3),
         (_rational, 3),
         (lambda: virasoro(1, 1, cutoff=4), 4),
         (_sl3_halves, 3),
     ):
-        del seen[:]
+        del seen[:], sizes[:]
         assert check_associativity(make(), window).passed
-        [(*_, s, den, _)] = seen
+        [(terms, _, s, den, _)] = seen
         count, *tally = _brute_tally(make(), window)
         assert (s, den) == tuple(tally)
+        # one plan per distinct x, then one per distinct y; each term t
+        # makes its x's and its y's contributions
+        xs, ys = (list(dict.fromkeys(pair[i] for _, pair, _ in terms)) for i in (0, 1))
+        assert len(sizes) == len(xs) + len(ys)
+        size = dict(zip([(0, x) for x in xs] + [(1, y) for y in ys], sizes))
+        assert sum(size[0, x] + size[1, y] for _, (x, y), _ in terms) == count
         counts.append(count)
-    # adding the shared commutator once, not both of its sides, leaves the
-    # first 26 876 of the 69 508 contributions those sides would make
+    # adding the shared commutator once, not both of its sides: 26 876
+    # contributions where the unshared sides made 69 508
     assert counts[0] == 26876
     # on the halved sl3, c2 = c3 = -1/2 meet in one constant k = 1/4: den is
     # the denominator of the product, 4, where the factors' lcm would give 2
