@@ -13,13 +13,7 @@ import json
 import sys
 from json.encoder import encode_basestring_ascii
 
-from .errors import (
-    CertificateError,
-    CutoffExceededError,
-    PoleAtInfinityError,
-    SingularCharacterError,
-    SpecError,
-)
+from .errors import SpecError, StarprodError
 from .lie import GradedLieAlgebra, builtin
 from .scalars import frac_from_str, frac_to_str
 from .shapovalov import pairing_determinant
@@ -232,18 +226,9 @@ def main(argv=None):
         if not hasattr(args, "func"):
             raise SpecError("a subcommand is required (validate, pairing, star, verify)")
         return args.func(args)
-    except SpecError as exc:
+    except StarprodError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except SingularCharacterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (CutoffExceededError, PoleAtInfinityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except CertificateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
 
 
 if __name__ == "__main__":

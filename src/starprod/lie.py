@@ -7,6 +7,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from types import MappingProxyType
 
 from .errors import CutoffExceededError, SpecError
@@ -64,12 +65,12 @@ class Memo:
 
     `pairings` holds the pairing matrix of each degree asked for, rows as
     tuples in the "desc" basis order, which the other order permutes;
-    `components` holds the exact components over ℚ(λ) per basis tie-break."""
+    `components` holds the exact components over ℚ(λ) per degree, in that order."""
 
     orders: dict = field(default_factory=dict)  # segments -> uea.BasisOrder
     actions: dict = field(default_factory=dict)  # (side, letter, module word) -> terms
     pairings: dict = field(default_factory=dict)  # degree -> (basis, rows)
-    components: dict = field(default_factory=dict)  # (degree, tie_break) -> (basis, entries, det)
+    components: dict = field(default_factory=dict)  # degree -> (basis, entries, det)
 
 
 class GradedLieAlgebra:
@@ -201,34 +202,18 @@ class GradedLieAlgebra:
         return report
 
     def _validate_jacobi(self, report):
-        ids = [g.id for g in self.generators]
-
-        def ad(x, elem):
-            out = {}
-            for gid, c in elem.items():
-                for h, k in self.bracket(x, gid):
-                    out[h] = out.get(h, Fraction(0)) + c * k
-            return out
-
-        for i, a in enumerate(ids):
-            for b in ids[i + 1 :]:
-                for c in ids:
-                    if c <= b:
-                        continue
-                    try:
-                        acc = {}
-                        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                            inner = {g: k for g, k in self.bracket(x, y)}
-                            for gid, v in ad(z, inner).items():
-                                # [[x,y],z] = -[z,[x,y]]
-                                acc[gid] = acc.get(gid, Fraction(0)) - v
-                    except CutoffExceededError:
-                        continue  # triple leaves the window; unrepresentable, skip
-                    if any(acc.values()):
-                        report.add(
-                            "jacobi",
-                            f"Jacobi fails on ({self.gen_name(a)}, {self.gen_name(b)}, {self.gen_name(c)})",
-                        )
+        for a, b, c in combinations([g.id for g in self.generators], 3):
+            acc = {}
+            try:
+                for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                    for g, k in self.bracket(x, y):  # [[x,y],z] = -Σ k·[z,g]
+                        for h, m in self.bracket(z, g):
+                            acc[h] = acc.get(h, 0) - k * m
+            except CutoffExceededError:
+                continue  # triple leaves the window; unrepresentable, skip
+            if any(acc.values()):
+                names = ", ".join(map(self.gen_name, (a, b, c)))
+                report.add("jacobi", f"Jacobi fails on ({names})")
 
     def character_pairing(self, degree):
         """Sorted generator ids at -degree and +degree, and the matrix

@@ -352,8 +352,8 @@ def determinant(matrix):
 class RationalFunction:
     """A ratio of polynomials in λ, a value to build and compare.  The pair is
     kept as given, with no common factor removed, so two ratios are equal when
-    their cross products are (a.num·b.den == b.num·a.den), or over one den
-    their numerators; having no normal form, the value is not hashable."""
+    their cross products are (a.num·b.den == b.num·a.den); having no normal
+    form, the value is not hashable."""
 
     __slots__ = ("num", "den")
 
@@ -372,8 +372,6 @@ class RationalFunction:
     def __eq__(self, other):
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        if self.den == other.den:
-            return self.num == other.num
         return self.num * other.den == other.num * self.den
 
     def __repr__(self):

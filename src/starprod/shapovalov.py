@@ -267,15 +267,15 @@ def invert_pairing(block):
     """(adj, det) of one block A_b of a pairing matrix, by `adjugate`, so
     that A_b⁻¹ = adj/det over ℚ(λ) with adj and det in ℚ[λ].  Raises
     SingularCharacterError when det = 0, and CertificateError unless
-    A_b·adj = det·I holds exactly in ℚ[λ] (`_certify_adjugate`)."""
+    A_b·adj = det·I holds exactly in ℚ[λ] (`certify_adjugate`)."""
     adj, det = adjugate(block)
     if adj is None:
         raise SingularCharacterError("pairing matrix is singular")
-    _certify_adjugate(block, adj, det)
+    certify_adjugate(block, adj, det)
     return adj, det
 
 
-def _certify_adjugate(block, adj, det):
+def certify_adjugate(block, adj, det):
     """Raise CertificateError unless A_b·adj = det·I for one block A_b and the
     adj and det returned for it.  On n columns it is decided on integers:
     with d·A_b and e·(adj, det) cleared (`clear_denominators`), every
@@ -428,21 +428,21 @@ class CanonicalElement:
         return {pair: RationalFunction(num, den) for pair, (num, den) in self.entries[n].items()}
 
 
-def exact_component(algebra, n, tie_break="desc"):
+def exact_component(algebra, n):
     """The degree-n component over ℚ(λ) as (basis, {(x, y): (num, den)}, det),
-    memoized in `memo.components`.  The pairing matrix A is split into its
-    `blocks` once, and A⁻¹ is block-diagonal on the transposed blocks: each
-    block's `invert_pairing` gives (adj_b, det_b), and the entry at
-    (x_k, y_l), k = rows[i] and l = cols[j], is adj_b[j][i] over det_b,
-    listed block by block, row-major in each, when nonzero.  det =
-    sign·Π det_b, and a matrix of one block has its block's det, with no
-    product formed.  Raises SingularCharacterError when A is singular and
+    memoized in `memo.components` by degree; an inverse is unique, so it does
+    not depend on the basis order (`verify.check_canonicity`).  The pairing
+    matrix A is split into its `blocks` once, and A⁻¹ is block-diagonal on
+    the transposed blocks: each block's `invert_pairing` gives (adj_b, det_b),
+    and the entry at (x_k, y_l), k = rows[i] and l = cols[j], is adj_b[j][i]
+    over det_b, listed block by block, row-major in each, when nonzero.
+    det = sign·Π det_b, and a matrix of one block has its block's det, with
+    no product formed.  Raises SingularCharacterError when A is singular and
     CertificateError when a block's A_b·adj_b = det_b·I fails, each naming
     the algebra and the degree."""
-    key = (n, tie_break)
     components = algebra.memo.components
-    if key not in components:
-        basis, matrix = pairing_matrix(algebra, n, tie_break)
+    if n not in components:
+        basis, matrix = pairing_matrix(algebra, n)
         sign, parts = blocks(matrix)
         singular = f"{algebra.name}: pairing matrix at degree {n} is singular"
         if not sign:
@@ -460,8 +460,8 @@ def exact_component(algebra, n, tie_break="desc"):
             raise SingularCharacterError(singular) from None
         except CertificateError as exc:
             raise CertificateError(f"{algebra.name}: degree {n}: {exc}") from None
-        components[key] = (basis, entries, dets[1] if len(parts) == 1 else product(dets))
-    return components[key]
+        components[n] = (basis, entries, dets[1] if len(parts) == 1 else product(dets))
+    return components[n]
 
 
 def expanded_component(algebra, n, order):
@@ -472,10 +472,10 @@ def expanded_component(algebra, n, order):
     return {pair: expand_at_infinity(num, den, order) for pair, (num, den) in entries.items()}
 
 
-def canonical_element(algebra, max_degree, tie_break="desc"):
+def canonical_element(algebra, max_degree):
     bases, entries, dets = {0: _DEGREE_ZERO[0]}, {0: {((), ()): (ONE_POLY, ONE_POLY)}}, {0: ONE_POLY}
     for n in range(1, max_degree + 1):
-        bases[n], entries[n], dets[n] = exact_component(algebra, n, tie_break)
+        bases[n], entries[n], dets[n] = exact_component(algebra, n)
     return CanonicalElement(bases, entries, dets)
 
 

@@ -42,8 +42,9 @@ from fractions import Fraction
 from functools import cache
 from math import factorial, lcm, prod
 
-from .scalars import ONE_POLY, Polynomial, RationalFunction, horner, product, series_ratio
-from .shapovalov import canonical_element, oracle_pairing, pairing_entry, pairing_matrix
+from .scalars import ONE_POLY, ZERO_POLY, Polynomial, RationalFunction, blocks, horner, product, series_ratio
+from .shapovalov import (canonical_element, certify_adjugate, oracle_pairing, pairing_determinant,
+                         pairing_entry, pairing_matrix)
 from .star import exact_series, expected_residue, residue, star_series
 from .uea import (
     antipode,
@@ -111,9 +112,9 @@ def _cleared(canon, window):
     dens = dict.fromkeys(den for *_, (_, den) in entries)
     common = ONE_POLY
     for den in dens:
-        if _divides(common, den):
+        if _holds(den.exact_div, common):
             common = den
-        elif not _divides(den, common):
+        elif not _holds(common.exact_div, den):
             common = common * den
     cofs = {den: common.exact_div(den) for den in dens}
     terms = []
@@ -124,10 +125,10 @@ def _cleared(canon, window):
     return terms
 
 
-def _divides(a, b):
-    """Whether the polynomial a divides b exactly."""
+def _holds(fn, *args):
+    """Whether fn(*args), an exact division or a certificate, raises no ArithmeticError."""
     try:
-        b.exact_div(a)
+        fn(*args)
     except ArithmeticError:
         return False
     return True
@@ -390,14 +391,21 @@ def check_oracle_agreement(algebra, max_degree):
 
 
 def check_canonicity(algebra, max_degree):
-    """The canonical element does not depend on the admissible basis order:
-    "asc" permutes rows and columns alike, so the dets agree exactly, and
-    each entry as a value in ℚ(λ): a block's det may change sign under the
-    permutation, and its numerators with it."""
-    a = canonical_element(algebra, max_degree, "desc")
-    b = canonical_element(algebra, max_degree, "asc")
+    """Independence of the basis order: an inverse is unique, and the certificate
+    proves that the memoized "desc" element inverts the "asc" matrix: on each
+    `blocks` part its entries, over one nonzero den, pass `certify_adjugate`, none
+    lies off the parts, and the asc det (`pairing_determinant`) is the element's.
+    `check_oracle_agreement` is the independent route to the matrix itself."""
+    canon = canonical_element(algebra, max_degree)
     for n in range(1, max_degree + 1):
-        if a.component(n) != b.component(n) or a.dets[n] != b.dets[n]:
+        basis, matrix, det = pairing_determinant(algebra, n, "asc")
+        rest, ok = dict(canon.entries[n]), det == canon.dets[n]
+        for rows, cols, block in blocks(matrix)[1]:
+            got = [[rest.pop((basis.minus[k], basis.plus[l]), None) for k in rows] for l in cols]
+            dens = {e[1] for row in got for e in row if e}
+            adj = [[e[0] if e else ZERO_POLY for e in row] for row in got]
+            ok = ok and len(dens) == 1 and all(dens) and _holds(certify_adjugate, block, adj, *dens)
+        if rest or not ok:
             return CheckResult("canonicity", False, f"components differ at degree {n}")
     return CheckResult(
         "canonicity", True, f"identical under both basis orders through degree {max_degree}"
@@ -603,7 +611,7 @@ def property_suite(algebra, seed, samples=100):
     def coproduct_holds(u, v):
         unf, vnf = order.nf_word(u), order.nf_word(v)
         split = delta(u)
-        if coproduct(multiply(order, unf, vnf)) != tensor_mul2(order, split, coproduct(vnf)):
+        if coproduct(multiply(order, unf, vnf)) != tensor_mul2(order, split, delta(v)):
             return False
         left3, right3 = {}, {}
         for (w1, w2), cc in split.items():

@@ -11,15 +11,16 @@ from functools import lru_cache
 from math import factorial
 
 from starprod.lie import heisenberg, random_two_step, sl2, virasoro
-from starprod.scalars import Polynomial, RationalFunction
+from starprod.scalars import Polynomial, RationalFunction, adjugate, blocks
 from starprod.shapovalov import (
     build_basis,
     canonical_element,
     oracle_pairing,
     pairing_entry,
+    pairing_matrix,
 )
 from starprod.star import first_order, residue, star_series
-from starprod.verify import check_associativity, check_invariance, property_suite
+from starprod.verify import check_associativity, check_canonicity, check_invariance, property_suite
 
 
 # shared instances so per-degree work done for one criterion is reused by the
@@ -288,13 +289,22 @@ def test_criterion_11_property_suites():
 
 
 def test_criterion_12_canonicity():
+    # a second inversion, apart from the certificate that check_canonicity
+    # reads: each block of the "asc" matrix inverted alone, and every entry
+    # compared with the memoized "desc" element as a value in ℚ(λ)
     for alg in (sl2(1), virasoro(1, 1, cutoff=4)):
-        a = canonical_element(alg, 4, "desc")
-        b = canonical_element(alg, 4, "asc")
+        canon = canonical_element(alg, 4)
         for n in range(1, 5):
-            comp_a, comp_b = a.component(n), b.component(n)
-            assert comp_a
-            assert comp_a == comp_b
+            basis, matrix = pairing_matrix(alg, n, "asc")
+            asc = {}
+            for rows, cols, block in blocks(matrix)[1]:
+                adj, det = adjugate(block)
+                asc.update({(basis.minus[k], basis.plus[l]): RationalFunction(adj[j][i], det)
+                            for i, k in enumerate(rows) for j, l in enumerate(cols) if adj[j][i]})
+            desc = canon.component(n)
+            assert desc
+            assert desc == asc
+        assert check_canonicity(alg, 4).passed
     # the two orderings really do enumerate the virasoro basis differently
     vir = virasoro(1, 1, cutoff=4)
     assert build_basis(vir, 4, "desc").minus != build_basis(vir, 4, "asc").minus

@@ -338,7 +338,7 @@ def test_the_packed_certificate_decides_the_identity(case):
     # the certificate passes exactly when A·adj = det·I holds in ℚ[λ]
     rows, adj, det = case
     try:
-        shapovalov._certify_adjugate(rows, adj, det)
+        shapovalov.certify_adjugate(rows, adj, det)
         passed = True
     except CertificateError:
         passed = False

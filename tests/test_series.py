@@ -126,7 +126,7 @@ def test_singular_leading_term_takes_the_exact_route():
     # at degree 2), and the product series has an ħ⁰ term at a slot of length 1
     alg = virasoro(1, -8, cutoff=3)
     product = star_series(alg, 3)
-    assert sorted(n for n, _ in alg.memo.components) == [2, 3]  # the fallback degrees only
+    assert sorted(alg.memo.components) == [2, 3]  # the fallback degrees only
     lm2, lp2 = alg.by_name("L-2").id, alg.by_name("L2").id
     assert product.orders[0][((lm2,), (lp2,))] == Fraction(2, 9)
     assert product.orders == exact_series(virasoro(1, -8, cutoff=3), 3).orders
@@ -173,7 +173,7 @@ def test_row_bound_violation_takes_the_exact_route(monkeypatch):
     monkeypatch.setattr(shapovalov, "pairing_matrix", raised)
     alg = sl2(Fraction(3, 2))
     product = star_series(alg, 5)
-    assert sorted(n for n, _ in alg.memo.components) == [1, 2, 3, 4, 5]
+    assert sorted(alg.memo.components) == [1, 2, 3, 4, 5]
     assert product.orders == exact_series(sl2(Fraction(3, 2)), 5).orders
     assert product.orders != plain  # the raised matrices were used
 

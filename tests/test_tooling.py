@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from starprod import cli, scalars, shapovalov
+from starprod import cli, scalars, shapovalov, verify
 from starprod.lie import GradedLieAlgebra, heisenberg, random_two_step, virasoro
 from starprod.scalars import Polynomial
 from starprod.shapovalov import pairing_matrix
@@ -279,6 +279,22 @@ def test_each_block_is_inverted_alone(monkeypatch):
         del sizes[:]
         shapovalov.exact_component(algebra, 6)
         assert sorted(sizes, reverse=True) == want, algebra.name
+
+
+def test_canonicity_inverts_nothing(monkeypatch):
+    # check_canonicity certifies the memoized element against the "asc"
+    # matrix: it runs no second inversion and memoizes no second element
+    calls = []
+    for module, name in ((scalars, "adjugate"), (shapovalov, "adjugate"), (shapovalov, "invert_pairing")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    for algebra in (GradedLieAlgebra.from_json(json.loads(SL3.read_text(encoding="utf-8"))),
+                    virasoro(1, 1, cutoff=4)):
+        shapovalov.canonical_element(algebra, 4)
+        keys = list(algebra.memo.components)
+        del calls[:]
+        assert verify.check_canonicity(algebra, 4).passed
+        assert calls == [] and list(algebra.memo.components) == keys, algebra.name
 
 
 def test_the_pairing_build_forms_no_zero(monkeypatch):

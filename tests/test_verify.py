@@ -11,7 +11,7 @@ import pytest
 
 from starprod import cli, star, verify
 from starprod.lie import GradedLieAlgebra, Generator, heisenberg, random_two_step, sl2, virasoro
-from starprod.scalars import Polynomial
+from starprod.scalars import ZERO_POLY, Polynomial
 from starprod.uea import mono_degree, mono_splits, pi_order
 from starprod.shapovalov import canonical_element
 from starprod.verify import (
@@ -73,7 +73,7 @@ def _tampered(alg, window, degree):
     """The algebra with one degree-`degree` coefficient of its canonical
     element (computed through `window`) doubled."""
     canonical_element(alg, window)
-    basis, coeffs, det = alg.memo.components[(degree, "desc")]
+    basis, coeffs, det = alg.memo.components[degree]
     key = next(iter(coeffs))
     num, den = coeffs[key]
     coeffs[key] = (num.scale(2), den)
@@ -114,7 +114,7 @@ def test_tampering_across_valuations():
     # must align contributions that start at different powers of λ
     alg = random_two_step(17)
     canonical_element(alg, 2)
-    _, coeffs, _ = alg.memo.components[(2, "desc")]
+    _, coeffs, _ = alg.memo.components[2]
     key = next(iter(coeffs))
     num, den = coeffs[key]
     coeffs[key] = (num + Polynomial((1,)), den)
@@ -192,15 +192,76 @@ def test_tampering_breaks_residue_and_closed_form(monkeypatch):
     )
 
 
-def test_tampering_breaks_canonicity():
-    alg = virasoro(1, 1)
-    assert check_canonicity(alg, 2).passed
-    _, coeffs, _ = alg.memo.components[(2, "asc")]
-    key = next(iter(coeffs))
-    num, den = coeffs[key]
-    coeffs[key] = (num + Polynomial((0, 1)), den)
-    result = check_canonicity(alg, 2)
-    assert (result.passed, result.detail) == (False, "components differ at degree 2")
+def _sl3():
+    spec = (RATIONAL.parent / "sl3_principal.json").read_text(encoding="utf-8")
+    return GradedLieAlgebra.from_json(json.loads(spec))
+
+
+def _scaled_block(factor):
+    """Scale the numerators and den of the block with the den of highest
+    degree by 3, and the whole det by `factor`."""
+    def tamper(basis, coeffs, det):
+        top = max((den for _, den in coeffs.values()), key=lambda den: den.degree)
+        return basis, {pair: (num.scale(3), den.scale(3)) if den == top else (num, den)
+                       for pair, (num, den) in coeffs.items()}, det.scale(factor)
+    return tamper
+
+
+def test_tampering_breaks_canonicity(monkeypatch):
+    # each mutant fails at the tampered degree 2, on Virasoro (one block per
+    # degree) and on sl3 (blocks of 1, 2 and 1 rows at degree 2)
+    def entry(basis, coeffs, det):  # one entry of the memoized element
+        key = next(iter(coeffs))
+        num, den = coeffs[key]
+        return basis, {**coeffs, key: (num + Polynomial((0, 1)), den)}, det
+
+    def top(coeffs):  # the den of highest degree: one block's
+        return max((den for _, den in coeffs.values()), key=lambda den: den.degree)
+
+    def mixed(basis, coeffs, det):  # one entry of that block over 2·den, the same value
+        pair = next(p for p, (_, den) in coeffs.items() if den == top(coeffs))
+        num, den = coeffs[pair]
+        return basis, {**coeffs, pair: (num.scale(2), den.scale(2))}, det
+
+    def zeroed(basis, coeffs, det):  # that block as 0/0, which A·0 = 0·I accepts
+        return basis, {p: (ZERO_POLY, ZERO_POLY) if den == top(coeffs) else (num, den)
+                       for p, (num, den) in coeffs.items()}, det
+
+    def extra(basis, coeffs, det):  # an entry off every block (sl3 only: Virasoro's is full)
+        pair = next((x, y) for x in basis.minus for y in basis.plus if (x, y) not in coeffs)
+        return basis, {**coeffs, pair: next(iter(coeffs.values()))}, det
+
+    real = verify.pairing_determinant
+
+    def asc(matrix_plus=ZERO_POLY, det_plus=ZERO_POLY):
+        def tampered(algebra, n, order):
+            basis, matrix, det = real(algebra, n, order)
+            if n == 2:
+                matrix = ((matrix[0][0] + matrix_plus, *matrix[0][1:]), *matrix[1:])
+                det = det + det_plus
+            return basis, matrix, det
+        return tampered
+
+    for make in (lambda: virasoro(1, 1, cutoff=3), _sl3):
+        cases = [(entry, real), (_scaled_block(3), real), (None, asc(matrix_plus=Polynomial((1,)))),
+                 (None, asc(det_plus=Polynomial((1,)))), (mixed, real), (zeroed, real)]
+        cases += [(extra, real)] * (make is _sl3)
+        for tamper, route in cases:
+            alg = make()
+            monkeypatch.setattr(verify, "pairing_determinant", real)
+            assert check_canonicity(alg, 3).passed
+            if tamper is not None:
+                alg.memo.components[2] = tamper(*alg.memo.components[2])
+            monkeypatch.setattr(verify, "pairing_determinant", route)
+            result = check_canonicity(alg, 3)
+            assert (result.passed, result.detail) == (False, "components differ at degree 2"), (alg.name, tamper)
+        # the scaled block alone, with the det left as it was, inverts the asc
+        # matrix as values: the certificate accepts it, and only the det refuses
+        alg = make()
+        monkeypatch.setattr(verify, "pairing_determinant", real)
+        canonical_element(alg, 3)
+        alg.memo.components[2] = _scaled_block(1)(*alg.memo.components[2])
+        assert check_canonicity(alg, 3).passed
 
 
 def test_long_slot_in_the_series_breaks_order_bounds(monkeypatch):
@@ -252,13 +313,13 @@ def _times(alg, degree, factor, pair=None):
     that pair's numerator, 1 over the det for a pair it lacks) multiplied by
     the polynomial `factor`."""
     canonical_element(alg, degree)
-    basis, coeffs, det = alg.memo.components[(degree, "desc")]
+    basis, coeffs, det = alg.memo.components[degree]
     if pair is None:
         det = det * factor
     else:
         num, den = coeffs.get(pair, (Polynomial((1,)), det))
         coeffs[pair] = (num * factor, den)
-    alg.memo.components[(degree, "desc")] = (basis, coeffs, det)
+    alg.memo.components[degree] = (basis, coeffs, det)
     return alg
 
 
