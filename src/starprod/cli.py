@@ -48,6 +48,10 @@ def _parse_params(pairs):
     return params
 
 
+class _NumberText(str):
+    __repr__ = str.__str__  # a spec number's own text, read exactly and shown as written
+
+
 def _load_algebra(args, needed_window=None):
     """Build the requested algebra.  A window requirement widens a builtin's
     default cutoff, but never overrides an explicit --cutoff."""
@@ -63,7 +67,7 @@ def _load_algebra(args, needed_window=None):
             raise SpecError("--param only applies to --builtin")
         try:
             with open(args.spec, encoding="utf-8") as fh:
-                data = json.load(fh)
+                data = json.load(fh, parse_float=_NumberText)
         except OSError as exc:
             raise SpecError(f"cannot read {args.spec}: {exc}") from exc
         except (ValueError, RecursionError) as exc:  # also bad UTF-8, a too long int, deep nesting

@@ -153,6 +153,11 @@ class GradedLieAlgebra:
             )
         return ()
 
+    def lowering_closed(self):
+        """Whether the declared table keeps [n₋, n₋] in n₋ (`bracket` raises past a window)."""
+        deg = self.degree
+        return all(deg(g) < 0 for (a, b), t in self._table.items() if deg(a) < 0 > deg(b) for g, _ in t)
+
     # -- validation --------------------------------------------------------
 
     def validate(self) -> ValidationReport:

@@ -43,8 +43,10 @@ def horner(coeffs, x):
 
 
 def frac_from_str(s) -> Fraction:
-    """The rational that `Fraction` reads from str(s).  An exponent larger than
-    Python's int digit limit is refused before its power of ten is built."""
+    """The rational that `Fraction` reads from str(s); a float raises TypeError.  An
+    exponent beyond Python's int digit limit is refused before 10^exponent is built."""
+    if isinstance(s, float):
+        raise TypeError(f"{s!r} is a float; give an int or a string such as '1/10'")
     text, limit = str(s), sys.get_int_max_str_digits()
     try:
         if not 0 < limit < abs(int(text.lower().partition("e")[2] or 0)):
@@ -379,18 +381,19 @@ class RationalFunction:
 
 
 def series_ratio(num, den, order):
-    """The ħ⁰ … ħ^order coefficients, as Fractions, of the power-series quotient
-    of two coefficient lists in ħ; den[0] must be nonzero."""
+    """The ħ⁰ … ħ^order coefficients c_k, as Fractions, of the power-series quotient
+    of two coefficient lists in ħ; den[0] = d₀ must be nonzero.  The recurrence runs on
+    N_k = c_k·d₀^(k+1), integers for int lists: N_k = num_k·d₀^k − Σ_j den_j·N_(k−j)·d₀^(j−1)."""
     if not den or not den[0]:
         raise ZeroDivisionError("series division needs an invertible denominator")
-    inv0 = 1 / Fraction(den[0])
-    out = []
+    pows = [den[0] ** k for k in range(order + 2)]
+    nums = []
     for k in range(order + 1):
-        acc = Fraction(num[k]) if k < len(num) else Fraction(0)
+        acc = num[k] * pows[k] if k < len(num) else 0
         for j in range(1, min(k, len(den) - 1) + 1):
-            acc -= den[j] * out[k - j]
-        out.append(acc * inv0)
-    return tuple(out)
+            acc -= den[j] * nums[k - j] * pows[j - 1]
+        nums.append(acc)
+    return tuple(Fraction(n) / pows[k + 1] for k, n in enumerate(nums))
 
 
 def expand_at_infinity(num: Polynomial, den: Polynomial, n: int) -> tuple:

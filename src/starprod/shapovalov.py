@@ -6,9 +6,9 @@ Each pairing entry is read off the Verma module, as the coefficient of v in
 S(y)·x·v, by recursion on the first letter of y: one letter action leaves
 pairings of lower degree, read from the matrices below, which are built
 first.  A row costs its letter actions and the nonzero lower entries they
-reach, and a zero entry costs nothing.  The PBW projection of S(y)·x
-(`pairing_entry`) computes the same scalar by another route and serves as
-its oracle.
+reach, and a zero entry costs nothing.  Its oracle, `pairing_entry`, folds S(y)·x in PBW
+order and projects as it folds: where [n₋, n₋] ⊆ n₋, the words led by a lowering letter span
+the right ideal n₋U, which the projection kills, so each is dropped as soon as it appears.
 
 All scalars are polynomials in the character scale λ, handled exactly.  The
 pairing is graded by the g₀-weight, so a matrix A splits into blocks after
@@ -64,7 +64,7 @@ from .scalars import (
     horner,
     product,
 )
-from .uea import antipode, char_eval, letter_action, multiply, phi, phi_order, word_name
+from .uea import antipode, char_eval, letter_action, phi, phi_order, word_name
 
 
 @dataclass(frozen=True)
@@ -160,10 +160,20 @@ def dual_basis(algebra, degree):
 
 
 def pairing_entry(algebra, x, y):
-    """(x, y) = scaled character of the zero-degree projection of S(y)·x,
-    normal-ordered in the enveloping algebra.  The oracle route."""
-    order = phi_order(algebra)
-    return char_eval(algebra, phi(algebra, multiply(order, antipode(order, {y: 1}), {x: 1})))
+    """(x, y): the scaled character of the zero-degree projection of S(y)·x, x's letters
+    inserted into S(y) one at a time (phi order).  The oracle route.  If [n₋, n₋] ⊆ n₋
+    (`lowering_closed`), a word led by a lowering letter lies in n₋U, a right ideal that `phi`
+    kills, and is dropped as it appears; a table that breaks the closure is folded in full."""
+    order, prune = phi_order(algebra), algebra.lowering_closed()
+    state = antipode(order, {y: 1})
+    for g in x:
+        nxt = {}
+        for w, c in state.items():
+            for w1, c1 in order.insert(w, g).items():
+                if not (prune and w1 and algebra.degree(w1[0]) < 0):
+                    nxt[w1] = nxt.get(w1, 0) + c * c1
+        state = {w: c for w, c in nxt.items() if c}
+    return char_eval(algebra, phi(algebra, state))
 
 
 def oracle_pairing(algebra, x, y):

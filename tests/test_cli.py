@@ -11,9 +11,12 @@ from fractions import Fraction
 from math import factorial
 from pathlib import Path
 
+import pytest
+
 from starprod import cli, scalars, shapovalov, verify
 from starprod.cli import main
-from starprod.lie import GradedLieAlgebra, Generator, random_two_step, sl2
+from starprod.errors import SpecError
+from starprod.lie import GradedLieAlgebra, Generator, heisenberg, random_two_step, sl2
 
 
 def _run(capsys, *argv):
@@ -681,6 +684,50 @@ def test_an_exponent_past_the_digit_limit_is_refused_up_front(tmp_path, capsys):
     assert (code, out, err) == (5, "", "error: '1e-99999999' has an exponent beyond ±4300, the int digit limit\n")
     assert scalars.frac_from_str("1e-4300") == Fraction(1, 10**4300)
     assert scalars.frac_from_str("-3E+2") == -300
+
+
+def test_spec_numbers_are_read_as_written(tmp_path, capsys):
+    # a JSON number used to become a float before frac_from_str read it:
+    # 0.30000000000000001 became 3/10, and a bracket coefficient 1e-400
+    # became 0, so [p1, q1] vanished and the pairing turned singular
+    path = tmp_path / "spec.json"
+    cases = [
+        (sl2(1), '"value": 0.30000000000000001', "-30000000000000001/100000000000000000*λ"),
+        (heisenberg(1, 1), '"coeff": 1e-400', f"-1/{10**400}*λ"),
+        (heisenberg(1, 1), '"coeff": -25E-1', "5/2*λ"),
+    ]
+    for algebra, number, det in cases:
+        text = json.dumps(algebra.to_json())
+        quoted = re.sub(r": (.*)", r': "1"', number)
+        assert quoted in text
+        path.write_text(text.replace(quoted, number))
+        code, out, err = _run(capsys, "validate", "--spec", str(path))
+        assert (code, err) == (0, ""), number
+        code, out, err = _run(capsys, "pairing", "--spec", str(path), "--degree", "1", "--format", "json")
+        assert (code, err, json.loads(out)["det"]) == (0, "", det), number
+    # an exponent past the int digit limit is still refused before it is built,
+    # and NaN, which JSON reads as a float whatever the number parser, by name
+    for number, message in (
+        ("1e-99999999", "1e-99999999 has an exponent beyond ±4300, the int digit limit"),
+        ("NaN", "bad character entry: {'gen': 'h', 'value': nan}"),
+    ):
+        path.write_text(json.dumps(sl2(1).to_json()).replace('"value": "1"', f'"value": {number}'))
+        code, out, err = _run(capsys, "star", "--spec", str(path))
+        assert (code, out, err) == (5, "", f"error: {message}\n")
+
+
+def test_from_json_refuses_a_float_by_its_entry():
+    # the API hands from_json Python objects: a float, already rounded, is
+    # refused with the entry it sits in, as a float given to the constructor is
+    for field, key in (("character", "value"), ("brackets", "coeff")):
+        spec = sl2(1).to_json()
+        entry = spec[field][0]
+        (entry["terms"][0] if field == "brackets" else entry)[key] = 0.1
+        with pytest.raises(SpecError) as caught:
+            GradedLieAlgebra.from_json(spec)
+        kind = "bracket" if field == "brackets" else "character"
+        assert str(caught.value) == f"bad {kind} entry: {entry!r}"
+        assert str(caught.value.__cause__).startswith("0.1 is a float")
 
 
 def test_spec_cutoff_flag_widens_the_validated_window(capsys):

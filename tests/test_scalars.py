@@ -332,6 +332,48 @@ def test_expansion_remainder_order():
         assert (num * lam_n + (-(den * partial))).degree < den.degree
 
 
+def _fraction_series(num, den, order):
+    # the recurrence series_ratio ran before it moved to integers: one
+    # Fraction operation, with its gcd, per step
+    inv0 = 1 / Fraction(den[0])
+    out = []
+    for k in range(order + 1):
+        acc = Fraction(num[k]) if k < len(num) else Fraction(0)
+        for j in range(1, min(k, len(den) - 1) + 1):
+            acc -= den[j] * out[k - j]
+        out.append(acc * inv0)
+    return tuple(out)
+
+
+SERIES_COEFFS = st.one_of(
+    st.integers(-50, 50), st.fractions(min_value=-20, max_value=20, max_denominator=12)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(SERIES_COEFFS, max_size=6),
+    SERIES_COEFFS.filter(bool),
+    st.lists(SERIES_COEFFS, max_size=6),
+    st.integers(0, 8),
+)
+@example([1, 2], -3, [5], 8)  # a negative, non-unit den[0]
+@example([Fraction(1, 3)], Fraction(-2, 5), [Fraction(7, 4), -1], 6)
+def test_series_ratio_matches_the_fraction_recurrence(num, den0, den_rest, order):
+    den = [den0, *den_rest]
+    got = series_ratio(num, den, order)
+    assert got == _fraction_series(num, den, order)
+    assert all(type(c) is Fraction for c in got)
+
+
+def test_series_ratio_refusals_are_unchanged():
+    for den in ([0, 1], [0], []):
+        with pytest.raises(ZeroDivisionError):
+            series_ratio([1, 2], den, 3)
+    with pytest.raises(PoleAtInfinityError):
+        expand_at_infinity(Polynomial([1, 2, 3]), Polynomial([-2, 5]), 4)
+
+
 def test_hbar_series():
     assert series_ratio([1], [1, -1], 4) == (1, 1, 1, 1, 1)
     assert series_ratio([0, 1], [2], 2) == (0, Fraction(1, 2), 0)

@@ -23,6 +23,7 @@ from starprod.shapovalov import (
     pairing_matrix,
 )
 from starprod.star import star_series
+from starprod.uea import antipode, char_eval, multiply, phi, phi_order
 
 
 def _names(algebra, words):
@@ -150,6 +151,39 @@ def test_oracle_agrees_on_random_degree_pairs():
                 basis, rows = pairing_matrix(alg, n, tie_break)
                 assert basis == build_basis(alg, n, tie_break)
                 assert rows == _projection_matrix(alg, basis), (alg.name, n, tie_break)
+
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+
+def _fixture(name):
+    return GradedLieAlgebra.from_json(json.loads((FIXTURES / name).read_text(encoding="utf-8")))
+
+
+def test_pruned_oracle_matches_the_full_projection():
+    # pairing_entry drops the words led by a lowering letter as it folds; the
+    # reference forms the whole product S(y)·x and projects it afterwards, here
+    # on every pair of basis words through degree 3, same degree or not.  In
+    # lowering_unclosed.json [f, g] = h leaves n₋, so n₋U is no right ideal
+    # and nothing may be pruned: a prune there gives 0 at (g², e), not −λ
+    cases = [
+        (sl2(Fraction(5, 3)), 3),
+        (heisenberg(3, Fraction(-3, 2)), 3),
+        (virasoro(Fraction(1, 2), Fraction(3, 7), cutoff=3), 3),
+        (_fixture("sl3_principal.json"), 3),
+        *((random_two_step(seed), 3) for seed in (0, 17, 50, 81)),
+        (_fixture("lowering_unclosed.json"), 4),
+    ]
+    for alg, top in cases:
+        order = phi_order(alg)
+        bases = [build_basis(alg, n) for n in range(top + 1)]
+        for x in (x for basis in bases for x in basis.minus):
+            for y in (y for basis in bases for y in basis.plus):
+                full = char_eval(alg, phi(alg, multiply(order, antipode(order, {y: 1}), {x: 1})))
+                assert pairing_entry(alg, x, y) == full, (alg.name, x, y)
+    unclosed = cases[-1][0]
+    g, e = unclosed.by_name("g").id, unclosed.by_name("e").id
+    assert pairing_entry(unclosed, (g, g), (e,)) == Polynomial((0, -1))
 
 
 def test_hot_path_skips_the_projection_route(monkeypatch):

@@ -11,8 +11,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from starprod import cli, scalars, shapovalov, verify
-from starprod.lie import GradedLieAlgebra, heisenberg, random_two_step, virasoro
+from starprod import cli, scalars, shapovalov, uea, verify
+from starprod.lie import GradedLieAlgebra, heisenberg, random_two_step, sl2, virasoro
 from starprod.scalars import Polynomial
 from starprod.shapovalov import pairing_matrix
 
@@ -295,6 +295,27 @@ def test_canonicity_inverts_nothing(monkeypatch):
         del calls[:]
         assert verify.check_canonicity(algebra, 4).passed
         assert calls == [] and list(algebra.memo.components) == keys, algebra.name
+
+
+def test_the_oracle_forms_no_full_product(monkeypatch):
+    # pairing_entry projects S(y)·x as it folds, so check_oracle_agreement
+    # never normal-orders a whole product; the prune is gated on the declared
+    # table keeping [n₋, n₋] in n₋, which every builtin and fixture does and a
+    # table with [f, g] = h does not (it is folded in full, still letter by letter)
+    def refuse(*args):
+        raise AssertionError("the oracle formed a full product")
+
+    for module in (uea, shapovalov, verify):
+        monkeypatch.setattr(module, "multiply", refuse, raising=False)
+    load = lambda name: GradedLieAlgebra.from_json(json.loads((SL3.parent / name).read_text(encoding="utf-8")))
+    closed = [sl2(1), heisenberg(2, 1), virasoro(1, 1, cutoff=3), *map(random_two_step, (0, 17, 50, 81)),
+              load("sl3_principal.json"), load("sl3_rational.json")]
+    for algebra in closed:
+        assert algebra.lowering_closed(), algebra.name
+        assert verify.check_oracle_agreement(algebra, 3).passed, algebra.name
+    unclosed = load("lowering_unclosed.json")
+    assert not unclosed.lowering_closed()
+    assert verify.check_oracle_agreement(unclosed, 4).detail == "routes disagree at [g f | e k]"
 
 
 def test_the_pairing_build_forms_no_zero(monkeypatch):
